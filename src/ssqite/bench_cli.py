@@ -68,6 +68,14 @@ class RunConfig:
             raise ParseError(f"k must be >= 1, got {self.k}")
         if self.shots < 0:
             raise ParseError(f"shots must be >= 0, got {self.shots}")
+        if self.seed < 0:
+            raise ParseError(f"seed must be >= 0, got {self.seed}")
+        if self.theta0_scale < 0:
+            raise ParseError(f"theta0_scale must be >= 0, got {self.theta0_scale}")
+        try:
+            self.subspace_config()
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
 
     def state_labels(self) -> tuple[str, ...]:
         labels = self.initial_states or _DEFAULT_LABELS[self.ansatz][: self.k]
@@ -139,7 +147,10 @@ def parse_config(path) -> RunConfig:
         raise ParseError(f"hamiltonian file {cfg.hamiltonian_path} not found")
     env_seed = os.environ.get("SSQITE_SEED")
     if env_seed is not None:
-        cfg = replace(cfg, seed=int(env_seed))
+        try:
+            cfg = replace(cfg, seed=int(env_seed))
+        except ValueError:
+            raise ParseError(f"SSQITE_SEED must be an integer, got {env_seed!r}") from None
     return cfg
 
 

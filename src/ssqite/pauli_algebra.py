@@ -9,6 +9,7 @@ corresponds to axis ``q`` of the statevector reshaped to ``(2,) * n``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,11 @@ class PauliSum:
 
     def __str__(self) -> str:
         return " + ".join(f"{c:+.12g}*{s}" for c, s in self.terms)
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """``to_dense(self)``, built on first use."""
+        return to_dense(self)
 
 
 def to_dense(h: PauliSum) -> np.ndarray:

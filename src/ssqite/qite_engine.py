@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import MaxStepsExceeded, SingularSystem
 from .pauli_algebra import PauliSum
-from .simulator import Circuit, Statevector, apply_pauli_sum, derivative_stack
+from .simulator import Circuit, Statevector, derivative_stack
 
 
 @dataclass(frozen=True)
@@ -58,19 +57,32 @@ class QiteConfig:
             raise ValueError(f"unknown integrator {self.integrator!r}")
 
 
-def assemble(c: Circuit, theta, h: PauliSum, s0: Statevector,
-             phase_correction: bool = False) -> McLachlanSystem:
-    """Measure A, C, and the energy at the current parameters."""
-    phi, deriv = derivative_stack(c, theta, s0)
-    a = np.real(deriv.conj() @ deriv.T)
-    a = 0.5 * (a + a.T)  # kill asymmetric rounding noise
-    h_phi = apply_pauli_sum(h, phi.amps)
-    cvec = -np.real(deriv.conj() @ h_phi)
-    energy = float(np.real(np.vdot(phi.amps, h_phi)))
+def assemble(c: Circuit, theta, h: PauliSum, s0,
+             phase_correction: bool = False):
+    """Measure A, C, and the energy at the current parameters.
+
+    ``s0`` is one Statevector (returns one system) or a (2^n, k) matrix of
+    initial-state columns (returns a tuple of k systems, one per column, all
+    from a single circuit sweep).  Both forms run the same arithmetic, so a
+    one-column batch reproduces the single-state system bit for bit.
+    """
+    single = isinstance(s0, Statevector)
+    phi, deriv = derivative_stack(c, theta, s0.amps.reshape(-1, 1) if single else s0)
+    per_level = np.moveaxis(deriv, 2, 0)  # (k, P, 2^n)
+    bra = per_level.conj()
+    a = np.real(bra @ per_level.transpose(0, 2, 1))
+    a = 0.5 * (a + a.transpose(0, 2, 1))  # kill asymmetric rounding noise
+    h_phi = h.dense @ phi
+    cvec = -np.real(bra @ h_phi.T[:, :, None])[:, :, 0]
+    energies = np.real(np.sum(phi.conj() * h_phi, axis=0))
     if phase_correction:
-        g = np.imag(phi.amps.conj() @ deriv.T)
-        a = a - np.outer(g, g)
-    return McLachlanSystem(a=a, c=cvec, energy=energy)
+        g = np.imag(per_level @ phi.T.conj()[:, :, None])[:, :, 0]
+        a = a - g[:, :, None] * g[:, None, :]
+    systems = tuple(
+        McLachlanSystem(a=a[l], c=cvec[l], energy=float(energies[l]))
+        for l in range(phi.shape[1])
+    )
+    return systems[0] if single else systems
 
 
 def solve(sys: McLachlanSystem, regularization: float) -> np.ndarray:
@@ -88,9 +100,9 @@ def solve(sys: McLachlanSystem, regularization: float) -> np.ndarray:
     if regularization > 0:
         # Gram matrix + positive shift: positive definite unless degenerate.
         try:
-            factor = scipy.linalg.cho_factor(a, check_finite=False)
-            return scipy.linalg.cho_solve(factor, sys.c, check_finite=False)
-        except scipy.linalg.LinAlgError:
+            lower = np.linalg.cholesky(a)
+            return np.linalg.solve(lower.T, np.linalg.solve(lower, sys.c))
+        except np.linalg.LinAlgError:
             pass
     # With no shift A is singular whenever the ansatz is locally redundant,
     # so the definite factorization cannot apply; truncate instead.

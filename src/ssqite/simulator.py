@@ -3,12 +3,26 @@
 Rotation convention: R_G(theta) = exp(-i * theta * G / 2) for G in {X, Y, Z}.
 Qubit q is axis q of the statevector reshaped to (2,) * n, matching the Pauli
 string ordering in :mod:`ssqite.pauli_algebra` (qubit 0 = leftmost label).
+
+Cost model.  :func:`apply` and :func:`derivative_stack` share one kernel that
+moves a batch of k states through the circuit as a (2^n, k) matrix, with the
+P slot derivatives riding along as extra columns of the same matrix.  Every
+gate is embedded once per circuit as a dense 2^n x 2^n matrix, so a gate costs
+O(4^n) per column instead of the O(2^n) of a tensor contraction; the fixed
+gates between two rotations are multiplied into the following rotation, so a
+sweep is one matrix product of O(4^n (P + 1) k) per rotation gate.  The
+quadratic cost is deliberate: the package targets small dense simulation, the
+shipped ansaetze act on 2 and 3 qubits, and there a few small matrix products
+beat many tensor contractions on 4 or 8 amplitudes, whose cost is call
+overhead.  The tensor-contraction path (:func:`derivative_state`,
+:func:`hadamard_test`) stays as the independent reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -133,6 +147,11 @@ class Circuit:
         header = f"Circuit(n={self.n}, params={self.num_params})"
         return "\n".join([header] + [f"  {g}" for g in self.gates])
 
+    @cached_property
+    def dense(self) -> "DenseCircuit":
+        """Dense gate matrices of this circuit, built on first use."""
+        return _compile(self)
+
 
 # --- low-level tensor ops -------------------------------------------------
 
@@ -160,25 +179,125 @@ def _gate_matrix(gate: Gate, theta: np.ndarray) -> np.ndarray:
     return PAULI_MATRICES["X"]
 
 
-def _apply_gate(tensor: np.ndarray, gate: Gate, theta: np.ndarray, offset: int = 0) -> np.ndarray:
-    """Apply one gate; ``offset`` shifts qubit axes past leading batch axes."""
-    axes = tuple(offset + t for t in gate.targets)
-    return _apply_matrix(tensor, _gate_matrix(gate, theta), axes)
+def _apply_gate(tensor: np.ndarray, gate: Gate, theta: np.ndarray) -> np.ndarray:
+    return _apply_matrix(tensor, _gate_matrix(gate, theta), gate.targets)
 
 
-def apply(c: Circuit, theta, s: Statevector) -> Statevector:
-    """Run the circuit on a state: ``U(theta) |s>``."""
+# --- dense batched sweep -----------------------------------------------------
+
+def _embed(mat: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of ``mat`` acting on the given qubits."""
+    dim = 2 ** n
+    columns = np.eye(dim, dtype=complex).reshape((2,) * n + (dim,))
+    return _apply_matrix(columns, mat, targets).reshape(dim, dim)
+
+
+@dataclass(frozen=True, eq=False)
+class DenseCircuit:
+    """A circuit as one step per rotation gate, in circuit order.
+
+    Step r applies ``lead[r]`` (the fixed gates since the previous rotation)
+    and then rotation r; ``tail`` holds the fixed gates after the last
+    rotation, or None when there are none.
+    """
+
+    slots: np.ndarray  # (R,) parameter slot of each rotation
+    lead: np.ndarray  # (R, 2^n, 2^n)
+    minus_i_gen: np.ndarray  # (R, 2^n, 2^n) -i G, so R(theta) = cos I + sin (-i G)
+    insertion: np.ndarray  # (R, 2^n, 2^n) -i/2 G, the derivative of rotation r
+    tail: np.ndarray | None
+
+    def steps(self, theta: np.ndarray) -> np.ndarray:
+        """All R step matrices at once: R_r(theta) @ lead[r]."""
+        half = 0.5 * theta[self.slots]
+        dim = self.lead.shape[1]
+        rot = (np.cos(half)[:, None, None] * np.eye(dim)
+               + np.sin(half)[:, None, None] * self.minus_i_gen)
+        return rot @ self.lead
+
+
+def _compile(c: Circuit) -> DenseCircuit:
+    dim = 2 ** c.n
+    pending = None  # product of the fixed gates since the last rotation
+    slots, lead, gens = [], [], []
+    for gate in c.gates:
+        if gate.kind in ROTATION_KINDS:
+            slots.append(gate.param_slot)
+            lead.append(np.eye(dim, dtype=complex) if pending is None else pending)
+            gens.append(_embed(_GENERATORS[gate.kind], gate.targets, c.n))
+            pending = None
+        else:
+            fixed = _embed(_gate_matrix(gate, None), gate.targets, c.n)
+            pending = fixed if pending is None else fixed @ pending
+    gens = np.array(gens, dtype=complex).reshape(-1, dim, dim)
+    return DenseCircuit(
+        slots=np.array(slots, dtype=int),
+        lead=np.array(lead, dtype=complex).reshape(-1, dim, dim),
+        minus_i_gen=-1j * gens,
+        insertion=-0.5j * gens,
+        tail=pending,
+    )
+
+
+def _sweep(c: Circuit, theta: np.ndarray, amps: np.ndarray,
+           derivatives: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """Move the k columns of ``amps`` through U(theta) together.
+
+    Returns the (2^n, k) final states and, with ``derivatives``, the
+    (P, 2^n, k) stack of their slot derivatives.  The derivatives are carried
+    as extra column blocks of the state matrix, so each step is one matrix
+    product; slot i's block receives (-i/2) G psi right after every rotation
+    that reads slot i.
+    """
+    plan = c.dense
+    steps = plan.steps(theta)
+    k = amps.shape[1]
+    if not derivatives:
+        for step in steps:
+            amps = step @ amps
+        return (amps if plan.tail is None else plan.tail @ amps), None
+    dim = amps.shape[0]
+    x = np.zeros((dim, (c.num_params + 1) * k), dtype=complex)
+    x[:, :k] = amps
+    for step, insertion, slot in zip(steps, plan.insertion, plan.slots.tolist()):
+        x = step @ x
+        x[:, (slot + 1) * k:(slot + 2) * k] += insertion @ x[:, :k]
+    if plan.tail is not None:
+        x = plan.tail @ x
+    stack = x[:, k:].reshape(dim, c.num_params, k).transpose(1, 0, 2)
+    return x[:, :k], stack
+
+
+def _inputs(c: Circuit, theta, s) -> tuple[np.ndarray, np.ndarray]:
+    """Validated parameters and (2^n, k) input columns of a state or batch."""
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (c.num_params,):
         raise DimensionMismatch(
             f"theta has shape {theta.shape}, expected ({c.num_params},)"
         )
-    if s.n != c.n:
-        raise DimensionMismatch(f"state on {s.n} qubits, circuit on {c.n}")
-    tensor = s.amps.reshape((2,) * c.n)
-    for gate in c.gates:
-        tensor = _apply_gate(tensor, gate, theta)
-    return Statevector(amps=tensor.reshape(-1), n=c.n)
+    if isinstance(s, Statevector):
+        if s.n != c.n:
+            raise DimensionMismatch(f"state on {s.n} qubits, circuit on {c.n}")
+        return theta, s.amps.reshape(-1, 1)
+    amps = np.asarray(s, dtype=complex)
+    if amps.ndim != 2 or amps.shape[0] != 2 ** c.n:
+        raise DimensionMismatch(
+            f"state batch has shape {amps.shape}, expected ({2 ** c.n}, k)"
+        )
+    return theta, amps
+
+
+def apply(c: Circuit, theta, s):
+    """Run the circuit: ``U(theta) |s>``.
+
+    ``s`` is a Statevector (returns a Statevector) or a (2^n, k) matrix of
+    state columns (returns the evolved matrix).
+    """
+    theta, amps = _inputs(c, theta, s)
+    out, _ = _sweep(c, theta, amps, derivatives=False)
+    if isinstance(s, Statevector):
+        return Statevector(amps=out[:, 0], n=c.n)
+    return out
 
 
 def apply_pauli_string(string: PauliString, amps: np.ndarray) -> np.ndarray:
@@ -253,29 +372,19 @@ def derivative_state(c: Circuit, theta, i: int, s0: Statevector) -> np.ndarray:
     return total.reshape(-1)
 
 
-def derivative_stack(c: Circuit, theta, s0: Statevector) -> tuple[Statevector, np.ndarray]:
+def derivative_stack(c: Circuit, theta, s0):
     """Final state plus all slot derivatives in one forward sweep.
 
-    Returns ``(phi, D)`` with ``D[i] == derivative_state(c, theta, i, s0)``.
+    For a Statevector returns ``(phi, D)`` with
+    ``D[i] == derivative_state(c, theta, i, s0)``.  For a (2^n, k) matrix of
+    state columns returns the (2^n, k) final states and the (P, 2^n, k)
+    derivative stack, all k columns from the same sweep.
     """
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (c.num_params,):
-        raise DimensionMismatch(
-            f"theta has shape {theta.shape}, expected ({c.num_params},)"
-        )
-    if s0.n != c.n:
-        raise DimensionMismatch(f"state on {s0.n} qubits, circuit on {c.n}")
-    shape = (2,) * c.n
-    psi = s0.amps.reshape(shape)
-    stack = np.zeros((c.num_params,) + shape, dtype=complex)
-    for gate in c.gates:
-        stack = _apply_gate(stack, gate, theta, offset=1)
-        psi = _apply_gate(psi, gate, theta)
-        if gate.param_slot is not None:
-            gen = _GENERATORS[gate.kind]
-            stack[gate.param_slot] += -0.5j * _apply_matrix(psi, gen, (gate.targets[0],))
-    phi = Statevector(amps=psi.reshape(-1), n=c.n)
-    return phi, stack.reshape(c.num_params, -1)
+    theta, amps = _inputs(c, theta, s0)
+    phi, stack = _sweep(c, theta, amps, derivatives=True)
+    if isinstance(s0, Statevector):
+        return Statevector(amps=phi[:, 0], n=c.n), stack[:, :, 0]
+    return phi, stack
 
 
 # --- paper ansatz builders --------------------------------------------------

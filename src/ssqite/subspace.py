@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import MaxItersExceeded, NonDecreasingWeights
+from .errors import DimensionMismatch, MaxItersExceeded, NonDecreasingWeights
 from .pauli_algebra import PauliSum
 from .qite_engine import assemble, solve
-from .simulator import Circuit, Statevector, apply, expectation, overlap
+from .simulator import Circuit, Statevector, apply, expectation
 
 UPDATE_MODES = ("shared", "per-level")
 
@@ -83,6 +84,26 @@ def init_schedule(k: int, b: float) -> np.ndarray:
     return b / np.power(2.0, np.arange(k))
 
 
+def _columns(states) -> np.ndarray:
+    """(2^n, k) matrix whose columns are the states' amplitudes."""
+    return np.column_stack([s.amps for s in states])
+
+
+def _gram(states) -> np.ndarray:
+    """k x k matrix of inner products <psi_i|psi_j>."""
+    amps = _columns(states)
+    return amps.conj().T @ amps
+
+
+def _evolve(c: Circuit, theta: np.ndarray, initial_states,
+            per_level: bool) -> tuple[Statevector, ...]:
+    """Trial states U(theta)|phi_l>, one sweep for all levels when shared."""
+    if per_level:
+        return tuple(apply(c, theta[l], s) for l, s in enumerate(initial_states))
+    rows = apply(c, theta, _columns(initial_states)).T.copy()
+    return tuple(Statevector(amps=amps, n=c.n) for amps in rows)
+
+
 @dataclass(frozen=True)
 class TraceRecord:
     """One per-level monitoring row emitted every iteration."""
@@ -121,42 +142,37 @@ class SubspaceRun:
         """Validate inputs and build the iteration-zero run."""
         initial_states = tuple(initial_states)
         k = len(initial_states)
-        for i in range(k):
-            for j in range(k):
-                expected = 1.0 if i == j else 0.0
-                dev = abs(abs(overlap(initial_states[i], initial_states[j])) - expected)
-                if dev > 1e-10:
-                    raise ValueError(
-                        f"initial states {i},{j} not orthonormal (deviation {dev:.2e})"
-                    )
+        dtau = init_schedule(k, cfg.b)
+        for s in initial_states:
+            if s.n != c.n:
+                raise DimensionMismatch(f"state on {s.n} qubits, circuit on {c.n}")
+        dev = np.abs(np.abs(_gram(initial_states)) - np.eye(k))
+        if dev.max() > 1e-10:
+            i, j = np.unravel_index(np.argmax(dev), dev.shape)
+            raise ValueError(
+                f"initial states {i},{j} not orthonormal (deviation {dev[i, j]:.2e})"
+            )
         if theta0 is None:
             theta0 = np.zeros(c.num_params)
         theta0 = np.asarray(theta0, dtype=float)
-        if cfg.update_mode == "per-level":
-            if theta0.ndim == 1:
-                theta0 = np.tile(theta0, (k, 1))
-            thetas = [theta0[l] for l in range(k)]
-        else:
-            thetas = [theta0] * k
-        states = tuple(apply(c, thetas[l], initial_states[l]) for l in range(k))
+        per_level = cfg.update_mode == "per-level"
+        if per_level and theta0.ndim == 1:
+            theta0 = np.tile(theta0, (k, 1))
         return cls(
             k=k,
             b=cfg.b,
             theta=theta0.copy(),
             initial_states=initial_states,
-            dtau=init_schedule(k, cfg.b),
+            dtau=dtau,
             converged=np.zeros(k, dtype=bool),
             traces=tuple(() for _ in range(k)),
-            states=states,
+            states=_evolve(c, theta0, initial_states, per_level),
             streaks=np.zeros(k, dtype=int),
             snapshots={},
             records=(),
             iteration=0,
             update_mode=cfg.update_mode,
         )
-
-    def level_theta(self, level: int) -> np.ndarray:
-        return self.theta[level] if self.theta.ndim == 2 else self.theta
 
     def monitor_states(self) -> tuple[Statevector, ...]:
         """States used for orthogonality checks.
@@ -171,35 +187,40 @@ class SubspaceRun:
             for l in range(self.k)
         )
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        """Inner products <psi_i|psi_j> of the monitor states.
 
-def _offdiag_max(states) -> float:
-    k = len(states)
-    worst = 0.0
-    for i in range(k):
-        for j in range(i + 1, k):
-            worst = max(worst, abs(overlap(states[i], states[j])))
-    return worst
+        Computed at most once per run object: :func:`ortho_report` and the
+        next iteration's trace record both read it.
+        """
+        return _gram(self.monitor_states())
+
+
+def _offdiag_max(gram: np.ndarray) -> float:
+    k = gram.shape[0]
+    return float(np.max(np.abs(gram[np.triu_indices(k, 1)]))) if k > 1 else 0.0
 
 
 def iteration(run: SubspaceRun, h: PauliSum, c: Circuit,
               cfg: SsqiteConfig) -> SubspaceRun:
     """One joint update of all k levels.
 
-    Measures every level's McLachlan system at the current parameters, marks
+    Measures every level's McLachlan system at the current parameters (in
+    shared mode all k levels come from one batched circuit sweep), marks
     levels whose velocity stalled for ``patience`` iterations as converged
     (doubling the step sizes from that level upward), then applies the
     per-level updates.
     """
     k = run.k
-    theta_dots = []
-    grads = np.empty(k)
-    energies = np.empty(k)
-    for l in range(k):
-        sys = assemble(c, run.level_theta(l), h, run.initial_states[l])
-        dot = solve(sys, cfg.regularization)
-        theta_dots.append(dot)
-        grads[l] = np.max(np.abs(dot))
-        energies[l] = sys.energy
+    per_level = run.update_mode == "per-level"
+    if per_level:
+        systems = [assemble(c, run.theta[l], h, run.initial_states[l]) for l in range(k)]
+    else:
+        systems = assemble(c, run.theta, h, _columns(run.initial_states))
+    theta_dots = [solve(sys, cfg.regularization) for sys in systems]
+    grads = np.array([np.max(np.abs(dot)) for dot in theta_dots])
+    energies = [sys.energy for sys in systems]
 
     converged = run.converged.copy()
     streaks = run.streaks.copy()
@@ -231,18 +252,17 @@ def iteration(run: SubspaceRun, h: PauliSum, c: Circuit,
         dtau[doubled_prefix:] *= 2.0
         doubled_prefix += 1
 
-    if run.update_mode == "per-level":
+    if per_level:
         theta = run.theta.copy()
         for l in range(k):
             theta[l] = theta[l] + dtau[l] * theta_dots[l]
-        states = tuple(apply(c, theta[l], run.initial_states[l]) for l in range(k))
     else:
         theta = run.theta
         for l in range(k):
             theta = theta + dtau[l] * theta_dots[l]
-        states = tuple(apply(c, theta, phi) for phi in run.initial_states)
+    states = _evolve(c, theta, run.initial_states, per_level)
 
-    ortho_max = _offdiag_max(run.monitor_states())
+    ortho_max = _offdiag_max(run.gram)
     records = run.records + tuple(
         TraceRecord(
             iteration=run.iteration,
@@ -288,21 +308,16 @@ def ortho_report(run_or_states, exact_states=None, tol: float = 1e-8) -> OrthoRe
     """
     if isinstance(run_or_states, SubspaceRun):
         states = run_or_states.monitor_states()
+        gram = run_or_states.gram
     else:
         states = tuple(run_or_states)
+        gram = _gram(states)
     k = len(states)
-    pairwise = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            pairwise[i, j] = abs(overlap(states[i], states[j]))
+    pairwise = np.abs(gram)
     exact = None
     if exact_states is not None:
         exact_states = np.asarray(exact_states, dtype=complex)
-        exact = np.array(
-            [[abs(np.vdot(exact_states[:, j], states[i].amps))
-              for j in range(exact_states.shape[1])]
-             for i in range(k)]
-        )
+        exact = np.abs(_columns(states).T @ exact_states.conj())
     off = pairwise - np.eye(k)
     max_offdiag = float(np.max(np.abs(off))) if k > 1 else 0.0
     return OrthoReport(

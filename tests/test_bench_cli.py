@@ -241,3 +241,21 @@ class TestMainDispatch:
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["scan", "--config", str(tmp_path / "absent.cfg")]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("update_mode", "bogus"), ("b", "-1"), ("patience", "0"),
+         ("theta0_scale", "-0.1"), ("seed", "-1")],
+    )
+    def test_bad_config_value_exit_2(self, tmp_path, capsys, key, value):
+        cfg_path = write_config(tmp_path, trimmed_h2(tmp_path), **{key: value})
+        assert main(["scan", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out" / "scan.csv").exists()
+
+    def test_bad_env_seed_exit_2(self, tmp_path, capsys, monkeypatch):
+        cfg_path = write_config(tmp_path, trimmed_h2(tmp_path))
+        monkeypatch.setenv("SSQITE_SEED", "eleven")
+        assert main(["exact", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: SSQITE_SEED")

@@ -287,6 +287,53 @@ class TestDerivatives:
                 stack[i], derivative_state(c, theta, i, s0), atol=1e-12
             )
 
+    @pytest.mark.parametrize(
+        "build, n", [(build_twolocal, 2), (build_excitation_preserving, 3)]
+    )
+    def test_batched_stack_matches_oracle(self, rng, build, n):
+        # Three columns through one sweep: every column of the (P, 2^n, 3)
+        # stack equals the per-slot tensor-contraction oracle.
+        c = build()
+        for _ in range(3):
+            theta = rng.uniform(-np.pi, np.pi, c.num_params)
+            states = [random_state(rng, n) for _ in range(3)]
+            amps = np.column_stack([s.amps for s in states])
+            phi, stack = derivative_stack(c, theta, amps)
+            assert phi.shape == (2 ** n, 3)
+            assert stack.shape == (c.num_params, 2 ** n, 3)
+            np.testing.assert_allclose(phi, apply(c, theta, amps), atol=1e-12)
+            for l, s in enumerate(states):
+                np.testing.assert_allclose(phi[:, l], apply(c, theta, s).amps, atol=1e-12)
+                for i in range(c.num_params):
+                    np.testing.assert_allclose(
+                        stack[i, :, l], derivative_state(c, theta, i, s), atol=1e-12
+                    )
+
+    def test_batched_shared_slot_and_trailing_fixed_gates(self, rng):
+        # A slot read by two rotations, fixed gates before, between and after.
+        c = Circuit(
+            n=2,
+            gates=(
+                Gate("X", (1,)), Gate("RY", (0,), 0), Gate("CSX", (0, 1)),
+                Gate("RZ", (1,), 0), Gate("RX", (0,), 1), Gate("CNOT", (1, 0)),
+            ),
+            num_params=2,
+        )
+        theta = rng.uniform(-np.pi, np.pi, 2)
+        states = [random_state(rng, 2) for _ in range(2)]
+        phi, stack = derivative_stack(c, theta, np.column_stack([s.amps for s in states]))
+        for l, s in enumerate(states):
+            for i in range(2):
+                np.testing.assert_allclose(
+                    stack[i, :, l], derivative_state(c, theta, i, s), atol=1e-12
+                )
+
+    def test_batch_shape_checked(self):
+        with pytest.raises(DimensionMismatch):
+            derivative_stack(build_twolocal(), np.zeros(16), np.zeros((8, 2)))
+        with pytest.raises(DimensionMismatch):
+            apply(build_twolocal(), np.zeros(16), np.zeros(4))
+
 
 class TestHadamardTest:
     def test_single_ry_a_diagonal(self):

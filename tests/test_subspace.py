@@ -6,8 +6,15 @@ import pytest
 from ssqite.errors import MaxItersExceeded, MaxStepsExceeded, NonDecreasingWeights
 from ssqite.exact_oracle import eigensolve
 from ssqite.pauli_algebra import PauliSum
-from ssqite.qite_engine import QiteConfig, run_qite
-from ssqite.simulator import Circuit, Gate, Statevector, build_twolocal
+from ssqite.qite_engine import QiteConfig, assemble, run_qite, solve
+from ssqite.simulator import (
+    Circuit,
+    Gate,
+    Statevector,
+    apply,
+    build_excitation_preserving,
+    build_twolocal,
+)
 from ssqite.subspace import (
     SsqiteConfig,
     SsvqeWeights,
@@ -186,6 +193,53 @@ class TestReduction:
         qite_trace = qite_exc.value.energies[:steps]
         ss_trace = np.array(ss_exc.value.result.traces[0])
         np.testing.assert_array_equal(qite_trace, ss_trace)
+
+
+class TestBatchedIteration:
+    """The one-sweep iteration against k separate single-state assemblies."""
+
+    @pytest.mark.parametrize("update_mode", ["shared", "per-level"])
+    def test_matches_separate_assembly(self, h2_series, update_mode):
+        _, h = h2_series.nearest(1.75)
+        c = build_twolocal()
+        cfg = SsqiteConfig(update_mode=update_mode)
+        states = basis("00", "01", "10")
+        state = SubspaceRun.start(c, states, cfg, theta0=seeded_theta(16))
+        theta = np.array(state.theta)
+        dtau = state.dtau.copy()
+        for _ in range(5):
+            thetas = theta if theta.ndim == 2 else [theta] * 3
+            systems = [assemble(c, thetas[l], h, s) for l, s in enumerate(states)]
+            dots = [solve(sys, cfg.regularization) for sys in systems]
+            state = iteration(state, h, c, cfg)
+            assert not state.converged.any()  # no dtau change in these steps
+            if theta.ndim == 2:
+                theta = theta + dtau[:, None] * np.array(dots)
+            else:
+                for step, dot in zip(dtau, dots):
+                    theta = theta + step * dot
+            np.testing.assert_allclose(state.theta, theta, rtol=0, atol=1e-12)
+            recs = state.records[-3:]
+            for rec, sys, dot in zip(recs, systems, dots):
+                assert abs(rec.energy - sys.energy) <= 1e-12
+                assert abs(rec.grad_inf - np.max(np.abs(dot))) <= 1e-12
+            for l, s in enumerate(states):
+                level_theta = theta[l] if theta.ndim == 2 else theta
+                np.testing.assert_allclose(
+                    state.states[l].amps, apply(c, level_theta, s).amps, atol=1e-12
+                )
+
+    def test_batched_systems_match_single(self, rng):
+        c = build_excitation_preserving()
+        h = PauliSum.from_terms([(0.3, "ZZI"), (-0.7, "XXI"), (0.2, "IYY"), (0.1, "ZIZ")])
+        theta = rng.uniform(-np.pi, np.pi, 16)
+        states = basis("010", "001", "100")
+        batch = assemble(c, theta, h, np.column_stack([s.amps for s in states]))
+        for sys, s in zip(batch, states):
+            single = assemble(c, theta, h, s)
+            np.testing.assert_allclose(sys.a, single.a, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(sys.c, single.c, rtol=0, atol=1e-12)
+            assert abs(sys.energy - single.energy) <= 1e-12
 
 
 class TestRun:
