@@ -72,6 +72,11 @@ class RunConfig:
             raise ParseError(f"seed must be >= 0, got {self.seed}")
         if self.theta0_scale < 0:
             raise ParseError(f"theta0_scale must be >= 0, got {self.theta0_scale}")
+        width, labels = len(_DEFAULT_LABELS[self.ansatz][0]), self.initial_states
+        bad = [l for l in labels if len(l) != width or set(l) - {"0", "1"}]
+        if bad or len(set(labels)) < len(labels):
+            raise ParseError(f"initial_states must be distinct {width}-bit binary labels, "
+                             f"got {','.join(labels)}")
         try:
             self.subspace_config()
         except ValueError as exc:
@@ -251,11 +256,11 @@ def cmd_trace(cfg: RunConfig, bond_length: float) -> int:
     circuit = _build_ansatz(cfg)
     result = _run_geometry(cfg, circuit, hamiltonian)
     lines = ["iter,level,energy_Ha,grad_inf_norm,dtau,ortho_max_offdiag"]
-    for rec in result.records:
-        lines.append(
-            f"{rec.iteration},{rec.level},{_fmt(rec.energy)},"
-            f"{_fmt(rec.grad_inf)},{_fmt(rec.dtau)},{_fmt(rec.ortho_max_offdiag)}"
-        )
+    for i, rec in enumerate(result.history):
+        ortho = _fmt(rec.ortho.max_offdiag)
+        for level in range(cfg.k):
+            lines.append(f"{i},{level},{_fmt(rec.energies[level])},"
+                         f"{_fmt(rec.grads[level])},{_fmt(rec.dtau[level])},{ortho}")
     _write_lines(cfg.output_dir / "trace.csv", lines)
     final = ", ".join(f"{e:.6f}" for e in result.energies)
     print(

@@ -19,11 +19,12 @@ from .simulator import Circuit, Statevector, derivative_stack
 
 @dataclass(frozen=True)
 class McLachlanSystem:
-    """Gram matrix, driving vector, and current energy for one trial state."""
+    """Gram matrix, driving vector, energy and amplitudes ``phi`` of one trial state."""
 
     a: np.ndarray
     c: np.ndarray
     energy: float
+    phi: np.ndarray | None = None
 
     @property
     def num_params(self) -> int:
@@ -79,7 +80,7 @@ def assemble(c: Circuit, theta, h: PauliSum, s0,
         g = np.imag(per_level @ phi.T.conj()[:, :, None])[:, :, 0]
         a = a - g[:, :, None] * g[:, None, :]
     systems = tuple(
-        McLachlanSystem(a=a[l], c=cvec[l], energy=float(energies[l]))
+        McLachlanSystem(a=a[l], c=cvec[l], energy=float(energies[l]), phi=phi[:, l])
         for l in range(phi.shape[1])
     )
     return systems[0] if single else systems

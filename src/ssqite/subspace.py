@@ -10,13 +10,20 @@ In ``shared`` update mode a single parameter vector receives the sum of the
 per-level updates, so the evolved states stay exactly orthogonal (one unitary
 applied to orthogonal inputs).  The ``per-level`` mode advances k independent
 parameter vectors and merely monitors orthogonality.
+
+A run keeps one append-only stream of :class:`IterationRecord`, one per
+iteration.  Iteration i measures every level's McLachlan system at theta_i
+in one derivative sweep, and its record holds what that sweep gave: the
+energies, each level's ||theta_dot||_inf, the step sizes of the update it
+applied, and the overlaps of the monitored states at theta_i.  ``traces``,
+``records`` and ``ortho_history`` are read-only views of that stream.  The
+trial states at the final parameters come from one ``apply`` when the run
+ends.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -85,28 +92,22 @@ def init_schedule(k: int, b: float) -> np.ndarray:
 
 
 def _columns(states) -> np.ndarray:
-    """(2^n, k) matrix whose columns are the states' amplitudes."""
+    """(2^n, k) matrix of the states' amplitudes (a matrix passes through)."""
+    if isinstance(states, np.ndarray):
+        return states
     return np.column_stack([s.amps for s in states])
 
 
-def _gram(states) -> np.ndarray:
-    """k x k matrix of inner products <psi_i|psi_j>."""
-    amps = _columns(states)
-    return amps.conj().T @ amps
-
-
-def _evolve(c: Circuit, theta: np.ndarray, initial_states,
-            per_level: bool) -> tuple[Statevector, ...]:
-    """Trial states U(theta)|phi_l>, one sweep for all levels when shared."""
-    if per_level:
-        return tuple(apply(c, theta[l], s) for l, s in enumerate(initial_states))
-    rows = apply(c, theta, _columns(initial_states)).T.copy()
-    return tuple(Statevector(amps=amps, n=c.n) for amps in rows)
+def _monitor(amps: np.ndarray, snapshots: dict[int, np.ndarray]) -> np.ndarray:
+    """Overwrite, in place, each converged per-level column with its snapshot."""
+    for l, snapshot in snapshots.items():
+        amps[:, l] = snapshot
+    return amps
 
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One per-level monitoring row emitted every iteration."""
+    """One per-level monitoring row, as ``trace.csv`` lists it."""
 
     iteration: int
     level: int
@@ -114,180 +115,6 @@ class TraceRecord:
     grad_inf: float
     dtau: float
     ortho_max_offdiag: float
-
-
-@dataclass(frozen=True)
-class SubspaceRun:
-    """Evolving state of one subspace search."""
-
-    k: int
-    b: float
-    theta: np.ndarray  # (num_params,) shared mode, (k, num_params) per-level
-    initial_states: tuple[Statevector, ...]
-    dtau: np.ndarray
-    converged: np.ndarray
-    traces: tuple[tuple[float, ...], ...]
-    states: tuple[Statevector, ...]  # trial states at the current parameters
-    streaks: np.ndarray
-    snapshots: dict[int, Statevector]
-    records: tuple[TraceRecord, ...]
-    iteration: int
-    update_mode: str
-    doubled_prefix: int = 0  # levels whose convergence already doubled steps
-    prev_grads: np.ndarray | None = None
-
-    @classmethod
-    def start(cls, c: Circuit, initial_states, cfg: SsqiteConfig,
-              theta0=None) -> "SubspaceRun":
-        """Validate inputs and build the iteration-zero run."""
-        initial_states = tuple(initial_states)
-        k = len(initial_states)
-        dtau = init_schedule(k, cfg.b)
-        for s in initial_states:
-            if s.n != c.n:
-                raise DimensionMismatch(f"state on {s.n} qubits, circuit on {c.n}")
-        dev = np.abs(np.abs(_gram(initial_states)) - np.eye(k))
-        if dev.max() > 1e-10:
-            i, j = np.unravel_index(np.argmax(dev), dev.shape)
-            raise ValueError(
-                f"initial states {i},{j} not orthonormal (deviation {dev[i, j]:.2e})"
-            )
-        if theta0 is None:
-            theta0 = np.zeros(c.num_params)
-        theta0 = np.asarray(theta0, dtype=float)
-        per_level = cfg.update_mode == "per-level"
-        if per_level and theta0.ndim == 1:
-            theta0 = np.tile(theta0, (k, 1))
-        return cls(
-            k=k,
-            b=cfg.b,
-            theta=theta0.copy(),
-            initial_states=initial_states,
-            dtau=dtau,
-            converged=np.zeros(k, dtype=bool),
-            traces=tuple(() for _ in range(k)),
-            states=_evolve(c, theta0, initial_states, per_level),
-            streaks=np.zeros(k, dtype=int),
-            snapshots={},
-            records=(),
-            iteration=0,
-            update_mode=cfg.update_mode,
-        )
-
-    def monitor_states(self) -> tuple[Statevector, ...]:
-        """States used for orthogonality checks.
-
-        Converged levels in per-level mode are represented by the snapshot
-        taken when they converged; shared mode always uses live states.
-        """
-        if self.update_mode != "per-level":
-            return self.states
-        return tuple(
-            self.snapshots.get(l, self.states[l]) if self.converged[l] else self.states[l]
-            for l in range(self.k)
-        )
-
-    @cached_property
-    def gram(self) -> np.ndarray:
-        """Inner products <psi_i|psi_j> of the monitor states.
-
-        Computed at most once per run object: :func:`ortho_report` and the
-        next iteration's trace record both read it.
-        """
-        return _gram(self.monitor_states())
-
-
-def _offdiag_max(gram: np.ndarray) -> float:
-    k = gram.shape[0]
-    return float(np.max(np.abs(gram[np.triu_indices(k, 1)]))) if k > 1 else 0.0
-
-
-def iteration(run: SubspaceRun, h: PauliSum, c: Circuit,
-              cfg: SsqiteConfig) -> SubspaceRun:
-    """One joint update of all k levels.
-
-    Measures every level's McLachlan system at the current parameters (in
-    shared mode all k levels come from one batched circuit sweep), marks
-    levels whose velocity stalled for ``patience`` iterations as converged
-    (doubling the step sizes from that level upward), then applies the
-    per-level updates.
-    """
-    k = run.k
-    per_level = run.update_mode == "per-level"
-    if per_level:
-        systems = [assemble(c, run.theta[l], h, run.initial_states[l]) for l in range(k)]
-    else:
-        systems = assemble(c, run.theta, h, _columns(run.initial_states))
-    theta_dots = [solve(sys, cfg.regularization) for sys in systems]
-    grads = np.array([np.max(np.abs(dot)) for dot in theta_dots])
-    energies = [sys.energy for sys in systems]
-
-    converged = run.converged.copy()
-    streaks = run.streaks.copy()
-    dtau = run.dtau.copy()
-    snapshots = dict(run.snapshots)
-    # A converged level whose velocity re-awakens and keeps growing signals
-    # that step doubling pushed dtau past the explicit-integrator stability
-    # bound; back off all step sizes together so the dtau ratios stay intact.
-    if run.prev_grads is not None and any(
-        converged[l]
-        and grads[l] > 10.0 * cfg.grad_tol
-        and grads[l] > run.prev_grads[l]
-        for l in range(k)
-    ):
-        dtau *= 0.5
-    for l in range(k):
-        if converged[l]:
-            continue
-        streaks[l] = streaks[l] + 1 if grads[l] < cfg.grad_tol else 0
-        if streaks[l] >= cfg.patience:
-            converged[l] = True
-            snapshots[l] = run.states[l]
-    # Doubling starts at the converged level itself, which keeps the dtau
-    # ratios (and the head >= tail-sum property) intact; it fires only once
-    # the whole prefix below has converged, so an early high level cannot tie
-    # its step with a still-active lower one.
-    doubled_prefix = run.doubled_prefix
-    while doubled_prefix < k and converged[doubled_prefix]:
-        dtau[doubled_prefix:] *= 2.0
-        doubled_prefix += 1
-
-    if per_level:
-        theta = run.theta.copy()
-        for l in range(k):
-            theta[l] = theta[l] + dtau[l] * theta_dots[l]
-    else:
-        theta = run.theta
-        for l in range(k):
-            theta = theta + dtau[l] * theta_dots[l]
-    states = _evolve(c, theta, run.initial_states, per_level)
-
-    ortho_max = _offdiag_max(run.gram)
-    records = run.records + tuple(
-        TraceRecord(
-            iteration=run.iteration,
-            level=l,
-            energy=float(energies[l]),
-            grad_inf=float(grads[l]),
-            dtau=float(dtau[l]),
-            ortho_max_offdiag=ortho_max,
-        )
-        for l in range(k)
-    )
-    return dataclasses.replace(
-        run,
-        theta=theta,
-        dtau=dtau,
-        converged=converged,
-        streaks=streaks,
-        snapshots=snapshots,
-        states=states,
-        traces=tuple(run.traces[l] + (float(energies[l]),) for l in range(k)),
-        records=records,
-        iteration=run.iteration + 1,
-        doubled_prefix=doubled_prefix,
-        prev_grads=grads,
-    )
 
 
 @dataclass(frozen=True)
@@ -300,71 +127,250 @@ class OrthoReport:
     flagged: bool
 
 
+def _report(amps: np.ndarray, exact_states, tol: float) -> OrthoReport:
+    """Overlaps of the state columns ``amps`` from one k x k Gram matrix."""
+    pairwise = np.abs(amps.conj().T @ amps)
+    exact = None
+    if exact_states is not None:
+        exact = np.abs(amps.T @ np.conj(exact_states))
+    max_offdiag = float((pairwise - np.diag(pairwise.diagonal())).max())
+    return OrthoReport(pairwise, exact, max_offdiag, flagged=max_offdiag > tol)
+
+
+@dataclass(frozen=True)
+class IterationRecord:
+    """What one iteration measured at its parameters theta_i, from one sweep."""
+
+    energies: tuple[float, ...]
+    grads: tuple[float, ...]  # ||theta_dot||_inf per level
+    dtau: tuple[float, ...]  # step sizes of the update this iteration applied
+    ortho: OrthoReport  # overlaps of the monitor states at theta_i
+
+
+class _RecordViews:
+    """Per-level views of a record stream ``history`` over ``k`` levels."""
+
+    @property
+    def traces(self) -> tuple[tuple[float, ...], ...]:
+        """Energy of each level at every iterate, one tuple per level."""
+        return tuple(tuple(rec.energies[l] for rec in self.history) for l in range(self.k))
+
+    @property
+    def records(self) -> tuple[TraceRecord, ...]:
+        """One row per iteration and level, iteration-major."""
+        return tuple(
+            TraceRecord(i, l, rec.energies[l], rec.grads[l], rec.dtau[l],
+                        rec.ortho.max_offdiag)
+            for i, rec in enumerate(self.history)
+            for l in range(self.k)
+        )
+
+
+@dataclass
+class SubspaceRun(_RecordViews):
+    """Evolving state of one subspace search; :func:`iteration` advances it.
+
+    In per-level mode a converged level is monitored through ``snapshots``,
+    its amplitudes at the iterate where it converged; shared mode always
+    monitors the live states.
+    """
+
+    circuit: Circuit
+    theta: np.ndarray  # (num_params,) shared mode, (k, num_params) per-level
+    initial_states: tuple[Statevector, ...]
+    exact_states: np.ndarray | None  # eigenvector columns, for the overlap records
+    update_mode: str
+    dtau: np.ndarray
+    converged: np.ndarray
+    streaks: np.ndarray
+    snapshots: dict[int, np.ndarray]
+    history: list[IterationRecord]
+
+    @classmethod
+    def start(cls, c: Circuit, initial_states, cfg: SsqiteConfig,
+              theta0=None, exact_states=None) -> "SubspaceRun":
+        """Validate inputs and build the iteration-zero run."""
+        initial_states = tuple(initial_states)
+        k = len(initial_states)
+        dtau = init_schedule(k, cfg.b)
+        for s in initial_states:
+            if s.n != c.n:
+                raise DimensionMismatch(f"state on {s.n} qubits, circuit on {c.n}")
+        amps = _columns(initial_states)
+        dev = np.abs(np.abs(amps.conj().T @ amps) - np.eye(k))
+        if dev.max() > 1e-10:
+            i, j = np.unravel_index(np.argmax(dev), dev.shape)
+            raise ValueError(
+                f"initial states {i},{j} not orthonormal (deviation {dev[i, j]:.2e})"
+            )
+        if theta0 is None:
+            theta0 = np.zeros(c.num_params)
+        theta0 = np.asarray(theta0, dtype=float)
+        if cfg.update_mode == "per-level" and theta0.ndim == 1:
+            theta0 = np.tile(theta0, (k, 1))
+        return cls(
+            circuit=c,
+            theta=theta0.copy(),
+            initial_states=initial_states,
+            exact_states=exact_states,
+            update_mode=cfg.update_mode,
+            dtau=dtau,
+            converged=np.zeros(k, dtype=bool),
+            streaks=np.zeros(k, dtype=int),
+            snapshots={},
+            history=[],
+        )
+
+    @property
+    def k(self) -> int:
+        return len(self.initial_states)
+
+    @property
+    def iteration(self) -> int:
+        """Number of iterations run so far."""
+        return len(self.history)
+
+    @property
+    def states(self) -> tuple[Statevector, ...]:
+        """Trial states at the current parameters (one circuit sweep per read)."""
+        c = self.circuit
+        if self.update_mode == "per-level":
+            return tuple(apply(c, self.theta[l], s) for l, s in enumerate(self.initial_states))
+        rows = apply(c, self.theta, _columns(self.initial_states)).T.copy()
+        return tuple(Statevector(amps=amps, n=c.n) for amps in rows)
+
+
+def _converged_prefix(converged: np.ndarray) -> int:
+    """Number of levels, counted from level 0, converged without a gap."""
+    return len(converged) if converged.all() else int(converged.argmin())
+
+
+def iteration(run: SubspaceRun, h: PauliSum, c: Circuit,
+              cfg: SsqiteConfig) -> SubspaceRun:
+    """One joint update of all k levels; advances ``run`` in place and returns it.
+
+    Measures every level's McLachlan system at the current parameters (in
+    shared mode all k levels come from one batched circuit sweep) and
+    appends what it measured to the record stream.  Marks levels whose
+    velocity stalled for ``patience`` iterations as converged (doubling the
+    step sizes from that level upward), then applies the per-level updates.
+    """
+    k = run.k
+    per_level = run.update_mode == "per-level"
+    if per_level:
+        systems = [assemble(c, run.theta[l], h, run.initial_states[l]) for l in range(k)]
+    else:
+        systems = assemble(c, run.theta, h, _columns(run.initial_states))
+    theta_dots = [solve(sys, cfg.regularization) for sys in systems]
+    grads = [float(np.abs(dot).max()) for dot in theta_dots]
+    # A level that converged earlier is monitored through its snapshot; one
+    # converging now is snapshotted at this same iterate, so either set works.
+    monitor = _monitor(np.column_stack([sys.phi for sys in systems]), run.snapshots)
+    ortho = _report(monitor, run.exact_states, cfg.ortho_tol)
+
+    # A converged level whose velocity re-awakens and keeps growing signals
+    # that step doubling pushed dtau past the explicit-integrator stability
+    # bound; back off all step sizes together so the dtau ratios stay intact.
+    if run.history and any(
+        run.converged[l]
+        and grads[l] > 10.0 * cfg.grad_tol
+        and grads[l] > run.history[-1].grads[l]
+        for l in range(k)
+    ):
+        run.dtau *= 0.5
+    # Every level of the converged prefix has already had its doubling.
+    doubled = _converged_prefix(run.converged)
+    for l in range(k):
+        if run.converged[l]:
+            continue
+        run.streaks[l] = run.streaks[l] + 1 if grads[l] < cfg.grad_tol else 0
+        if run.streaks[l] >= cfg.patience:
+            run.converged[l] = True
+            if per_level:
+                run.snapshots[l] = systems[l].phi
+    # Doubling starts at the converged level itself, which keeps the dtau
+    # ratios (and the head >= tail-sum property) intact; it fires only once
+    # the whole prefix below has converged, so an early high level cannot tie
+    # its step with a still-active lower one.
+    for l in range(doubled, _converged_prefix(run.converged)):
+        run.dtau[l:] *= 2.0
+
+    if per_level:
+        theta = run.theta.copy()
+        for l in range(k):
+            theta[l] = theta[l] + run.dtau[l] * theta_dots[l]
+    else:
+        theta = run.theta
+        for l in range(k):
+            theta = theta + run.dtau[l] * theta_dots[l]
+    run.theta = theta
+    run.history.append(IterationRecord(
+        energies=tuple(sys.energy for sys in systems),
+        grads=tuple(grads),
+        dtau=tuple(run.dtau.tolist()),
+        ortho=ortho,
+    ))
+    return run
+
+
 def ortho_report(run_or_states, exact_states=None, tol: float = 1e-8) -> OrthoReport:
     """Pairwise |<psi_i|psi_j>| matrix; flags the run when levels coincide.
 
     ``exact_states`` may be a matrix of eigenvector columns, adding the
-    |<E_j|psi_i>| block.  Accepts a SubspaceRun or a plain state sequence.
+    |<E_j|psi_i>| block.  Accepts a SubspaceRun (its monitor states at the
+    current parameters), a state sequence or a (2^n, k) matrix of columns.
     """
     if isinstance(run_or_states, SubspaceRun):
-        states = run_or_states.monitor_states()
-        gram = run_or_states.gram
+        amps = _monitor(_columns(run_or_states.states), run_or_states.snapshots)
     else:
-        states = tuple(run_or_states)
-        gram = _gram(states)
-    k = len(states)
-    pairwise = np.abs(gram)
-    exact = None
-    if exact_states is not None:
-        exact_states = np.asarray(exact_states, dtype=complex)
-        exact = np.abs(_columns(states).T @ exact_states.conj())
-    off = pairwise - np.eye(k)
-    max_offdiag = float(np.max(np.abs(off))) if k > 1 else 0.0
-    return OrthoReport(
-        pairwise=pairwise,
-        exact=exact,
-        max_offdiag=max_offdiag,
-        flagged=bool(max_offdiag > tol),
-    )
+        amps = _columns(run_or_states)
+    return _report(amps, exact_states, tol)
 
 
 @dataclass(frozen=True)
-class SubspaceResult:
+class SubspaceResult(_RecordViews):
     """Outcome of a subspace run, energies in level order.
 
-    ``ortho_history`` holds one report per iteration (with exact-eigenvector
-    overlaps whenever the oracle states were supplied), so leakage toward
-    already-converged or lower states can be audited after the fact.
+    ``history`` holds one record per iteration; record i describes theta_i
+    (with exact-eigenvector overlaps whenever the oracle states were
+    supplied), so leakage toward already-converged or lower states can be
+    audited after the fact.  ``ortho`` describes the final iterate.
     """
 
     theta: np.ndarray
     energies: np.ndarray
-    traces: tuple[tuple[float, ...], ...]
-    records: tuple[TraceRecord, ...]
+    history: tuple[IterationRecord, ...]
     ortho: OrthoReport
-    ortho_history: tuple[OrthoReport, ...]
     ascending: bool
-    iterations: int
     converged: np.ndarray
     final_states: tuple[Statevector, ...]
 
+    @property
+    def k(self) -> int:
+        return len(self.energies)
 
-def _finalize(run: SubspaceRun, h: PauliSum, cfg: SsqiteConfig,
-              exact_states, history) -> SubspaceResult:
-    energies = np.array([expectation(h, s) for s in run.states])
-    ascending = bool(np.all(np.diff(energies) >= -1e-6))
-    report = ortho_report(run, exact_states=exact_states, tol=cfg.ortho_tol)
+    @property
+    def iterations(self) -> int:
+        return len(self.history)
+
+    @property
+    def ortho_history(self) -> tuple[OrthoReport, ...]:
+        """The overlaps of every iteration, record i's at theta_i."""
+        return tuple(rec.ortho for rec in self.history)
+
+
+def _finalize(run: SubspaceRun, h: PauliSum, cfg: SsqiteConfig) -> SubspaceResult:
+    states = run.states  # the one sweep at the final parameters
+    energies = np.array([expectation(h, s) for s in states])
+    monitor = _monitor(_columns(states), run.snapshots)
     return SubspaceResult(
         theta=run.theta,
         energies=energies,
-        traces=run.traces,
-        records=run.records,
-        ortho=report,
-        ortho_history=tuple(history),
-        ascending=ascending,
-        iterations=run.iteration,
+        history=tuple(run.history),
+        ortho=ortho_report(monitor, exact_states=run.exact_states, tol=cfg.ortho_tol),
+        ascending=bool(np.all(np.diff(energies) >= -1e-6)),
         converged=run.converged.copy(),
-        final_states=run.states,
+        final_states=states,
     )
 
 
@@ -376,19 +382,17 @@ def run(h: PauliSum, c: Circuit, initial_states, cfg: SsqiteConfig,
     energies in the result come from the final iterate, reported in level
     order with ``ascending`` flagging any ordering violation.
     """
-    state = SubspaceRun.start(c, initial_states, cfg, theta0=theta0)
-    history: list[OrthoReport] = []
+    state = SubspaceRun.start(c, initial_states, cfg, theta0=theta0,
+                              exact_states=exact_states)
     while not np.all(state.converged):
         if state.iteration >= cfg.max_iters:
-            partial = _finalize(state, h, cfg, exact_states, history)
             raise MaxItersExceeded(
                 f"{int(np.sum(~state.converged))} level(s) unconverged "
                 f"after {cfg.max_iters} iterations",
-                result=partial,
+                result=_finalize(state, h, cfg),
             )
         state = iteration(state, h, c, cfg)
-        history.append(ortho_report(state, exact_states=exact_states, tol=cfg.ortho_tol))
-    return _finalize(state, h, cfg, exact_states, history)
+    return _finalize(state, h, cfg)
 
 
 def ssvqe_loss(h: PauliSum, c: Circuit, theta, initial_states,

@@ -245,7 +245,8 @@ class TestMainDispatch:
     @pytest.mark.parametrize(
         "key, value",
         [("update_mode", "bogus"), ("b", "-1"), ("patience", "0"),
-         ("theta0_scale", "-0.1"), ("seed", "-1")],
+         ("theta0_scale", "-0.1"), ("seed", "-1"),
+         ("initial_states", "00,0a,10"), ("initial_states", "00,00,10")],
     )
     def test_bad_config_value_exit_2(self, tmp_path, capsys, key, value):
         cfg_path = write_config(tmp_path, trimmed_h2(tmp_path), **{key: value})

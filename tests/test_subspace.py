@@ -340,3 +340,53 @@ class TestOrthoReport:
         report = ortho_report(basis("00", "01"), exact_states=exact.eigenvectors[:, :3])
         assert report.exact.shape == (2, 3)
         assert np.all(report.exact <= 1 + 1e-10)
+
+
+class TestRecordStream:
+    """One derivative sweep per iteration, and views that agree on the iterate."""
+
+    def test_one_derivative_sweep_per_iteration(self, h2_series, monkeypatch):
+        from ssqite import qite_engine, subspace
+
+        calls = {"derivative_stack": 0, "apply": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(qite_engine, "derivative_stack")
+        counted(subspace, "apply")
+        _, h = h2_series.nearest(0.95)
+        cfg = SsqiteConfig(max_iters=25)
+        with pytest.raises(MaxItersExceeded) as exc:
+            run(h, build_twolocal(), basis("00", "01", "10"), cfg, theta0=seeded_theta(16))
+        partial = exc.value.result
+        assert partial.iterations == 25
+        assert calls["derivative_stack"] == partial.iterations
+        assert calls["apply"] <= 1
+        assert len(partial.final_states) == 3
+
+    def test_views_describe_the_same_iterate(self, h2_series):
+        _, h = h2_series.nearest(0.95)
+        exact = eigensolve(h)
+        result = run(
+            h, build_twolocal(), basis("00", "01", "10"),
+            SsqiteConfig(update_mode="per-level"),
+            theta0=seeded_theta(16), exact_states=exact.eigenvectors[:, :3],
+        )
+        history = result.ortho_history
+        offdiag = [rep.max_offdiag for rep in history]
+        assert len(set(offdiag)) > len(offdiag) // 2  # the overlaps move
+        assert len(history) == len(result.traces[0]) == result.iterations
+        rows = result.records
+        assert len(rows) == 3 * result.iterations
+        for rec in rows:
+            i, l = rec.iteration, rec.level
+            assert rec.ortho_max_offdiag == history[i].max_offdiag
+            assert rec.energy == result.traces[l][i]
+            assert history[i].exact is not None
