@@ -86,32 +86,54 @@ def assemble(c: Circuit, theta, h: PauliSum, s0,
     return systems[0] if single else systems
 
 
-def solve(sys: McLachlanSystem, regularization: float) -> np.ndarray:
-    """Solve (A + lambda I) theta_dot = C.
+def solve(systems, regularization: float) -> np.ndarray:
+    """Solve (A + lambda I) theta_dot = C for one system or a stack of them.
 
-    Tries a symmetric positive-definite factorization first; if that fails,
-    falls back to a least-squares pseudo-solve truncating singular values
-    below 1e-8 of the largest.
+    ``systems`` is one McLachlanSystem (returns its (P,) theta_dot) or a
+    sequence of k systems of one size (returns the (k, P) rows), solved
+    together in one batched factorization.
     """
     if regularization < 0:
         raise ValueError("regularization must be nonnegative")
-    a = sys.a + regularization * np.eye(sys.num_params)
-    if not np.all(np.isfinite(a)) or not np.all(np.isfinite(sys.c)):
+    single = isinstance(systems, McLachlanSystem)
+    stack = (systems,) if single else tuple(systems)
+    a = np.array([sys.a for sys in stack])
+    c = np.array([sys.c for sys in stack])
+    if not (np.isfinite(a).all() and np.isfinite(c).all()):
         raise SingularSystem("non-finite entries in the McLachlan system")
+    theta_dot = _solve_stack(a, c, regularization)
+    return theta_dot[0] if single else theta_dot
+
+
+def _solve_stack(a: np.ndarray, c: np.ndarray, regularization: float) -> np.ndarray:
+    """(k, P) solutions of the (k, P, P) systems ``a`` with right-hand sides ``c``.
+
+    Tries a Cholesky factorization of the shifted matrices first; without a
+    shift, or if that fails, an eigendecomposition pseudo-solve drops the
+    eigenvalues with |lambda| <= 1e-8 max |lambda|, which for a symmetric A
+    is the cut a least-squares solve with rcond = 1e-8 makes on the
+    singular values.
+    """
     if regularization > 0:
         # Gram matrix + positive shift: positive definite unless degenerate.
+        a = a + regularization * np.eye(a.shape[1])
         try:
             lower = np.linalg.cholesky(a)
-            return np.linalg.solve(lower.T, np.linalg.solve(lower, sys.c))
+            half = np.linalg.solve(lower, c[:, :, None])
+            return np.linalg.solve(lower.transpose(0, 2, 1), half)[:, :, 0]
         except np.linalg.LinAlgError:
             pass
     # With no shift A is singular whenever the ansatz is locally redundant,
     # so the definite factorization cannot apply; truncate instead.
     try:
-        theta_dot, *_ = np.linalg.lstsq(a, sys.c, rcond=1e-8)
-        return theta_dot
+        lam, vec = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"factorization and least-squares both failed: {exc}")
+        raise SingularSystem(f"eigendecomposition failed: {exc}") from None
+    mag = np.abs(lam)
+    keep = mag > 1e-8 * mag.max(axis=1, keepdims=True)
+    coef = (c[:, None, :] @ vec)[:, 0]
+    coef = np.divide(coef, lam, out=np.zeros_like(coef), where=keep)
+    return (vec @ coef[:, :, None])[:, :, 0]
 
 
 def _theta_dot(c: Circuit, theta, h: PauliSum, s0: Statevector,

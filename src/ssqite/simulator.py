@@ -5,16 +5,19 @@ Qubit q is axis q of the statevector reshaped to (2,) * n, matching the Pauli
 string ordering in :mod:`ssqite.pauli_algebra` (qubit 0 = leftmost label).
 
 Cost model.  :func:`apply` and :func:`derivative_stack` share one kernel that
-moves a batch of k states through the circuit as a (2^n, k) matrix, with the
-P slot derivatives riding along as extra columns of the same matrix.  Every
-gate is embedded once per circuit as a dense 2^n x 2^n matrix, so a gate costs
-O(4^n) per column instead of the O(2^n) of a tensor contraction; the fixed
-gates between two rotations are multiplied into the following rotation, so a
-sweep is one matrix product of O(4^n (P + 1) k) per rotation gate.  The
-quadratic cost is deliberate: the package targets small dense simulation, the
-shipped ansaetze act on 2 and 3 qubits, and there a few small matrix products
-beat many tensor contractions on 4 or 8 amplitudes, whose cost is call
-overhead.  The tensor-contraction path (:func:`derivative_state`,
+moves a batch of k states through the circuit as a (2^n, k) matrix.  Every
+gate is embedded once per circuit as a dense 2^n x 2^n matrix, and the fixed
+gates between two rotations are multiplied into the following rotation, so
+the circuit is one step matrix per rotation gate.  A sweep forms the R prefix
+products W_r of the steps in log2(R) batched products, so U is W_{R-1} times
+the trailing fixed gates.  Each W_r is unitary, so rotation r's derivative
+U W_r^dag (-i/2 G_r) W_r psi comes, for all rotations at once, from a fixed
+handful of batched products, and a one-hot matrix sums the rotations that
+share a slot: O(R log R 8^n + R 4^n k) arithmetic in O(log R) NumPy calls
+instead of a few calls per rotation.  The cubic cost in 2^n is deliberate:
+the package targets small dense simulation, the shipped ansaetze act on 2
+and 3 qubits, and there the cost of a sweep is call overhead, not
+arithmetic.  The tensor-contraction path (:func:`derivative_state`,
 :func:`hadamard_test`) stays as the independent reference.
 """
 
@@ -203,17 +206,16 @@ class DenseCircuit:
 
     slots: np.ndarray  # (R,) parameter slot of each rotation
     lead: np.ndarray  # (R, 2^n, 2^n)
-    minus_i_gen: np.ndarray  # (R, 2^n, 2^n) -i G, so R(theta) = cos I + sin (-i G)
+    turned_lead: np.ndarray  # (R, 2^n, 2^n) -i G lead, as R(theta) = cos I + sin (-i G)
     insertion: np.ndarray  # (R, 2^n, 2^n) -i/2 G, the derivative of rotation r
+    slot_sum: np.ndarray  # (P, R) one-hot, 1 where rotation r reads slot p
     tail: np.ndarray | None
 
     def steps(self, theta: np.ndarray) -> np.ndarray:
         """All R step matrices at once: R_r(theta) @ lead[r]."""
         half = 0.5 * theta[self.slots]
-        dim = self.lead.shape[1]
-        rot = (np.cos(half)[:, None, None] * np.eye(dim)
-               + np.sin(half)[:, None, None] * self.minus_i_gen)
-        return rot @ self.lead
+        return (np.cos(half)[:, None, None] * self.lead
+                + np.sin(half)[:, None, None] * self.turned_lead)
 
 
 def _compile(c: Circuit) -> DenseCircuit:
@@ -230,13 +232,26 @@ def _compile(c: Circuit) -> DenseCircuit:
             fixed = _embed(_gate_matrix(gate, None), gate.targets, c.n)
             pending = fixed if pending is None else fixed @ pending
     gens = np.array(gens, dtype=complex).reshape(-1, dim, dim)
+    lead = np.array(lead, dtype=complex).reshape(-1, dim, dim)
+    slot_sum = np.zeros((c.num_params, len(slots)), dtype=complex)
+    slot_sum[slots, np.arange(len(slots))] = 1.0
     return DenseCircuit(
         slots=np.array(slots, dtype=int),
-        lead=np.array(lead, dtype=complex).reshape(-1, dim, dim),
-        minus_i_gen=-1j * gens,
+        lead=lead,
+        turned_lead=-1j * gens @ lead,
         insertion=-0.5j * gens,
+        slot_sum=slot_sum,
         tail=pending,
     )
+
+
+def _prefix_products(steps: np.ndarray) -> np.ndarray:
+    """``w[r] = steps[r] @ ... @ steps[0]`` for every r, in log2(R) batched products."""
+    w, shift = steps, 1
+    while shift < len(w):
+        w = np.concatenate((w[:shift], w[shift:] @ w[:-shift]))
+        shift *= 2
+    return w
 
 
 def _sweep(c: Circuit, theta: np.ndarray, amps: np.ndarray,
@@ -244,28 +259,28 @@ def _sweep(c: Circuit, theta: np.ndarray, amps: np.ndarray,
     """Move the k columns of ``amps`` through U(theta) together.
 
     Returns the (2^n, k) final states and, with ``derivatives``, the
-    (P, 2^n, k) stack of their slot derivatives.  The derivatives are carried
-    as extra column blocks of the state matrix, so each step is one matrix
-    product; slot i's block receives (-i/2) G psi right after every rotation
-    that reads slot i.
+    (P, 2^n, k) stack of their slot derivatives.  With W_r the product of
+    the first r + 1 steps, U = V_r W_r for the rest V_r of the circuit, and
+    W_r is unitary, so rotation r's derivative V_r (-i/2 G_r) W_r psi equals
+    U W_r^dag (-i/2 G_r) W_r psi: every rotation at once in a few batched
+    products, summed per slot through ``slot_sum``.
     """
     plan = c.dense
-    steps = plan.steps(theta)
-    k = amps.shape[1]
-    if not derivatives:
-        for step in steps:
-            amps = step @ amps
-        return (amps if plan.tail is None else plan.tail @ amps), None
-    dim = amps.shape[0]
-    x = np.zeros((dim, (c.num_params + 1) * k), dtype=complex)
-    x[:, :k] = amps
-    for step, insertion, slot in zip(steps, plan.insertion, plan.slots.tolist()):
-        x = step @ x
-        x[:, (slot + 1) * k:(slot + 2) * k] += insertion @ x[:, :k]
+    dim, k = amps.shape
+    w = _prefix_products(plan.steps(theta))
+    u = w[-1] if len(w) else np.eye(dim, dtype=complex)
     if plan.tail is not None:
-        x = plan.tail @ x
-    stack = x[:, k:].reshape(dim, c.num_params, k).transpose(1, 0, 2)
-    return x[:, :k], stack
+        u = plan.tail @ u
+    phi = u @ amps
+    if not derivatives:
+        return phi, None
+    rows = w.reshape(-1, dim)  # the W_r stacked by rows
+    after = (rows @ amps).reshape(-1, dim, k)  # W_r psi
+    # Block r of U [W_0^dag | W_1^dag | ...] is U W_r^dag.
+    back = (u @ rows.conj().T).reshape(dim, -1, dim).transpose(1, 0, 2)
+    per_rotation = back @ (plan.insertion @ after)
+    stack = plan.slot_sum @ per_rotation.reshape(len(w), dim * k)
+    return phi, stack.reshape(c.num_params, dim, k)
 
 
 def _inputs(c: Circuit, theta, s) -> tuple[np.ndarray, np.ndarray]:

@@ -55,8 +55,12 @@ class SsqiteConfig:
     def __post_init__(self):
         if self.b <= 0:
             raise ValueError(f"b must be positive, got {self.b}")
+        if self.grad_tol < 0:
+            raise ValueError(f"grad_tol must be >= 0, got {self.grad_tol}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.update_mode not in UPDATE_MODES:
             raise ValueError(f"update_mode must be one of {UPDATE_MODES}")
 
@@ -250,10 +254,11 @@ def iteration(run: SubspaceRun, h: PauliSum, c: Circuit,
     """One joint update of all k levels; advances ``run`` in place and returns it.
 
     Measures every level's McLachlan system at the current parameters (in
-    shared mode all k levels come from one batched circuit sweep) and
-    appends what it measured to the record stream.  Marks levels whose
-    velocity stalled for ``patience`` iterations as converged (doubling the
-    step sizes from that level upward), then applies the per-level updates.
+    shared mode all k levels come from one batched circuit sweep), solves
+    the k systems in one stacked solve and appends what it measured to the
+    record stream.  Marks levels whose velocity stalled for ``patience``
+    iterations as converged (doubling the step sizes from that level
+    upward), then applies the per-level updates.
     """
     k = run.k
     per_level = run.update_mode == "per-level"
@@ -261,8 +266,8 @@ def iteration(run: SubspaceRun, h: PauliSum, c: Circuit,
         systems = [assemble(c, run.theta[l], h, run.initial_states[l]) for l in range(k)]
     else:
         systems = assemble(c, run.theta, h, _columns(run.initial_states))
-    theta_dots = [solve(sys, cfg.regularization) for sys in systems]
-    grads = [float(np.abs(dot).max()) for dot in theta_dots]
+    theta_dots = solve(systems, cfg.regularization)
+    grads = np.abs(theta_dots).max(axis=1).tolist()
     # A level that converged earlier is monitored through its snapshot; one
     # converging now is snapshotted at this same iterate, so either set works.
     monitor = _monitor(np.column_stack([sys.phi for sys in systems]), run.snapshots)
@@ -361,7 +366,9 @@ class SubspaceResult(_RecordViews):
 
 def _finalize(run: SubspaceRun, h: PauliSum, cfg: SsqiteConfig) -> SubspaceResult:
     states = run.states  # the one sweep at the final parameters
-    energies = np.array([expectation(h, s) for s in states])
+    amps = _columns(states)
+    # The same dense form as every recorded energy: Re(phi^dag H phi).
+    energies = np.real(np.sum(amps.conj() * (h.dense @ amps), axis=0))
     monitor = _monitor(_columns(states), run.snapshots)
     return SubspaceResult(
         theta=run.theta,

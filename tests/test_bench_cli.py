@@ -146,6 +146,21 @@ class TestScan:
         cfg_path = write_config(tmp_path, trimmed_h2(tmp_path), max_iters="3")
         assert main(["scan", "--config", str(cfg_path)]) == 1
 
+    def test_failed_mclachlan_solve_exit_1(self, tmp_path, capsys, monkeypatch):
+        # Only the stacked McLachlan solve fails; the exact oracle's
+        # single-matrix eigendecompositions still run.
+        original = np.linalg.eigh
+
+        def failing_on_stacks(a):
+            if np.ndim(a) == 3:
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_on_stacks)
+        cfg_path = write_config(tmp_path, trimmed_h2(tmp_path))
+        assert main(["scan", "--config", str(cfg_path)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestTrace:
     def test_three_level_trace(self, tmp_path):
@@ -246,7 +261,8 @@ class TestMainDispatch:
         "key, value",
         [("update_mode", "bogus"), ("b", "-1"), ("patience", "0"),
          ("theta0_scale", "-0.1"), ("seed", "-1"),
-         ("initial_states", "00,0a,10"), ("initial_states", "00,00,10")],
+         ("initial_states", "00,0a,10"), ("initial_states", "00,00,10"),
+         ("max_iters", "0"), ("grad_tol", "-1")],
     )
     def test_bad_config_value_exit_2(self, tmp_path, capsys, key, value):
         cfg_path = write_config(tmp_path, trimmed_h2(tmp_path), **{key: value})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from ssqite.errors import MaxStepsExceeded
+from ssqite.errors import MaxStepsExceeded, SingularSystem
 from ssqite.pauli_algebra import PauliSum, decompose_dense
 from ssqite.qite_engine import (
     McLachlanSystem,
@@ -14,7 +14,15 @@ from ssqite.qite_engine import (
     solve,
     step,
 )
-from ssqite.simulator import Circuit, Gate, Statevector, apply, build_twolocal, expectation
+from ssqite.simulator import (
+    Circuit,
+    Gate,
+    Statevector,
+    apply,
+    build_excitation_preserving,
+    build_twolocal,
+    expectation,
+)
 
 
 def single_ry():
@@ -137,6 +145,71 @@ class TestSolve:
         sys = McLachlanSystem(a=a, c=np.array([2.0, 0.0]), energy=0.0)
         x = solve(sys, 0.0)
         np.testing.assert_allclose(x, [2.0, 0.0], atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "series, build, labels",
+        [("h2_series", build_twolocal, ("00", "01", "10")),
+         ("lih_series", build_excitation_preserving, ("010", "001", "100"))],
+    )
+    def test_stack_matches_lstsq_on_rank_deficient_systems(
+        self, request, rng, series, build, labels
+    ):
+        # Real McLachlan systems are singular (more slots than state
+        # directions); the stacked pseudo-solve keeps lstsq's rcond cut.
+        c = build()
+        amps = np.column_stack([Statevector.from_label(l).amps for l in labels])
+        for _, h in request.getfixturevalue(series).points[::3]:
+            theta = rng.normal(0, 0.5, c.num_params)
+            systems = assemble(c, theta, h, amps)
+            stacked = solve(systems, 0.0)
+            assert stacked.shape == (3, c.num_params)
+            for sys, got in zip(systems, stacked):
+                assert np.linalg.matrix_rank(sys.a, tol=1e-8) < c.num_params
+                want, *_ = np.linalg.lstsq(sys.a, sys.c, rcond=1e-8)
+                assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+                np.testing.assert_allclose(solve(sys, 0.0), got, rtol=0, atol=1e-12)
+
+    def test_cut_matches_lstsq_rcond(self, rng):
+        # Eigenvalues on both sides of 1e-8 of the largest: 2e-8 is kept and
+        # 5e-9 dropped, as lstsq's rcond = 1e-8 does with singular values.
+        # C has an O(1) solution component along every eigenvector, so
+        # keeping or dropping any one of them moves the result by O(1).
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        systems = [
+            McLachlanSystem(a=q @ np.diag(lam) @ q.T,
+                            c=q @ (np.abs(lam) * rng.uniform(1, 2, 4)), energy=0.0)
+            for lam in (np.array([1.0, 2e-8, 5e-9, 0.0]), np.array([3.0, -1.0, 4e-8, -1e-8]))
+        ]
+        for sys, got in zip(systems, solve(systems, 0.0)):
+            want, *_ = np.linalg.lstsq(sys.a, sys.c, rcond=1e-8)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("regularization", [0.0, 1e-6])
+    def test_non_finite_entry_in_one_system(self, regularization):
+        good = McLachlanSystem(a=np.eye(2), c=np.ones(2), energy=0.0)
+        bad = McLachlanSystem(a=np.eye(2), c=np.array([1.0, np.nan]), energy=0.0)
+        with pytest.raises(SingularSystem):
+            solve([good, bad, good], regularization)
+
+    def test_eigendecomposition_failure_is_singular(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        sys = McLachlanSystem(a=np.eye(2), c=np.ones(2), energy=0.0)
+        with pytest.raises(SingularSystem):
+            solve([sys, sys], 0.0)
+
+    def test_stacked_cholesky_matches_single(self, rng):
+        systems = []
+        for _ in range(3):
+            m = rng.normal(size=(6, 6))
+            systems.append(McLachlanSystem(a=m @ m.T, c=rng.normal(size=6), energy=0.0))
+        stacked = solve(systems, 1e-3)
+        for sys, got in zip(systems, stacked):
+            want = np.linalg.solve(sys.a + 1e-3 * np.eye(6), sys.c)
+            np.testing.assert_allclose(got, want, rtol=1e-9)
+            np.testing.assert_allclose(solve(sys, 1e-3), got, rtol=0, atol=1e-12)
 
 
 class TestStep:

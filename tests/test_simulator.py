@@ -328,6 +328,30 @@ class TestDerivatives:
                     stack[i, :, l], derivative_state(c, theta, i, s), atol=1e-12
                 )
 
+    def test_deep_circuit_matches_oracle(self, rng):
+        # The sweep pulls each rotation's derivative back through W_r^dag,
+        # which is exact only while the prefix products stay unitary; 200
+        # rotations reading 40 shared slots, between fixed gates at both
+        # ends and in between, must still agree with the oracle.
+        fixed = [Gate("X", (2,)), Gate("CNOT", (0, 2)), Gate("CSX", (1, 0))]
+        slots = np.concatenate([rng.permutation(40) for _ in range(5)])
+        gates = list(fixed)
+        for slot in slots:
+            if rng.random() < 0.3:
+                gates.append(fixed[rng.integers(len(fixed))])
+            kind = ("RX", "RY", "RZ")[rng.integers(3)]
+            gates.append(Gate(kind, (int(rng.integers(3)),), int(slot)))
+        gates.extend(fixed[::-1])
+        c = Circuit(n=3, gates=tuple(gates), num_params=40)
+        theta = rng.uniform(-np.pi, np.pi, 40)
+        s0 = random_state(rng, 3)
+        phi, stack = derivative_stack(c, theta, s0)
+        assert np.linalg.norm(phi.amps) == pytest.approx(1.0, abs=1e-12)
+        for i in range(40):
+            np.testing.assert_allclose(
+                stack[i], derivative_state(c, theta, i, s0), rtol=0, atol=1e-11
+            )
+
     def test_batch_shape_checked(self):
         with pytest.raises(DimensionMismatch):
             derivative_stack(build_twolocal(), np.zeros(16), np.zeros((8, 2)))
