@@ -250,11 +250,29 @@ def cmd_scan(cfg: RunConfig, tolerance: float = CHEMICAL_ACCURACY) -> int:
 
 
 def cmd_trace(cfg: RunConfig, bond_length: float) -> int:
-    """Run one geometry and emit the per-iteration trace.csv."""
+    """Run one geometry and emit the per-iteration trace.csv.
+
+    A run that hits ``max_iters`` still writes the trace of the iterations
+    it made before its MaxItersExceeded propagates (exit 1).
+    """
     series = load_geometry_series(cfg.hamiltonian_path)
     bond, hamiltonian = series.nearest(bond_length)
     circuit = _build_ansatz(cfg)
-    result = _run_geometry(cfg, circuit, hamiltonian)
+    try:
+        result = _run_geometry(cfg, circuit, hamiltonian)
+    except MaxItersExceeded as exc:
+        _write_trace(cfg, exc.result)
+        raise
+    _write_trace(cfg, result)
+    final = ", ".join(f"{e:.6f}" for e in result.energies)
+    print(
+        f"trace: R={bond} converged in {result.iterations} iterations, "
+        f"energies [{final}] Ha"
+    )
+    return 0
+
+
+def _write_trace(cfg: RunConfig, result: SubspaceResult) -> None:
     lines = ["iter,level,energy_Ha,grad_inf_norm,dtau,ortho_max_offdiag"]
     for i, rec in enumerate(result.history):
         ortho = _fmt(rec.ortho.max_offdiag)
@@ -262,12 +280,6 @@ def cmd_trace(cfg: RunConfig, bond_length: float) -> int:
             lines.append(f"{i},{level},{_fmt(rec.energies[level])},"
                          f"{_fmt(rec.grads[level])},{_fmt(rec.dtau[level])},{ortho}")
     _write_lines(cfg.output_dir / "trace.csv", lines)
-    final = ", ".join(f"{e:.6f}" for e in result.energies)
-    print(
-        f"trace: R={bond} converged in {result.iterations} iterations, "
-        f"energies [{final}] Ha"
-    )
-    return 0
 
 
 def cmd_exact(cfg: RunConfig) -> int:

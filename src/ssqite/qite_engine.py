@@ -19,12 +19,21 @@ from .simulator import Circuit, Statevector, derivative_stack
 
 @dataclass(frozen=True)
 class McLachlanSystem:
-    """Gram matrix, driving vector, energy and amplitudes ``phi`` of one trial state."""
+    """Gram matrix, driving vector, energy and amplitudes ``phi`` of one trial state.
+
+    :func:`assemble` also stores the real factor ``t`` = [Re D | Im D] of the
+    (P, d) derivative rows D_i = d_i phi and ``w`` = -[Re H phi; Im H phi],
+    for which A = t t^T and C = t w; :func:`solve` then works through the
+    (2d, 2d) Gram t^T t.  A system built from explicit ``a`` and ``c`` has
+    no factor.
+    """
 
     a: np.ndarray
     c: np.ndarray
     energy: float
     phi: np.ndarray | None = None
+    t: np.ndarray | None = None
+    w: np.ndarray | None = None
 
     @property
     def num_params(self) -> int:
@@ -58,29 +67,40 @@ class QiteConfig:
             raise ValueError(f"unknown integrator {self.integrator!r}")
 
 
-def assemble(c: Circuit, theta, h: PauliSum, s0,
-             phase_correction: bool = False):
+def assemble(c, theta, h, s0, phase_correction: bool = False):
     """Measure A, C, and the energy at the current parameters.
 
-    ``s0`` is one Statevector (returns one system) or a (2^n, k) matrix of
+    ``s0`` is one Statevector (returns one system) or a (d, k) matrix of
     initial-state columns (returns a tuple of k systems, one per column, all
     from a single circuit sweep).  Both forms run the same arithmetic, so a
     one-column batch reproduces the single-state system bit for bit.
+
+    ``c`` and ``h`` are a Circuit and a PauliSum, or the same problem in the
+    coordinates of an orthonormal basis Q of an invariant subspace of the
+    circuit (:func:`~ssqite.simulator.invariant_basis`): the DenseCircuit
+    ``c.dense.restrict(Q)``, the matrix Q^H H Q and input columns Q^H psi.
+    A, C and the energy are inner products, which Q preserves, so both give
+    the same systems; ``phi`` is in the coordinates of the inputs.
+
+    The phase-corrected metric A - g g^T with g = t v, v = [-Im phi; Re phi]
+    and |v| = 1, is the factor t - (t v) v^T; C is unchanged, since
+    v^T w = -Im<phi|H|phi> = 0.
     """
     single = isinstance(s0, Statevector)
     phi, deriv = derivative_stack(c, theta, s0.amps.reshape(-1, 1) if single else s0)
-    per_level = np.moveaxis(deriv, 2, 0)  # (k, P, 2^n)
-    bra = per_level.conj()
-    a = np.real(bra @ per_level.transpose(0, 2, 1))
-    a = 0.5 * (a + a.transpose(0, 2, 1))  # kill asymmetric rounding noise
-    h_phi = h.dense @ phi
-    cvec = -np.real(bra @ h_phi.T[:, :, None])[:, :, 0]
+    h_phi = (h.dense if isinstance(h, PauliSum) else h) @ phi
+    rows = np.moveaxis(deriv, 2, 0)  # (k, P, d)
+    t = np.concatenate((rows.real, rows.imag), axis=2)
+    w = -np.concatenate((h_phi.real, h_phi.imag)).T
+    cvec = (t @ w[:, :, None])[:, :, 0]
     energies = np.real(np.sum(phi.conj() * h_phi, axis=0))
     if phase_correction:
-        g = np.imag(per_level @ phi.T.conj()[:, :, None])[:, :, 0]
-        a = a - g[:, :, None] * g[:, None, :]
+        v = np.concatenate((-phi.imag, phi.real)).T
+        t = t - (t @ v[:, :, None]) * v[:, None, :]
+    a = t @ t.transpose(0, 2, 1)
     systems = tuple(
-        McLachlanSystem(a=a[l], c=cvec[l], energy=float(energies[l]), phi=phi[:, l])
+        McLachlanSystem(a=a[l], c=cvec[l], energy=float(energies[l]), phi=phi[:, l],
+                        t=t[l], w=w[l])
         for l in range(phi.shape[1])
     )
     return systems[0] if single else systems
@@ -91,27 +111,43 @@ def solve(systems, regularization: float) -> np.ndarray:
 
     ``systems`` is one McLachlanSystem (returns its (P,) theta_dot) or a
     sequence of k systems of one size (returns the (k, P) rows), solved
-    together in one batched factorization.
+    together in one batched factorization.  When every system carries its
+    factor t, the stack is solved through the (2d, 2d) Grams t^T t:
+    theta_dot = t (t^T t + lambda I)^-1 w, which is (t t^T + lambda I)^-1 t w
+    by the push-through identity.  Without a shift the pseudo-solve cuts the
+    same eigenvalues as on A, since t^T t and t t^T share their nonzero
+    ones.  Other stacks are solved as the (P, P) systems A, C.
     """
     if regularization < 0:
         raise ValueError("regularization must be nonnegative")
     single = isinstance(systems, McLachlanSystem)
     stack = (systems,) if single else tuple(systems)
-    a = np.array([sys.a for sys in stack])
-    c = np.array([sys.c for sys in stack])
-    if not (np.isfinite(a).all() and np.isfinite(c).all()):
-        raise SingularSystem("non-finite entries in the McLachlan system")
-    theta_dot = _solve_stack(a, c, regularization)
+    if all(sys.t is not None for sys in stack):
+        t = np.array([sys.t for sys in stack])
+        w = np.array([sys.w for sys in stack])
+        _require_finite(t, w)
+        x = _solve_stack(t.transpose(0, 2, 1) @ t, w, regularization)
+        theta_dot = (t @ x[:, :, None])[:, :, 0]
+    else:
+        a = np.array([sys.a for sys in stack])
+        c = np.array([sys.c for sys in stack])
+        _require_finite(a, c)
+        theta_dot = _solve_stack(a, c, regularization)
     return theta_dot[0] if single else theta_dot
 
 
+def _require_finite(matrices: np.ndarray, vectors: np.ndarray) -> None:
+    if not (np.isfinite(matrices).all() and np.isfinite(vectors).all()):
+        raise SingularSystem("non-finite entries in the McLachlan system")
+
+
 def _solve_stack(a: np.ndarray, c: np.ndarray, regularization: float) -> np.ndarray:
-    """(k, P) solutions of the (k, P, P) systems ``a`` with right-hand sides ``c``.
+    """(k, m) solutions of the (k, m, m) symmetric systems ``a`` with right-hand sides ``c``.
 
     Tries a Cholesky factorization of the shifted matrices first; without a
     shift, or if that fails, an eigendecomposition pseudo-solve drops the
-    eigenvalues with |lambda| <= 1e-8 max |lambda|, which for a symmetric A
-    is the cut a least-squares solve with rcond = 1e-8 makes on the
+    eigenvalues with |lambda| <= 1e-8 max |lambda|, which for a symmetric
+    matrix is the cut a least-squares solve with rcond = 1e-8 makes on the
     singular values.
     """
     if regularization > 0:

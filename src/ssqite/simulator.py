@@ -5,7 +5,7 @@ Qubit q is axis q of the statevector reshaped to (2,) * n, matching the Pauli
 string ordering in :mod:`ssqite.pauli_algebra` (qubit 0 = leftmost label).
 
 Cost model.  :func:`apply` and :func:`derivative_stack` share one kernel that
-moves a batch of k states through the circuit as a (2^n, k) matrix.  Every
+moves a batch of k states through the circuit as a (d, k) matrix.  Every
 gate is embedded once per circuit as a dense 2^n x 2^n matrix, and the fixed
 gates between two rotations are multiplied into the following rotation, so
 the circuit is one step matrix per rotation gate.  A sweep forms the R prefix
@@ -13,18 +13,23 @@ products W_r of the steps in log2(R) batched products, so U is W_{R-1} times
 the trailing fixed gates.  Each W_r is unitary, so rotation r's derivative
 U W_r^dag (-i/2 G_r) W_r psi comes, for all rotations at once, from a fixed
 handful of batched products, and a one-hot matrix sums the rotations that
-share a slot: O(R log R 8^n + R 4^n k) arithmetic in O(log R) NumPy calls
-instead of a few calls per rotation.  The cubic cost in 2^n is deliberate:
+share a slot: O(R log R d^3 + R d^2 k) arithmetic in O(log R) NumPy calls
+instead of a few calls per rotation.  The cubic cost in d is deliberate:
 the package targets small dense simulation, the shipped ansaetze act on 2
 and 3 qubits, and there the cost of a sweep is call overhead, not
-arithmetic.  The tensor-contraction path (:func:`derivative_state`,
-:func:`hadamard_test`) stays as the independent reference.
+arithmetic.  Here d = 2^n, or less when the inputs lie in a subspace that
+every gate maps into itself: :func:`invariant_basis` finds an orthonormal
+basis Q of the smallest such subspace, and the kernel runs unchanged on
+``DenseCircuit.restrict(Q)`` with d = rank Q (3 instead of 8 for the
+excitation-preserving ansatz on one-excitation inputs).  The
+tensor-contraction path (:func:`derivative_state`, :func:`hadamard_test`)
+stays as the independent reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -211,6 +216,33 @@ class DenseCircuit:
     slot_sum: np.ndarray  # (P, R) one-hot, 1 where rotation r reads slot p
     tail: np.ndarray | None
 
+    @property
+    def num_params(self) -> int:
+        return self.slot_sum.shape[0]
+
+    @property
+    def dim(self) -> int:
+        """Number of amplitudes the matrices act on."""
+        return self.lead.shape[1]
+
+    def restrict(self, q: np.ndarray) -> "DenseCircuit":
+        """This circuit in the coordinates of an orthonormal (d, r) basis ``q``.
+
+        ``q`` must span a subspace that every lead, generator and tail
+        matrix maps into itself (see :func:`invariant_basis`).  Each matrix M
+        becomes Q^H M Q, and because the subspace is invariant that turns
+        products of matrices into products of their restrictions: a sweep of
+        the result on Q^H psi gives Q^H times the full sweep on psi.
+        """
+        qh = q.conj().T
+        return replace(
+            self,
+            lead=qh @ self.lead @ q,
+            turned_lead=qh @ self.turned_lead @ q,
+            insertion=qh @ self.insertion @ q,
+            tail=None if self.tail is None else qh @ self.tail @ q,
+        )
+
     def steps(self, theta: np.ndarray) -> np.ndarray:
         """All R step matrices at once: R_r(theta) @ lead[r]."""
         half = 0.5 * theta[self.slots]
@@ -245,6 +277,34 @@ def _compile(c: Circuit) -> DenseCircuit:
     )
 
 
+def invariant_basis(c: Circuit, amps) -> np.ndarray:
+    """Orthonormal (2^n, r) basis of the smallest invariant subspace holding ``amps``.
+
+    The subspace contains the orthonormal columns of ``amps`` and is mapped
+    into itself by every lead, generator and tail matrix of ``c.dense``,
+    hence by the circuit at every theta and by every slot derivative.  The
+    basis starts with the columns of ``amps``, so Q^H amps is the leading
+    identity columns (exactly, for basis-state inputs).  It is extended by
+    the part of every matrix's image of it that lies outside its span,
+    orthonormalized, until that part vanishes (singular values at most 1e-10
+    count as rounding noise).
+    """
+    amps = np.asarray(amps, dtype=complex)
+    if not np.allclose(amps.conj().T @ amps, np.eye(amps.shape[1]), rtol=0, atol=1e-10):
+        raise ValueError("invariant_basis needs orthonormal input columns")
+    plan = c.dense
+    mats = [plan.lead, plan.insertion] + ([plan.tail[None]] if plan.tail is not None else [])
+    mats = np.concatenate(mats)
+    q = amps
+    while True:
+        images = (mats @ q).transpose(1, 0, 2).reshape(plan.dim, -1)
+        rest = images - q @ (q.conj().T @ images)
+        u, s, _ = np.linalg.svd(rest, full_matrices=False)
+        if not (s > 1e-10).any():
+            return q
+        q = np.hstack((q, u[:, s > 1e-10]))
+
+
 def _prefix_products(steps: np.ndarray) -> np.ndarray:
     """``w[r] = steps[r] @ ... @ steps[0]`` for every r, in log2(R) batched products."""
     w, shift = steps, 1
@@ -254,18 +314,17 @@ def _prefix_products(steps: np.ndarray) -> np.ndarray:
     return w
 
 
-def _sweep(c: Circuit, theta: np.ndarray, amps: np.ndarray,
+def _sweep(plan: DenseCircuit, theta: np.ndarray, amps: np.ndarray,
            derivatives: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Move the k columns of ``amps`` through U(theta) together.
 
-    Returns the (2^n, k) final states and, with ``derivatives``, the
-    (P, 2^n, k) stack of their slot derivatives.  With W_r the product of
+    Returns the (d, k) final states and, with ``derivatives``, the
+    (P, d, k) stack of their slot derivatives.  With W_r the product of
     the first r + 1 steps, U = V_r W_r for the rest V_r of the circuit, and
     W_r is unitary, so rotation r's derivative V_r (-i/2 G_r) W_r psi equals
     U W_r^dag (-i/2 G_r) W_r psi: every rotation at once in a few batched
     products, summed per slot through ``slot_sum``.
     """
-    plan = c.dense
     dim, k = amps.shape
     w = _prefix_products(plan.steps(theta))
     u = w[-1] if len(w) else np.eye(dim, dtype=complex)
@@ -280,38 +339,40 @@ def _sweep(c: Circuit, theta: np.ndarray, amps: np.ndarray,
     back = (u @ rows.conj().T).reshape(dim, -1, dim).transpose(1, 0, 2)
     per_rotation = back @ (plan.insertion @ after)
     stack = plan.slot_sum @ per_rotation.reshape(len(w), dim * k)
-    return phi, stack.reshape(c.num_params, dim, k)
+    return phi, stack.reshape(plan.num_params, dim, k)
 
 
-def _inputs(c: Circuit, theta, s) -> tuple[np.ndarray, np.ndarray]:
-    """Validated parameters and (2^n, k) input columns of a state or batch."""
+def _inputs(c: Circuit | DenseCircuit, theta, s) -> tuple[DenseCircuit, np.ndarray, np.ndarray]:
+    """Dense plan, validated parameters and (d, k) input columns of a state or batch."""
+    plan = c.dense if isinstance(c, Circuit) else c
     theta = np.asarray(theta, dtype=float)
-    if theta.shape != (c.num_params,):
+    if theta.shape != (plan.num_params,):
         raise DimensionMismatch(
-            f"theta has shape {theta.shape}, expected ({c.num_params},)"
+            f"theta has shape {theta.shape}, expected ({plan.num_params},)"
         )
     if isinstance(s, Statevector):
-        if s.n != c.n:
-            raise DimensionMismatch(f"state on {s.n} qubits, circuit on {c.n}")
-        return theta, s.amps.reshape(-1, 1)
+        if 2 ** s.n != plan.dim:
+            raise DimensionMismatch(f"state of {2 ** s.n} amplitudes, circuit on {plan.dim}")
+        return plan, theta, s.amps.reshape(-1, 1)
     amps = np.asarray(s, dtype=complex)
-    if amps.ndim != 2 or amps.shape[0] != 2 ** c.n:
+    if amps.ndim != 2 or amps.shape[0] != plan.dim:
         raise DimensionMismatch(
-            f"state batch has shape {amps.shape}, expected ({2 ** c.n}, k)"
+            f"state batch has shape {amps.shape}, expected ({plan.dim}, k)"
         )
-    return theta, amps
+    return plan, theta, amps
 
 
-def apply(c: Circuit, theta, s):
+def apply(c: Circuit | DenseCircuit, theta, s):
     """Run the circuit: ``U(theta) |s>``.
 
-    ``s`` is a Statevector (returns a Statevector) or a (2^n, k) matrix of
-    state columns (returns the evolved matrix).
+    ``c`` is a Circuit or a DenseCircuit, such as a restricted one.  ``s`` is
+    a Statevector (returns a Statevector) or a (d, k) matrix of state
+    columns (returns the evolved matrix).
     """
-    theta, amps = _inputs(c, theta, s)
-    out, _ = _sweep(c, theta, amps, derivatives=False)
+    plan, theta, amps = _inputs(c, theta, s)
+    out, _ = _sweep(plan, theta, amps, derivatives=False)
     if isinstance(s, Statevector):
-        return Statevector(amps=out[:, 0], n=c.n)
+        return Statevector(amps=out[:, 0], n=s.n)
     return out
 
 
@@ -387,18 +448,19 @@ def derivative_state(c: Circuit, theta, i: int, s0: Statevector) -> np.ndarray:
     return total.reshape(-1)
 
 
-def derivative_stack(c: Circuit, theta, s0):
+def derivative_stack(c: Circuit | DenseCircuit, theta, s0):
     """Final state plus all slot derivatives in one forward sweep.
 
     For a Statevector returns ``(phi, D)`` with
-    ``D[i] == derivative_state(c, theta, i, s0)``.  For a (2^n, k) matrix of
-    state columns returns the (2^n, k) final states and the (P, 2^n, k)
-    derivative stack, all k columns from the same sweep.
+    ``D[i] == derivative_state(c, theta, i, s0)``.  For a (d, k) matrix of
+    state columns returns the (d, k) final states and the (P, d, k)
+    derivative stack, all k columns from the same sweep.  ``c`` is a Circuit
+    or a DenseCircuit, such as a restricted one.
     """
-    theta, amps = _inputs(c, theta, s0)
-    phi, stack = _sweep(c, theta, amps, derivatives=True)
+    plan, theta, amps = _inputs(c, theta, s0)
+    phi, stack = _sweep(plan, theta, amps, derivatives=True)
     if isinstance(s0, Statevector):
-        return Statevector(amps=phi[:, 0], n=c.n), stack[:, :, 0]
+        return Statevector(amps=phi[:, 0], n=s0.n), stack[:, :, 0]
     return phi, stack
 
 

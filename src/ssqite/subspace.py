@@ -19,6 +19,15 @@ applied, and the overlaps of the monitored states at theta_i.  ``traces``,
 ``records`` and ``ortho_history`` are read-only views of that stream.  The
 trial states at the final parameters come from one ``apply`` when the run
 ends.
+
+Each run assembles in the coordinates of an orthonormal basis Q of the
+smallest subspace that holds its input states and that every gate of the
+circuit maps into itself (:func:`~ssqite.simulator.invariant_basis`), found
+once per run.  For the excitation-preserving ansatz on one-excitation
+inputs that is the 3-dimensional one-excitation sector, so every sweep and
+solve works on 3 amplitudes instead of 8.  The systems are the same as in
+the full space, and everything a run reports (states, snapshots, overlaps)
+is in the full 2^n basis.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ import numpy as np
 from .errors import DimensionMismatch, MaxItersExceeded, NonDecreasingWeights
 from .pauli_algebra import PauliSum
 from .qite_engine import assemble, solve
-from .simulator import Circuit, Statevector, apply, expectation
+from .simulator import Circuit, DenseCircuit, Statevector, apply, expectation, invariant_basis
 
 UPDATE_MODES = ("shared", "per-level")
 
@@ -63,6 +72,8 @@ class SsqiteConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.update_mode not in UPDATE_MODES:
             raise ValueError(f"update_mode must be one of {UPDATE_MODES}")
+        if self.regularization < 0:
+            raise ValueError(f"regularization must be >= 0, got {self.regularization}")
 
 
 @dataclass(frozen=True)
@@ -170,6 +181,41 @@ class _RecordViews:
         )
 
 
+@dataclass(eq=False)
+class _Frame:
+    """The coordinates a run assembles in.
+
+    ``basis`` is the orthonormal basis Q of the circuit's invariant subspace
+    around the inputs, or None when that subspace is the whole space;
+    ``plan`` and ``inputs`` are the dense circuit and the input columns in
+    Q's coordinates.
+    """
+
+    basis: np.ndarray | None
+    plan: DenseCircuit
+    inputs: np.ndarray
+    h: PauliSum | None = None  # the Hamiltonian ``h_matrix`` was built from
+    h_matrix: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, c: Circuit, amps: np.ndarray) -> "_Frame":
+        q = invariant_basis(c, amps)
+        if q.shape[1] == q.shape[0]:
+            return cls(None, c.dense, amps)
+        return cls(q, c.dense.restrict(q), q.conj().T @ amps)
+
+    def hamiltonian(self, h: PauliSum) -> np.ndarray:
+        """H in this frame's coordinates, built once per Hamiltonian."""
+        if h is not self.h:
+            q = self.basis
+            self.h, self.h_matrix = h, h.dense if q is None else q.conj().T @ h.dense @ q
+        return self.h_matrix
+
+    def lift(self, phi: np.ndarray) -> np.ndarray:
+        """Full-space amplitudes of columns given in this frame's coordinates."""
+        return phi if self.basis is None else self.basis @ phi
+
+
 @dataclass
 class SubspaceRun(_RecordViews):
     """Evolving state of one subspace search; :func:`iteration` advances it.
@@ -189,6 +235,7 @@ class SubspaceRun(_RecordViews):
     streaks: np.ndarray
     snapshots: dict[int, np.ndarray]
     history: list[IterationRecord]
+    frame: _Frame
 
     @classmethod
     def start(cls, c: Circuit, initial_states, cfg: SsqiteConfig,
@@ -223,6 +270,7 @@ class SubspaceRun(_RecordViews):
             streaks=np.zeros(k, dtype=int),
             snapshots={},
             history=[],
+            frame=_Frame.of(c, amps),
         )
 
     @property
@@ -253,24 +301,31 @@ def iteration(run: SubspaceRun, h: PauliSum, c: Circuit,
               cfg: SsqiteConfig) -> SubspaceRun:
     """One joint update of all k levels; advances ``run`` in place and returns it.
 
-    Measures every level's McLachlan system at the current parameters (in
-    shared mode all k levels come from one batched circuit sweep), solves
+    Measures every level's McLachlan system at the current parameters, in
+    the run's frame (in shared mode all k levels come from one batched
+    circuit sweep; ``c`` must be the circuit the run was started with), solves
     the k systems in one stacked solve and appends what it measured to the
     record stream.  Marks levels whose velocity stalled for ``patience``
     iterations as converged (doubling the step sizes from that level
     upward), then applies the per-level updates.
     """
+    if c is not run.circuit and c != run.circuit:
+        raise ValueError("iteration needs the circuit the run was started with")
     k = run.k
     per_level = run.update_mode == "per-level"
+    frame = run.frame
+    h_frame = frame.hamiltonian(h)
     if per_level:
-        systems = [assemble(c, run.theta[l], h, run.initial_states[l]) for l in range(k)]
+        systems = [assemble(frame.plan, run.theta[l], h_frame, frame.inputs[:, [l]])[0]
+                   for l in range(k)]
     else:
-        systems = assemble(c, run.theta, h, _columns(run.initial_states))
+        systems = assemble(frame.plan, run.theta, h_frame, frame.inputs)
     theta_dots = solve(systems, cfg.regularization)
     grads = np.abs(theta_dots).max(axis=1).tolist()
+    phi = frame.lift(np.column_stack([sys.phi for sys in systems]))
     # A level that converged earlier is monitored through its snapshot; one
     # converging now is snapshotted at this same iterate, so either set works.
-    monitor = _monitor(np.column_stack([sys.phi for sys in systems]), run.snapshots)
+    monitor = _monitor(phi, run.snapshots)
     ortho = _report(monitor, run.exact_states, cfg.ortho_tol)
 
     # A converged level whose velocity re-awakens and keeps growing signals
@@ -292,7 +347,7 @@ def iteration(run: SubspaceRun, h: PauliSum, c: Circuit,
         if run.streaks[l] >= cfg.patience:
             run.converged[l] = True
             if per_level:
-                run.snapshots[l] = systems[l].phi
+                run.snapshots[l] = phi[:, l]
     # Doubling starts at the converged level itself, which keeps the dtau
     # ratios (and the head >= tail-sum property) intact; it fires only once
     # the whole prefix below has converged, so an early high level cannot tie

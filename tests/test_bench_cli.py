@@ -2,12 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import DATA
+from conftest import DATA, REPO
 from ssqite.bench_cli import RunConfig, cmd_exact, cmd_scan, cmd_trace, main, parse_config
 from ssqite.errors import ParseError
 
@@ -179,6 +182,16 @@ class TestTrace:
         code = main(["trace", "--config", str(cfg_path), "--bond-length", "0.1234"])
         assert code == 2
 
+    def test_max_iters_writes_partial_trace_exit_1(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, DATA / "h2_sto3g.txt", max_iters="30")
+        assert main(["trace", "--config", str(cfg_path), "--bond-length", "2.25"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        lines = (tmp_path / "out" / "trace.csv").read_text().splitlines()
+        assert lines[0] == "iter,level,energy_Ha,grad_inf_norm,dtau,ortho_max_offdiag"
+        rows = [l.split(",") for l in lines[1:]]
+        assert len(rows) == 30 * 3
+        assert [int(r[0]) for r in rows[::3]] == list(range(30))
+
     def test_k1_trace_matches_run_qite(self, tmp_path):
         from ssqite.errors import MaxStepsExceeded
         from ssqite.pauli_algebra import load_geometry_series
@@ -276,3 +289,28 @@ class TestMainDispatch:
         monkeypatch.setenv("SSQITE_SEED", "eleven")
         assert main(["exact", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith("error: SSQITE_SEED")
+
+
+def test_library_run_imports_no_scipy():
+    # Only the data generator and the benchmark's version report use SciPy
+    # (the optional "tools" extra); importing it would add to set-up time.
+    code = (
+        "import sys\n"
+        "import ssqite\n"
+        "from ssqite.errors import MaxItersExceeded\n"
+        "series = ssqite.load_geometry_series('data/lih_sto3g.txt')\n"
+        "_, h = series.nearest(1.6)\n"
+        "states = [ssqite.Statevector.from_label(l) for l in ('010', '001', '100')]\n"
+        "try:\n"
+        "    ssqite.run(h, ssqite.build_excitation_preserving(), states,\n"
+        "               ssqite.SsqiteConfig(max_iters=2))\n"
+        "except MaxItersExceeded as exc:\n"
+        "    assert exc.result.iterations == 2\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], cwd=REPO, capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

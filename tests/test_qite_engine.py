@@ -169,6 +169,25 @@ class TestSolve:
                 assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
                 np.testing.assert_allclose(solve(sys, 0.0), got, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "series, build, labels",
+        [("h2_series", build_twolocal, ("00", "01", "10")),
+         ("lih_series", build_excitation_preserving, ("010", "001", "100"))],
+    )
+    def test_factored_shifted_solve_matches_dense(self, request, rng, series, build, labels):
+        # With a shift the Gram solve t (t^T t + lambda I)^-1 w is the
+        # push-through form of (A + lambda I)^-1 C.
+        c = build()
+        amps = np.column_stack([Statevector.from_label(l).amps for l in labels])
+        for _, h in request.getfixturevalue(series).points[::3]:
+            theta = rng.normal(0, 0.5, c.num_params)
+            for corrected in (False, True):
+                systems = assemble(c, theta, h, amps, phase_correction=corrected)
+                assert all(sys.t.shape == (c.num_params, 2 * amps.shape[0]) for sys in systems)
+                for sys, got in zip(systems, solve(systems, 1e-3)):
+                    want = np.linalg.solve(sys.a + 1e-3 * np.eye(c.num_params), sys.c)
+                    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
     def test_cut_matches_lstsq_rcond(self, rng):
         # Eigenvalues on both sides of 1e-8 of the largest: 2e-8 is kept and
         # 5e-9 dropped, as lstsq's rcond = 1e-8 does with singular values.

@@ -19,6 +19,7 @@ from ssqite.simulator import (
     derivative_state,
     expectation,
     hadamard_test,
+    invariant_basis,
     overlap,
     sample_expectation,
 )
@@ -357,6 +358,42 @@ class TestDerivatives:
             derivative_stack(build_twolocal(), np.zeros(16), np.zeros((8, 2)))
         with pytest.raises(DimensionMismatch):
             apply(build_twolocal(), np.zeros(16), np.zeros(4))
+
+
+class TestInvariantBasis:
+    """The smallest gate-invariant subspace around the inputs, and sweeps restricted to it."""
+
+    @pytest.mark.parametrize(
+        "build, labels, rank",
+        [(build_twolocal, ("00", "01", "10"), 4),
+         (build_excitation_preserving, ("010", "001", "100"), 3),
+         (build_excitation_preserving, ("010", "001"), 3),
+         (build_excitation_preserving, ("000",), 1)],
+    )
+    def test_rank_and_invariance(self, rng, build, labels, rank):
+        c = build()
+        amps = np.column_stack([Statevector.from_label(l).amps for l in labels])
+        q = invariant_basis(c, amps)
+        assert q.shape == (2 ** c.n, rank)
+        np.testing.assert_array_equal(q[:, :len(labels)], amps)  # the inputs come first
+        np.testing.assert_allclose(q.conj().T @ q, np.eye(rank), rtol=0, atol=1e-12)
+        plan = c.dense
+        mats = list(plan.lead) + list(plan.insertion) + [m for m in [plan.tail] if m is not None]
+        for m in mats:
+            image = m @ q
+            np.testing.assert_allclose(q @ (q.conj().T @ image), image, rtol=0, atol=1e-12)
+        # The restricted sweep gives Q^H times the full states and derivatives.
+        theta = rng.uniform(-np.pi, np.pi, c.num_params)
+        phi, stack = derivative_stack(c, theta, amps)
+        phi_r, stack_r = derivative_stack(plan.restrict(q), theta, q.conj().T @ amps)
+        assert stack_r.shape == (c.num_params, rank, len(labels))
+        np.testing.assert_allclose(q @ phi_r, phi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(q @ stack_r, stack, rtol=0, atol=1e-12)
+
+    def test_inputs_must_be_orthonormal(self):
+        amps = np.column_stack([Statevector.from_label(l).amps for l in ("010", "001")])
+        with pytest.raises(ValueError):
+            invariant_basis(build_excitation_preserving(), amps + amps[:, ::-1])
 
 
 class TestHadamardTest:

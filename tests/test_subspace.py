@@ -62,6 +62,13 @@ class TestSchedule:
             init_schedule(3, -1.0)
 
 
+class TestConfig:
+    def test_negative_regularization_rejected(self):
+        with pytest.raises(ValueError):
+            SsqiteConfig(regularization=-1e-6)
+        SsqiteConfig(regularization=0.0)
+
+
 class TestWeights:
     def test_strictly_decreasing_ok(self):
         SsvqeWeights(omega=np.array([3.0, 2.0, 1.0]))
@@ -240,6 +247,73 @@ class TestBatchedIteration:
             np.testing.assert_allclose(sys.a, single.a, rtol=0, atol=1e-12)
             np.testing.assert_allclose(sys.c, single.c, rtol=0, atol=1e-12)
             assert abs(sys.energy - single.energy) <= 1e-12
+
+
+class TestInvariantFrame:
+    """LiH runs assemble on the 3-dimensional one-excitation sector."""
+
+    @staticmethod
+    def full_space(monkeypatch):
+        from ssqite import subspace
+
+        monkeypatch.setattr(subspace, "invariant_basis", lambda c, amps: np.eye(2 ** c.n))
+
+    @pytest.mark.parametrize("update_mode", ["shared", "per-level"])
+    def test_restricted_matches_full_space(self, lih_series, monkeypatch, update_mode):
+        # The same systems in 3 and 8 amplitudes differ by rounding, which
+        # the pseudo-solve amplifies by up to 1 / 3.3e-5 (the smallest kept
+        # eigenvalue ratio over the LiH series): theta and the speeds agree
+        # to 1e-11 over these 10 steps, the energies to 1e-14.
+        _, h = lih_series.nearest(1.6)
+        c = build_excitation_preserving()
+        cfg = SsqiteConfig(update_mode=update_mode)
+        states = basis("010", "001", "100")
+        restricted = SubspaceRun.start(c, states, cfg, theta0=seeded_theta(16))
+        self.full_space(monkeypatch)
+        full = SubspaceRun.start(c, states, cfg, theta0=seeded_theta(16))
+        assert restricted.frame.basis.shape == (8, 3) and full.frame.basis is None
+        for _ in range(10):
+            restricted = iteration(restricted, h, c, cfg)
+            full = iteration(full, h, c, cfg)
+            np.testing.assert_allclose(restricted.theta, full.theta, rtol=0, atol=1e-10)
+            rec, ref = restricted.history[-1], full.history[-1]
+            np.testing.assert_allclose(rec.energies, ref.energies, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(rec.grads, ref.grads, rtol=0, atol=1e-10)
+            assert rec.dtau == ref.dtau
+        for got, want in zip(restricted.states, full.states):
+            assert got.amps.shape == (8,)
+            np.testing.assert_allclose(got.amps, want.amps, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(ortho_report(restricted).pairwise,
+                                   ortho_report(full).pairwise, rtol=0, atol=1e-10)
+
+    def test_iteration_needs_the_run_circuit(self, lih_series):
+        _, h = lih_series.nearest(1.6)
+        cfg = SsqiteConfig()
+        state = SubspaceRun.start(build_excitation_preserving(), basis("010", "001"), cfg)
+        iteration(state, h, build_excitation_preserving(), cfg)  # an equal circuit
+        with pytest.raises(ValueError):
+            iteration(state, h, build_excitation_preserving(blocks=6), cfg)
+
+    def test_snapshots_and_final_states_in_full_basis(self, lih_series):
+        # A grad_tol no speed can miss snapshots every level at iteration 0.
+        _, h = lih_series.nearest(1.6)
+        c = build_excitation_preserving()
+        states = basis("010", "001", "100")
+        theta0 = seeded_theta(16)
+        cfg = SsqiteConfig(update_mode="per-level", grad_tol=1e3, patience=1)
+        result = run(h, c, states, cfg, theta0=theta0,
+                     exact_states=eigensolve(h).eigenvectors[:, :3])
+        assert result.iterations == 1
+        for l, s in enumerate(states):
+            np.testing.assert_allclose(result.final_states[l].amps,
+                                       apply(c, result.theta[l], s).amps, atol=1e-12)
+        state = iteration(SubspaceRun.start(c, states, cfg, theta0=theta0), h, c, cfg)
+        for l, s in enumerate(states):
+            assert state.snapshots[l].shape == (8,)
+            np.testing.assert_allclose(state.snapshots[l], apply(c, theta0, s).amps,
+                                       rtol=0, atol=1e-12)
+        assert ortho_report(state).exact is None
+        assert result.ortho.exact.shape == (3, 3)
 
 
 class TestRun:
