@@ -8,8 +8,10 @@ Subcommands::
 
 Config files are flat ``key = value`` text with ``#`` comments; relative paths
 resolve against the config file's directory.  The environment variable
-``SSQITE_SEED`` overrides the configured seed.  Exit codes: 0 success,
-1 accuracy or convergence failure, 2 input error.
+``SSQITE_SEED`` overrides the configured seed.  With ``shots > 0`` only the
+final energy readout of each level is sampled; the McLachlan systems that
+drive the evolution stay exact.  Exit codes: 0 success, 1 accuracy or
+convergence failure, 2 input error.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ class RunConfig:
     grad_tol: float = SsqiteConfig.grad_tol
     patience: int = SsqiteConfig.patience
     max_iters: int = SsqiteConfig.max_iters
-    update_mode: str = SsqiteConfig.update_mode
     seed: int = 0
     shots: int = 0
     output_dir: Path = Path("out")
@@ -70,8 +71,8 @@ class RunConfig:
             raise ParseError(f"shots must be >= 0, got {self.shots}")
         if self.seed < 0:
             raise ParseError(f"seed must be >= 0, got {self.seed}")
-        if self.theta0_scale < 0:
-            raise ParseError(f"theta0_scale must be >= 0, got {self.theta0_scale}")
+        if not 0 <= self.theta0_scale < np.inf:
+            raise ParseError(f"theta0_scale must be >= 0 and finite, got {self.theta0_scale}")
         width, labels = len(_DEFAULT_LABELS[self.ansatz][0]), self.initial_states
         bad = [l for l in labels if len(l) != width or set(l) - {"0", "1"}]
         if bad or len(set(labels)) < len(labels):
@@ -96,7 +97,6 @@ class RunConfig:
             grad_tol=self.grad_tol,
             patience=self.patience,
             max_iters=self.max_iters,
-            update_mode=self.update_mode,
         )
 
 
@@ -108,7 +108,6 @@ _FIELD_PARSERS = {
     "grad_tol": float,
     "patience": int,
     "max_iters": int,
-    "update_mode": str,
     "seed": int,
     "shots": int,
     "output_dir": str,
@@ -198,6 +197,8 @@ def _write_lines(path: Path, lines) -> None:
 
 def cmd_scan(cfg: RunConfig, tolerance: float = CHEMICAL_ACCURACY) -> int:
     """Run the full geometry series and emit scan.csv / summary.json."""
+    if not 0 < tolerance < np.inf:
+        raise ParseError(f"tolerance must be positive and finite, got {tolerance}")
     t_start = time.perf_counter()
     series = load_geometry_series(cfg.hamiltonian_path)
     circuit = _build_ansatz(cfg)

@@ -19,25 +19,29 @@ from .simulator import Circuit, Statevector, derivative_stack
 
 @dataclass(frozen=True)
 class McLachlanSystem:
-    """Gram matrix, driving vector, energy and amplitudes ``phi`` of one trial state.
+    """McLachlan systems of one trial state, or of a stack of k of them.
 
-    :func:`assemble` also stores the real factor ``t`` = [Re D | Im D] of the
-    (P, d) derivative rows D_i = d_i phi and ``w`` = -[Re H phi; Im H phi],
-    for which A = t t^T and C = t w; :func:`solve` then works through the
-    (2d, 2d) Gram t^T t.  A system built from explicit ``a`` and ``c`` has
-    no factor.
+    ``t`` = [Re D | Im D] is the real factor of the (P, d) derivative rows
+    D_i = d_i phi, ``w`` = -[Re H phi; Im H phi], ``energy`` = <phi|H|phi>
+    and ``phi`` the amplitudes.  A stack carries a leading level axis on
+    every field: ``t`` (k, P, 2d), ``w`` (k, 2d), ``energy`` (k,) and
+    ``phi`` (k, d).  :func:`solve` works through the (2d, 2d) Gram t^T t.
     """
 
-    a: np.ndarray
-    c: np.ndarray
-    energy: float
+    t: np.ndarray
+    w: np.ndarray
+    energy: float | np.ndarray
     phi: np.ndarray | None = None
-    t: np.ndarray | None = None
-    w: np.ndarray | None = None
 
     @property
-    def num_params(self) -> int:
-        return self.c.shape[0]
+    def a(self) -> np.ndarray:
+        """Gram matrix A = t t^T, formed on each read."""
+        return self.t @ np.swapaxes(self.t, -1, -2)
+
+    @property
+    def c(self) -> np.ndarray:
+        """Driving vector C = t w, formed on each read."""
+        return (self.t @ self.w[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -67,13 +71,13 @@ class QiteConfig:
             raise ValueError(f"unknown integrator {self.integrator!r}")
 
 
-def assemble(c, theta, h, s0, phase_correction: bool = False):
+def assemble(c, theta, h, s0, phase_correction: bool = False) -> McLachlanSystem:
     """Measure A, C, and the energy at the current parameters.
 
     ``s0`` is one Statevector (returns one system) or a (d, k) matrix of
-    initial-state columns (returns a tuple of k systems, one per column, all
-    from a single circuit sweep).  Both forms run the same arithmetic, so a
-    one-column batch reproduces the single-state system bit for bit.
+    initial-state columns (returns the stack of k systems, all from a single
+    circuit sweep).  Both forms run the same arithmetic, so a one-column
+    batch reproduces the single-state system bit for bit.
 
     ``c`` and ``h`` are a Circuit and a PauliSum, or the same problem in the
     coordinates of an orthonormal basis Q of an invariant subspace of the
@@ -92,53 +96,36 @@ def assemble(c, theta, h, s0, phase_correction: bool = False):
     rows = np.moveaxis(deriv, 2, 0)  # (k, P, d)
     t = np.concatenate((rows.real, rows.imag), axis=2)
     w = -np.concatenate((h_phi.real, h_phi.imag)).T
-    cvec = (t @ w[:, :, None])[:, :, 0]
     energies = np.real(np.sum(phi.conj() * h_phi, axis=0))
     if phase_correction:
         v = np.concatenate((-phi.imag, phi.real)).T
         t = t - (t @ v[:, :, None]) * v[:, None, :]
-    a = t @ t.transpose(0, 2, 1)
-    systems = tuple(
-        McLachlanSystem(a=a[l], c=cvec[l], energy=float(energies[l]), phi=phi[:, l],
-                        t=t[l], w=w[l])
-        for l in range(phi.shape[1])
-    )
-    return systems[0] if single else systems
+    # The solve's rounding depends on the memory layout of its operands.
+    t, w = np.ascontiguousarray(t), np.ascontiguousarray(w)
+    if single:
+        return McLachlanSystem(t=t[0], w=w[0], energy=float(energies[0]), phi=phi[:, 0])
+    return McLachlanSystem(t=t, w=w, energy=energies, phi=phi.T)
 
 
-def solve(systems, regularization: float) -> np.ndarray:
+def solve(system: McLachlanSystem, regularization: float) -> np.ndarray:
     """Solve (A + lambda I) theta_dot = C for one system or a stack of them.
 
-    ``systems`` is one McLachlanSystem (returns its (P,) theta_dot) or a
-    sequence of k systems of one size (returns the (k, P) rows), solved
-    together in one batched factorization.  When every system carries its
-    factor t, the stack is solved through the (2d, 2d) Grams t^T t:
-    theta_dot = t (t^T t + lambda I)^-1 w, which is (t t^T + lambda I)^-1 t w
-    by the push-through identity.  Without a shift the pseudo-solve cuts the
-    same eigenvalues as on A, since t^T t and t t^T share their nonzero
-    ones.  Other stacks are solved as the (P, P) systems A, C.
+    Returns the (P,) theta_dot of one system or the (k, P) rows of a stack,
+    solved together in one batched factorization through the (2d, 2d)
+    Grams t^T t: theta_dot = t (t^T t + lambda I)^-1 w, which is
+    (t t^T + lambda I)^-1 t w by the push-through identity.  Without a shift
+    the pseudo-solve cuts the same eigenvalues as on A, since t^T t and
+    t t^T share their nonzero ones.
     """
     if regularization < 0:
         raise ValueError("regularization must be nonnegative")
-    single = isinstance(systems, McLachlanSystem)
-    stack = (systems,) if single else tuple(systems)
-    if all(sys.t is not None for sys in stack):
-        t = np.array([sys.t for sys in stack])
-        w = np.array([sys.w for sys in stack])
-        _require_finite(t, w)
-        x = _solve_stack(t.transpose(0, 2, 1) @ t, w, regularization)
-        theta_dot = (t @ x[:, :, None])[:, :, 0]
-    else:
-        a = np.array([sys.a for sys in stack])
-        c = np.array([sys.c for sys in stack])
-        _require_finite(a, c)
-        theta_dot = _solve_stack(a, c, regularization)
-    return theta_dot[0] if single else theta_dot
-
-
-def _require_finite(matrices: np.ndarray, vectors: np.ndarray) -> None:
-    if not (np.isfinite(matrices).all() and np.isfinite(vectors).all()):
+    single = system.t.ndim == 2
+    t, w = (system.t[None], system.w[None]) if single else (system.t, system.w)
+    if not (np.isfinite(t).all() and np.isfinite(w).all()):
         raise SingularSystem("non-finite entries in the McLachlan system")
+    x = _solve_stack(t.transpose(0, 2, 1) @ t, w, regularization)
+    theta_dot = (t @ x[:, :, None])[:, :, 0]
+    return theta_dot[0] if single else theta_dot
 
 
 def _solve_stack(a: np.ndarray, c: np.ndarray, regularization: float) -> np.ndarray:

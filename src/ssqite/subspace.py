@@ -6,16 +6,15 @@ update; once a level converges, every step size from that level upward
 doubles (ratios intact), which keeps the total iteration count from growing
 like 2^k.
 
-In ``shared`` update mode a single parameter vector receives the sum of the
-per-level updates, so the evolved states stay exactly orthogonal (one unitary
-applied to orthogonal inputs).  The ``per-level`` mode advances k independent
-parameter vectors and merely monitors orthogonality.
+A single parameter vector receives the sum of every level's update, so the
+evolved states stay exactly orthogonal (one unitary applied to orthogonal
+inputs).
 
 A run keeps one append-only stream of :class:`IterationRecord`, one per
 iteration.  Iteration i measures every level's McLachlan system at theta_i
 in one derivative sweep, and its record holds what that sweep gave: the
 energies, each level's ||theta_dot||_inf, the step sizes of the update it
-applied, and the overlaps of the monitored states at theta_i.  ``traces``,
+applied, and the overlaps of the states at theta_i.  ``traces``,
 ``records`` and ``ortho_history`` are read-only views of that stream.  The
 trial states at the final parameters come from one ``apply`` when the run
 ends.
@@ -26,7 +25,7 @@ circuit maps into itself (:func:`~ssqite.simulator.invariant_basis`), found
 once per run.  For the excitation-preserving ansatz on one-excitation
 inputs that is the 3-dimensional one-excitation sector, so every sweep and
 solve works on 3 amplitudes instead of 8.  The systems are the same as in
-the full space, and everything a run reports (states, snapshots, overlaps)
+the full space, and everything a run reports (states, overlaps)
 is in the full 2^n basis.
 """
 
@@ -40,9 +39,6 @@ from .errors import DimensionMismatch, MaxItersExceeded, NonDecreasingWeights
 from .pauli_algebra import PauliSum
 from .qite_engine import assemble, solve
 from .simulator import Circuit, DenseCircuit, Statevector, apply, expectation, invariant_basis
-
-UPDATE_MODES = ("shared", "per-level")
-
 
 @dataclass(frozen=True)
 class SsqiteConfig:
@@ -58,20 +54,17 @@ class SsqiteConfig:
     patience: int = 3
     max_iters: int = 6000
     ortho_tol: float = 1e-8
-    update_mode: str = "shared"
     regularization: float = 0.0
 
     def __post_init__(self):
-        if self.b <= 0:
-            raise ValueError(f"b must be positive, got {self.b}")
-        if self.grad_tol < 0:
-            raise ValueError(f"grad_tol must be >= 0, got {self.grad_tol}")
+        if not 0 < self.b < np.inf:
+            raise ValueError(f"b must be positive and finite, got {self.b}")
+        if not 0 <= self.grad_tol < np.inf:
+            raise ValueError(f"grad_tol must be >= 0 and finite, got {self.grad_tol}")
         if self.patience < 1:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.update_mode not in UPDATE_MODES:
-            raise ValueError(f"update_mode must be one of {UPDATE_MODES}")
         if self.regularization < 0:
             raise ValueError(f"regularization must be >= 0, got {self.regularization}")
 
@@ -113,16 +106,9 @@ def _columns(states) -> np.ndarray:
     return np.column_stack([s.amps for s in states])
 
 
-def _monitor(amps: np.ndarray, snapshots: dict[int, np.ndarray]) -> np.ndarray:
-    """Overwrite, in place, each converged per-level column with its snapshot."""
-    for l, snapshot in snapshots.items():
-        amps[:, l] = snapshot
-    return amps
-
-
 @dataclass(frozen=True)
 class TraceRecord:
-    """One per-level monitoring row, as ``trace.csv`` lists it."""
+    """One monitoring row of one level, as ``trace.csv`` lists it."""
 
     iteration: int
     level: int
@@ -159,7 +145,7 @@ class IterationRecord:
     energies: tuple[float, ...]
     grads: tuple[float, ...]  # ||theta_dot||_inf per level
     dtau: tuple[float, ...]  # step sizes of the update this iteration applied
-    ortho: OrthoReport  # overlaps of the monitor states at theta_i
+    ortho: OrthoReport  # overlaps of the states at theta_i
 
 
 class _RecordViews:
@@ -218,22 +204,15 @@ class _Frame:
 
 @dataclass
 class SubspaceRun(_RecordViews):
-    """Evolving state of one subspace search; :func:`iteration` advances it.
-
-    In per-level mode a converged level is monitored through ``snapshots``,
-    its amplitudes at the iterate where it converged; shared mode always
-    monitors the live states.
-    """
+    """Evolving state of one subspace search; :func:`iteration` advances it."""
 
     circuit: Circuit
-    theta: np.ndarray  # (num_params,) shared mode, (k, num_params) per-level
+    theta: np.ndarray
     initial_states: tuple[Statevector, ...]
     exact_states: np.ndarray | None  # eigenvector columns, for the overlap records
-    update_mode: str
     dtau: np.ndarray
     converged: np.ndarray
     streaks: np.ndarray
-    snapshots: dict[int, np.ndarray]
     history: list[IterationRecord]
     frame: _Frame
 
@@ -256,19 +235,14 @@ class SubspaceRun(_RecordViews):
             )
         if theta0 is None:
             theta0 = np.zeros(c.num_params)
-        theta0 = np.asarray(theta0, dtype=float)
-        if cfg.update_mode == "per-level" and theta0.ndim == 1:
-            theta0 = np.tile(theta0, (k, 1))
         return cls(
             circuit=c,
-            theta=theta0.copy(),
+            theta=np.array(theta0, dtype=float),
             initial_states=initial_states,
             exact_states=exact_states,
-            update_mode=cfg.update_mode,
             dtau=dtau,
             converged=np.zeros(k, dtype=bool),
             streaks=np.zeros(k, dtype=int),
-            snapshots={},
             history=[],
             frame=_Frame.of(c, amps),
         )
@@ -286,8 +260,6 @@ class SubspaceRun(_RecordViews):
     def states(self) -> tuple[Statevector, ...]:
         """Trial states at the current parameters (one circuit sweep per read)."""
         c = self.circuit
-        if self.update_mode == "per-level":
-            return tuple(apply(c, self.theta[l], s) for l, s in enumerate(self.initial_states))
         rows = apply(c, self.theta, _columns(self.initial_states)).T.copy()
         return tuple(Statevector(amps=amps, n=c.n) for amps in rows)
 
@@ -297,36 +269,22 @@ def _converged_prefix(converged: np.ndarray) -> int:
     return len(converged) if converged.all() else int(converged.argmin())
 
 
-def iteration(run: SubspaceRun, h: PauliSum, c: Circuit,
-              cfg: SsqiteConfig) -> SubspaceRun:
+def iteration(run: SubspaceRun, h: PauliSum, cfg: SsqiteConfig) -> SubspaceRun:
     """One joint update of all k levels; advances ``run`` in place and returns it.
 
-    Measures every level's McLachlan system at the current parameters, in
-    the run's frame (in shared mode all k levels come from one batched
-    circuit sweep; ``c`` must be the circuit the run was started with), solves
-    the k systems in one stacked solve and appends what it measured to the
-    record stream.  Marks levels whose velocity stalled for ``patience``
-    iterations as converged (doubling the step sizes from that level
-    upward), then applies the per-level updates.
+    Measures every level's McLachlan system at the current parameters from
+    one batched circuit sweep in the run's frame, solves the stack in one
+    call and appends what it measured to the record stream.  Marks levels
+    whose velocity stalled for ``patience`` iterations as converged
+    (doubling the step sizes from that level upward), then adds every
+    level's update to the shared parameters.
     """
-    if c is not run.circuit and c != run.circuit:
-        raise ValueError("iteration needs the circuit the run was started with")
     k = run.k
-    per_level = run.update_mode == "per-level"
     frame = run.frame
-    h_frame = frame.hamiltonian(h)
-    if per_level:
-        systems = [assemble(frame.plan, run.theta[l], h_frame, frame.inputs[:, [l]])[0]
-                   for l in range(k)]
-    else:
-        systems = assemble(frame.plan, run.theta, h_frame, frame.inputs)
-    theta_dots = solve(systems, cfg.regularization)
+    system = assemble(frame.plan, run.theta, frame.hamiltonian(h), frame.inputs)
+    theta_dots = solve(system, cfg.regularization)
     grads = np.abs(theta_dots).max(axis=1).tolist()
-    phi = frame.lift(np.column_stack([sys.phi for sys in systems]))
-    # A level that converged earlier is monitored through its snapshot; one
-    # converging now is snapshotted at this same iterate, so either set works.
-    monitor = _monitor(phi, run.snapshots)
-    ortho = _report(monitor, run.exact_states, cfg.ortho_tol)
+    ortho = _report(frame.lift(system.phi.T), run.exact_states, cfg.ortho_tol)
 
     # A converged level whose velocity re-awakens and keeps growing signals
     # that step doubling pushed dtau past the explicit-integrator stability
@@ -346,8 +304,6 @@ def iteration(run: SubspaceRun, h: PauliSum, c: Circuit,
         run.streaks[l] = run.streaks[l] + 1 if grads[l] < cfg.grad_tol else 0
         if run.streaks[l] >= cfg.patience:
             run.converged[l] = True
-            if per_level:
-                run.snapshots[l] = phi[:, l]
     # Doubling starts at the converged level itself, which keeps the dtau
     # ratios (and the head >= tail-sum property) intact; it fires only once
     # the whole prefix below has converged, so an early high level cannot tie
@@ -355,17 +311,12 @@ def iteration(run: SubspaceRun, h: PauliSum, c: Circuit,
     for l in range(doubled, _converged_prefix(run.converged)):
         run.dtau[l:] *= 2.0
 
-    if per_level:
-        theta = run.theta.copy()
-        for l in range(k):
-            theta[l] = theta[l] + run.dtau[l] * theta_dots[l]
-    else:
-        theta = run.theta
-        for l in range(k):
-            theta = theta + run.dtau[l] * theta_dots[l]
+    theta = run.theta
+    for l in range(k):
+        theta = theta + run.dtau[l] * theta_dots[l]
     run.theta = theta
     run.history.append(IterationRecord(
-        energies=tuple(sys.energy for sys in systems),
+        energies=tuple(system.energy.tolist()),
         grads=tuple(grads),
         dtau=tuple(run.dtau.tolist()),
         ortho=ortho,
@@ -377,14 +328,12 @@ def ortho_report(run_or_states, exact_states=None, tol: float = 1e-8) -> OrthoRe
     """Pairwise |<psi_i|psi_j>| matrix; flags the run when levels coincide.
 
     ``exact_states`` may be a matrix of eigenvector columns, adding the
-    |<E_j|psi_i>| block.  Accepts a SubspaceRun (its monitor states at the
-    current parameters), a state sequence or a (2^n, k) matrix of columns.
+    |<E_j|psi_i>| block.  Accepts a SubspaceRun (its states at the current
+    parameters), a state sequence or a (2^n, k) matrix of columns.
     """
     if isinstance(run_or_states, SubspaceRun):
-        amps = _monitor(_columns(run_or_states.states), run_or_states.snapshots)
-    else:
-        amps = _columns(run_or_states)
-    return _report(amps, exact_states, tol)
+        run_or_states = run_or_states.states
+    return _report(_columns(run_or_states), exact_states, tol)
 
 
 @dataclass(frozen=True)
@@ -424,12 +373,11 @@ def _finalize(run: SubspaceRun, h: PauliSum, cfg: SsqiteConfig) -> SubspaceResul
     amps = _columns(states)
     # The same dense form as every recorded energy: Re(phi^dag H phi).
     energies = np.real(np.sum(amps.conj() * (h.dense @ amps), axis=0))
-    monitor = _monitor(_columns(states), run.snapshots)
     return SubspaceResult(
         theta=run.theta,
         energies=energies,
         history=tuple(run.history),
-        ortho=ortho_report(monitor, exact_states=run.exact_states, tol=cfg.ortho_tol),
+        ortho=ortho_report(amps, exact_states=run.exact_states, tol=cfg.ortho_tol),
         ascending=bool(np.all(np.diff(energies) >= -1e-6)),
         converged=run.converged.copy(),
         final_states=states,
@@ -453,7 +401,7 @@ def run(h: PauliSum, c: Circuit, initial_states, cfg: SsqiteConfig,
                 f"after {cfg.max_iters} iterations",
                 result=_finalize(state, h, cfg),
             )
-        state = iteration(state, h, c, cfg)
+        state = iteration(state, h, cfg)
     return _finalize(state, h, cfg)
 
 

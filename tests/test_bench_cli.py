@@ -275,13 +275,24 @@ class TestMainDispatch:
         [("update_mode", "bogus"), ("b", "-1"), ("patience", "0"),
          ("theta0_scale", "-0.1"), ("seed", "-1"),
          ("initial_states", "00,0a,10"), ("initial_states", "00,00,10"),
-         ("max_iters", "0"), ("grad_tol", "-1")],
+         ("max_iters", "0"), ("grad_tol", "-1"),
+         ("b", "nan"), ("b", "inf"), ("grad_tol", "nan"), ("grad_tol", "inf"),
+         ("theta0_scale", "nan"), ("theta0_scale", "inf"),
+         ("update_mode", "shared")],
     )
     def test_bad_config_value_exit_2(self, tmp_path, capsys, key, value):
         cfg_path = write_config(tmp_path, trimmed_h2(tmp_path), **{key: value})
         assert main(["scan", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out" / "scan.csv").exists()
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-3"])
+    def test_bad_tolerance_exit_2(self, tmp_path, capsys, tolerance):
+        # Rejected before any geometry runs, so no scan.csv is written.
+        cfg_path = write_config(tmp_path, trimmed_h2(tmp_path))
+        assert main(["scan", "--config", str(cfg_path), f"--tolerance={tolerance}"]) == 2
+        assert capsys.readouterr().err.startswith("error: tolerance")
         assert not (tmp_path / "out" / "scan.csv").exists()
 
     def test_bad_env_seed_exit_2(self, tmp_path, capsys, monkeypatch):

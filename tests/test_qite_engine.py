@@ -9,6 +9,7 @@ from ssqite.pauli_algebra import PauliSum, decompose_dense
 from ssqite.qite_engine import (
     McLachlanSystem,
     QiteConfig,
+    _solve_stack,
     assemble,
     run_qite,
     solve,
@@ -123,27 +124,25 @@ class TestConfig:
 
 class TestSolve:
     def test_scalar_division(self):
-        sys = McLachlanSystem(a=np.array([[0.25]]), c=np.array([0.5]), energy=0.0)
-        assert solve(sys, 0.0)[0] == pytest.approx(2.0, abs=1e-12)
+        x = _solve_stack(np.array([[[0.25]]]), np.array([[0.5]]), 0.0)[0]
+        assert x[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_stationary_zero_system(self):
-        sys = McLachlanSystem(a=np.zeros((1, 1)), c=np.zeros(1), energy=0.0)
-        assert solve(sys, 1e-6)[0] == pytest.approx(0.0)
+        x = _solve_stack(np.zeros((1, 1, 1)), np.zeros((1, 1)), 1e-6)[0]
+        assert x[0] == pytest.approx(0.0)
 
     def test_spd_residual(self, rng):
         for _ in range(5):
             m = rng.normal(size=(8, 8))
             a = m @ m.T + 0.5 * np.eye(8)
             cvec = rng.normal(size=8)
-            sys = McLachlanSystem(a=a, c=cvec, energy=0.0)
-            x = solve(sys, 0.0)
+            x = _solve_stack(a[None], cvec[None], 0.0)[0]
             assert np.linalg.norm(a @ x - cvec) < 1e-9
 
     def test_singular_truncated(self):
         # Rank-1 A with C in range: pseudo-solve recovers the range component.
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
-        sys = McLachlanSystem(a=a, c=np.array([2.0, 0.0]), energy=0.0)
-        x = solve(sys, 0.0)
+        x = _solve_stack(a[None], np.array([[2.0, 0.0]]), 0.0)[0]
         np.testing.assert_allclose(x, [2.0, 0.0], atol=1e-10)
 
     @pytest.mark.parametrize(
@@ -163,11 +162,12 @@ class TestSolve:
             systems = assemble(c, theta, h, amps)
             stacked = solve(systems, 0.0)
             assert stacked.shape == (3, c.num_params)
-            for sys, got in zip(systems, stacked):
-                assert np.linalg.matrix_rank(sys.a, tol=1e-8) < c.num_params
-                want, *_ = np.linalg.lstsq(sys.a, sys.c, rcond=1e-8)
+            for a, cvec, t, w, got in zip(systems.a, systems.c, systems.t, systems.w, stacked):
+                assert np.linalg.matrix_rank(a, tol=1e-8) < c.num_params
+                want, *_ = np.linalg.lstsq(a, cvec, rcond=1e-8)
                 assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
-                np.testing.assert_allclose(solve(sys, 0.0), got, rtol=0, atol=1e-12)
+                level = McLachlanSystem(t=t, w=w, energy=0.0)
+                np.testing.assert_allclose(solve(level, 0.0), got, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize(
         "series, build, labels",
@@ -183,9 +183,9 @@ class TestSolve:
             theta = rng.normal(0, 0.5, c.num_params)
             for corrected in (False, True):
                 systems = assemble(c, theta, h, amps, phase_correction=corrected)
-                assert all(sys.t.shape == (c.num_params, 2 * amps.shape[0]) for sys in systems)
-                for sys, got in zip(systems, solve(systems, 1e-3)):
-                    want = np.linalg.solve(sys.a + 1e-3 * np.eye(c.num_params), sys.c)
+                assert systems.t.shape == (3, c.num_params, 2 * amps.shape[0])
+                for a, cvec, got in zip(systems.a, systems.c, solve(systems, 1e-3)):
+                    want = np.linalg.solve(a + 1e-3 * np.eye(c.num_params), cvec)
                     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
 
     def test_cut_matches_lstsq_rcond(self, rng):
@@ -194,41 +194,44 @@ class TestSolve:
         # C has an O(1) solution component along every eigenvector, so
         # keeping or dropping any one of them moves the result by O(1).
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        systems = [
-            McLachlanSystem(a=q @ np.diag(lam) @ q.T,
-                            c=q @ (np.abs(lam) * rng.uniform(1, 2, 4)), energy=0.0)
-            for lam in (np.array([1.0, 2e-8, 5e-9, 0.0]), np.array([3.0, -1.0, 4e-8, -1e-8]))
-        ]
-        for sys, got in zip(systems, solve(systems, 0.0)):
-            want, *_ = np.linalg.lstsq(sys.a, sys.c, rcond=1e-8)
+        lams = np.array([[1.0, 2e-8, 5e-9, 0.0], [3.0, -1.0, 4e-8, -1e-8]])
+        a = np.array([q @ np.diag(lam) @ q.T for lam in lams])
+        cvecs = np.array([q @ (np.abs(lam) * rng.uniform(1, 2, 4)) for lam in lams])
+        for a_l, c_l, got in zip(a, cvecs, _solve_stack(a, cvecs, 0.0)):
+            want, *_ = np.linalg.lstsq(a_l, c_l, rcond=1e-8)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
     @pytest.mark.parametrize("regularization", [0.0, 1e-6])
     def test_non_finite_entry_in_one_system(self, regularization):
-        good = McLachlanSystem(a=np.eye(2), c=np.ones(2), energy=0.0)
-        bad = McLachlanSystem(a=np.eye(2), c=np.array([1.0, np.nan]), energy=0.0)
+        w = np.ones((3, 2))
+        w[1, 1] = np.nan  # one entry of the middle system's driving vector
+        stack = McLachlanSystem(t=np.stack([np.eye(2)] * 3), w=w, energy=np.zeros(3))
         with pytest.raises(SingularSystem):
-            solve([good, bad, good], regularization)
+            solve(stack, regularization)
 
     def test_eigendecomposition_failure_is_singular(self, monkeypatch):
         def fail(a):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
-        sys = McLachlanSystem(a=np.eye(2), c=np.ones(2), energy=0.0)
+        stack = McLachlanSystem(t=np.stack([np.eye(2)] * 2), w=np.ones((2, 2)),
+                                energy=np.zeros(2))
         with pytest.raises(SingularSystem):
-            solve([sys, sys], 0.0)
+            solve(stack, 0.0)
 
     def test_stacked_cholesky_matches_single(self, rng):
-        systems = []
+        a, cvecs = [], []
         for _ in range(3):
             m = rng.normal(size=(6, 6))
-            systems.append(McLachlanSystem(a=m @ m.T, c=rng.normal(size=6), energy=0.0))
-        stacked = solve(systems, 1e-3)
-        for sys, got in zip(systems, stacked):
-            want = np.linalg.solve(sys.a + 1e-3 * np.eye(6), sys.c)
+            a.append(m @ m.T)
+            cvecs.append(rng.normal(size=6))
+        a, cvecs = np.array(a), np.array(cvecs)
+        stacked = _solve_stack(a, cvecs, 1e-3)
+        for l, got in enumerate(stacked):
+            want = np.linalg.solve(a[l] + 1e-3 * np.eye(6), cvecs[l])
             np.testing.assert_allclose(got, want, rtol=1e-9)
-            np.testing.assert_allclose(solve(sys, 1e-3), got, rtol=0, atol=1e-12)
+            single = _solve_stack(a[l:l + 1], cvecs[l:l + 1], 1e-3)[0]
+            np.testing.assert_allclose(single, got, rtol=0, atol=1e-12)
 
 
 class TestStep:

@@ -113,7 +113,7 @@ class TestSsvqeLoss:
         state = SubspaceRun.start(c, states, cfg, theta0=seeded_theta(16))
         losses = [ssvqe_loss(h, c, state.theta, states, w)]
         for _ in range(150):
-            state = iteration(state, h, c, cfg)
+            state = iteration(state, h, cfg)
             losses.append(ssvqe_loss(h, c, state.theta, states, w))
         print(
             f"ssvqe loss along trajectory: start {losses[0]:.6f}, "
@@ -134,7 +134,7 @@ class TestIteration:
         cfg = SsqiteConfig()
         state = SubspaceRun.start(c, basis("00", "01", "10"), cfg, theta0=seeded_theta(16))
         for _ in range(50):
-            state = iteration(state, h, c, cfg)
+            state = iteration(state, h, cfg)
             report = ortho_report(state)
             assert report.max_offdiag < 1e-10
 
@@ -149,7 +149,7 @@ class TestIteration:
         for _ in range(cfg.max_iters):
             prev_dtau = state.dtau.copy()
             was = state.converged.copy()
-            state = iteration(state, h, c, cfg)
+            state = iteration(state, h, cfg)
             newly = state.converged & ~was
             if newly[0] and not was[1] and not was[2]:
                 flip = state.iteration - 1
@@ -171,7 +171,7 @@ class TestIteration:
         state = SubspaceRun.start(c, basis("00", "01", "10"), cfg, theta0=seeded_theta(16))
         seen = np.zeros(3, dtype=bool)
         for _ in range(400):
-            state = iteration(state, h, c, cfg)
+            state = iteration(state, h, cfg)
             assert np.all(state.converged >= seen)
             seen = state.converged.copy()
             if seen.all():
@@ -205,35 +205,29 @@ class TestReduction:
 class TestBatchedIteration:
     """The one-sweep iteration against k separate single-state assemblies."""
 
-    @pytest.mark.parametrize("update_mode", ["shared", "per-level"])
-    def test_matches_separate_assembly(self, h2_series, update_mode):
+    def test_matches_separate_assembly(self, h2_series):
         _, h = h2_series.nearest(1.75)
         c = build_twolocal()
-        cfg = SsqiteConfig(update_mode=update_mode)
+        cfg = SsqiteConfig()
         states = basis("00", "01", "10")
         state = SubspaceRun.start(c, states, cfg, theta0=seeded_theta(16))
         theta = np.array(state.theta)
         dtau = state.dtau.copy()
         for _ in range(5):
-            thetas = theta if theta.ndim == 2 else [theta] * 3
-            systems = [assemble(c, thetas[l], h, s) for l, s in enumerate(states)]
+            systems = [assemble(c, theta, h, s) for s in states]
             dots = [solve(sys, cfg.regularization) for sys in systems]
-            state = iteration(state, h, c, cfg)
+            state = iteration(state, h, cfg)
             assert not state.converged.any()  # no dtau change in these steps
-            if theta.ndim == 2:
-                theta = theta + dtau[:, None] * np.array(dots)
-            else:
-                for step, dot in zip(dtau, dots):
-                    theta = theta + step * dot
+            for step, dot in zip(dtau, dots):
+                theta = theta + step * dot
             np.testing.assert_allclose(state.theta, theta, rtol=0, atol=1e-12)
             recs = state.records[-3:]
             for rec, sys, dot in zip(recs, systems, dots):
                 assert abs(rec.energy - sys.energy) <= 1e-12
                 assert abs(rec.grad_inf - np.max(np.abs(dot))) <= 1e-12
             for l, s in enumerate(states):
-                level_theta = theta[l] if theta.ndim == 2 else theta
                 np.testing.assert_allclose(
-                    state.states[l].amps, apply(c, level_theta, s).amps, atol=1e-12
+                    state.states[l].amps, apply(c, theta, s).amps, atol=1e-12
                 )
 
     def test_batched_systems_match_single(self, rng):
@@ -242,11 +236,11 @@ class TestBatchedIteration:
         theta = rng.uniform(-np.pi, np.pi, 16)
         states = basis("010", "001", "100")
         batch = assemble(c, theta, h, np.column_stack([s.amps for s in states]))
-        for sys, s in zip(batch, states):
+        for l, s in enumerate(states):
             single = assemble(c, theta, h, s)
-            np.testing.assert_allclose(sys.a, single.a, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(sys.c, single.c, rtol=0, atol=1e-12)
-            assert abs(sys.energy - single.energy) <= 1e-12
+            np.testing.assert_allclose(batch.a[l], single.a, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(batch.c[l], single.c, rtol=0, atol=1e-12)
+            assert abs(batch.energy[l] - single.energy) <= 1e-12
 
 
 class TestInvariantFrame:
@@ -258,23 +252,22 @@ class TestInvariantFrame:
 
         monkeypatch.setattr(subspace, "invariant_basis", lambda c, amps: np.eye(2 ** c.n))
 
-    @pytest.mark.parametrize("update_mode", ["shared", "per-level"])
-    def test_restricted_matches_full_space(self, lih_series, monkeypatch, update_mode):
+    def test_restricted_matches_full_space(self, lih_series, monkeypatch):
         # The same systems in 3 and 8 amplitudes differ by rounding, which
         # the pseudo-solve amplifies by up to 1 / 3.3e-5 (the smallest kept
         # eigenvalue ratio over the LiH series): theta and the speeds agree
         # to 1e-11 over these 10 steps, the energies to 1e-14.
         _, h = lih_series.nearest(1.6)
         c = build_excitation_preserving()
-        cfg = SsqiteConfig(update_mode=update_mode)
+        cfg = SsqiteConfig()
         states = basis("010", "001", "100")
         restricted = SubspaceRun.start(c, states, cfg, theta0=seeded_theta(16))
         self.full_space(monkeypatch)
         full = SubspaceRun.start(c, states, cfg, theta0=seeded_theta(16))
         assert restricted.frame.basis.shape == (8, 3) and full.frame.basis is None
         for _ in range(10):
-            restricted = iteration(restricted, h, c, cfg)
-            full = iteration(full, h, c, cfg)
+            restricted = iteration(restricted, h, cfg)
+            full = iteration(full, h, cfg)
             np.testing.assert_allclose(restricted.theta, full.theta, rtol=0, atol=1e-10)
             rec, ref = restricted.history[-1], full.history[-1]
             np.testing.assert_allclose(rec.energies, ref.energies, rtol=0, atol=1e-12)
@@ -285,35 +278,6 @@ class TestInvariantFrame:
             np.testing.assert_allclose(got.amps, want.amps, rtol=0, atol=1e-10)
         np.testing.assert_allclose(ortho_report(restricted).pairwise,
                                    ortho_report(full).pairwise, rtol=0, atol=1e-10)
-
-    def test_iteration_needs_the_run_circuit(self, lih_series):
-        _, h = lih_series.nearest(1.6)
-        cfg = SsqiteConfig()
-        state = SubspaceRun.start(build_excitation_preserving(), basis("010", "001"), cfg)
-        iteration(state, h, build_excitation_preserving(), cfg)  # an equal circuit
-        with pytest.raises(ValueError):
-            iteration(state, h, build_excitation_preserving(blocks=6), cfg)
-
-    def test_snapshots_and_final_states_in_full_basis(self, lih_series):
-        # A grad_tol no speed can miss snapshots every level at iteration 0.
-        _, h = lih_series.nearest(1.6)
-        c = build_excitation_preserving()
-        states = basis("010", "001", "100")
-        theta0 = seeded_theta(16)
-        cfg = SsqiteConfig(update_mode="per-level", grad_tol=1e3, patience=1)
-        result = run(h, c, states, cfg, theta0=theta0,
-                     exact_states=eigensolve(h).eigenvectors[:, :3])
-        assert result.iterations == 1
-        for l, s in enumerate(states):
-            np.testing.assert_allclose(result.final_states[l].amps,
-                                       apply(c, result.theta[l], s).amps, atol=1e-12)
-        state = iteration(SubspaceRun.start(c, states, cfg, theta0=theta0), h, c, cfg)
-        for l, s in enumerate(states):
-            assert state.snapshots[l].shape == (8,)
-            np.testing.assert_allclose(state.snapshots[l], apply(c, theta0, s).amps,
-                                       rtol=0, atol=1e-12)
-        assert ortho_report(state).exact is None
-        assert result.ortho.exact.shape == (3, 3)
 
 
 class TestRun:
@@ -361,28 +325,6 @@ class TestRun:
         assert partial.iterations == 5
         assert len(partial.traces[0]) == 5
         assert not np.all(partial.converged)
-
-    def test_per_level_mode_monitored(self, h2_series):
-        # The literal per-parameter-set reading gives independent flows; every
-        # level sinks toward the ground state and the orthogonality monitor
-        # must flag the collapse while the ground level still matches E0.
-        _, h = h2_series.nearest(0.95)
-        exact = eigensolve(h)
-        cfg = SsqiteConfig(update_mode="per-level")
-        result = run(
-            h, build_twolocal(), basis("00", "01", "10"), cfg,
-            theta0=seeded_theta(16), exact_states=exact.eigenvectors[:, :3],
-        )
-        assert result.ortho.exact[0, 0] > 0.999
-        assert result.ortho.flagged
-        print(
-            "per-level off-diagonals:",
-            np.round(result.ortho.pairwise - np.eye(3), 6).tolist(),
-        )
-        # leakage of the first excited level onto the exact ground state,
-        # logged (never asserted): it grows as the independent flows sink
-        leak = [rep.exact[1, 0] for rep in result.ortho_history]
-        print(f"per-level <E0|psi_1> leakage: start {leak[0]:.4f}, end {leak[-1]:.4f}")
 
     def test_ortho_history_tracks_every_iteration(self, h2_series):
         _, h = h2_series.nearest(0.95)
@@ -450,7 +392,7 @@ class TestRecordStream:
         exact = eigensolve(h)
         result = run(
             h, build_twolocal(), basis("00", "01", "10"),
-            SsqiteConfig(update_mode="per-level"),
+            SsqiteConfig(),
             theta0=seeded_theta(16), exact_states=exact.eigenvectors[:, :3],
         )
         history = result.ortho_history
