@@ -187,7 +187,8 @@ def _run_geometry(cfg: RunConfig, circuit, hamiltonian) -> SubspaceResult:
 
 
 def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+    """Shortest text that parses back to the same double."""
+    return repr(float(x))
 
 
 def _write_lines(path: Path, lines) -> None:

@@ -14,18 +14,20 @@ import numpy as np
 
 from .errors import MaxStepsExceeded, SingularSystem
 from .pauli_algebra import PauliSum
-from .simulator import Circuit, Statevector, derivative_stack
+from .simulator import Circuit, Statevector, derivative_stack, real_form, real_matrix
 
 
 @dataclass(frozen=True)
 class McLachlanSystem:
     """McLachlan systems of one trial state, or of a stack of k of them.
 
-    ``t`` = [Re D | Im D] is the real factor of the (P, d) derivative rows
-    D_i = d_i phi, ``w`` = -[Re H phi; Im H phi], ``energy`` = <phi|H|phi>
-    and ``phi`` the amplitudes.  A stack carries a leading level axis on
-    every field: ``t`` (k, P, 2d), ``w`` (k, 2d), ``energy`` (k,) and
-    ``phi`` (k, d).  :func:`solve` works through the (2d, 2d) Gram t^T t.
+    Every field is real.  ``t`` = [Re D | Im D] is the real factor of the
+    (P, d) derivative rows D_i = d_i phi, ``w`` = -[Re H phi; Im H phi],
+    ``energy`` = <phi|H|phi> and ``phi`` = [Re phi; Im phi] the real form of
+    the amplitudes.  A stack carries a leading level axis on every field:
+    ``t`` (k, P, 2d), ``w`` (k, 2d), ``energy`` (k,) and ``phi`` (k, 2d); the
+    circuit sweep writes ``t`` in this layout.  :func:`solve` works through
+    the (2d, 2d) Gram t^T t.
     """
 
     t: np.ndarray
@@ -61,12 +63,14 @@ class QiteConfig:
     phase_correction: bool = False
 
     def __post_init__(self):
-        if self.dtau <= 0:
-            raise ValueError(f"dtau must be positive, got {self.dtau}")
+        if not 0 < self.dtau < np.inf:
+            raise ValueError(f"dtau must be positive and finite, got {self.dtau}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.regularization < 0:
-            raise ValueError("regularization must be nonnegative")
+        if not 0 <= self.regularization < np.inf:
+            raise ValueError(
+                f"regularization must be >= 0 and finite, got {self.regularization}"
+            )
         if self.integrator not in ("euler", "rk4"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
 
@@ -74,16 +78,18 @@ class QiteConfig:
 def assemble(c, theta, h, s0, phase_correction: bool = False) -> McLachlanSystem:
     """Measure A, C, and the energy at the current parameters.
 
-    ``s0`` is one Statevector (returns one system) or a (d, k) matrix of
-    initial-state columns (returns the stack of k systems, all from a single
-    circuit sweep).  Both forms run the same arithmetic, so a one-column
-    batch reproduces the single-state system bit for bit.
+    ``s0`` is one Statevector (returns one system) or a (2d, k) real-form
+    matrix of initial-state columns (:func:`~ssqite.simulator.real_form`;
+    returns the stack of k systems, all from a single circuit sweep).  Both
+    forms run the same arithmetic, so a one-column batch reproduces the
+    single-state system bit for bit.
 
     ``c`` and ``h`` are a Circuit and a PauliSum, or the same problem in the
     coordinates of an orthonormal basis Q of an invariant subspace of the
     circuit (:func:`~ssqite.simulator.invariant_basis`): the DenseCircuit
-    ``c.dense.restrict(Q)``, the matrix Q^H H Q and input columns Q^H psi.
-    A, C and the energy are inner products, which Q preserves, so both give
+    ``c.dense.restrict(Q)``, the real form of the matrix Q^H H Q
+    (:func:`~ssqite.simulator.real_matrix`) and input columns Q^H psi.  A,
+    C and the energy are inner products, which Q preserves, so both give
     the same systems; ``phi`` is in the coordinates of the inputs.
 
     The phase-corrected metric A - g g^T with g = t v, v = [-Im phi; Re phi]
@@ -91,20 +97,18 @@ def assemble(c, theta, h, s0, phase_correction: bool = False) -> McLachlanSystem
     v^T w = -Im<phi|H|phi> = 0.
     """
     single = isinstance(s0, Statevector)
-    phi, deriv = derivative_stack(c, theta, s0.amps.reshape(-1, 1) if single else s0)
-    h_phi = (h.dense if isinstance(h, PauliSum) else h) @ phi
-    rows = np.moveaxis(deriv, 2, 0)  # (k, P, d)
-    t = np.concatenate((rows.real, rows.imag), axis=2)
-    w = -np.concatenate((h_phi.real, h_phi.imag)).T
-    energies = np.real(np.sum(phi.conj() * h_phi, axis=0))
+    phi, t = derivative_stack(c, theta, real_form(s0.amps)[:, None] if single else s0)
+    h = real_matrix(h.dense) if isinstance(h, PauliSum) else h
+    rows = phi.T  # (k, 2d)
+    w = -(rows @ h.T)  # the rows of -H phi
+    energies = -np.sum(rows * w, axis=1)
     if phase_correction:
-        v = np.concatenate((-phi.imag, phi.real)).T
+        d = len(phi) // 2
+        v = np.concatenate((-phi[d:], phi[:d])).T
         t = t - (t @ v[:, :, None]) * v[:, None, :]
-    # The solve's rounding depends on the memory layout of its operands.
-    t, w = np.ascontiguousarray(t), np.ascontiguousarray(w)
     if single:
-        return McLachlanSystem(t=t[0], w=w[0], energy=float(energies[0]), phi=phi[:, 0])
-    return McLachlanSystem(t=t, w=w, energy=energies, phi=phi.T)
+        return McLachlanSystem(t=t[0], w=w[0], energy=float(energies[0]), phi=rows[0])
+    return McLachlanSystem(t=t, w=w, energy=energies, phi=rows)
 
 
 def solve(system: McLachlanSystem, regularization: float) -> np.ndarray:

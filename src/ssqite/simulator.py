@@ -5,25 +5,37 @@ Qubit q is axis q of the statevector reshaped to (2,) * n, matching the Pauli
 string ordering in :mod:`ssqite.pauli_algebra` (qubit 0 = leftmost label).
 
 Cost model.  :func:`apply` and :func:`derivative_stack` share one kernel that
-moves a batch of k states through the circuit as a (d, k) matrix.  Every
-gate is embedded once per circuit as a dense 2^n x 2^n matrix, and the fixed
-gates between two rotations are multiplied into the following rotation, so
-the circuit is one step matrix per rotation gate.  A sweep forms the R prefix
-products W_r of the steps in log2(R) batched products, so U is W_{R-1} times
-the trailing fixed gates.  Each W_r is unitary, so rotation r's derivative
-U W_r^dag (-i/2 G_r) W_r psi comes, for all rotations at once, from a fixed
-handful of batched products, and a one-hot matrix sums the rotations that
-share a slot: O(R log R d^3 + R d^2 k) arithmetic in O(log R) NumPy calls
-instead of a few calls per rotation.  The cubic cost in d is deliberate:
-the package targets small dense simulation, the shipped ansaetze act on 2
-and 3 qubits, and there the cost of a sweep is call overhead, not
-arithmetic.  Here d = 2^n, or less when the inputs lie in a subspace that
-every gate maps into itself: :func:`invariant_basis` finds an orthonormal
-basis Q of the smallest such subspace, and the kernel runs unchanged on
+moves a batch of k states through the circuit as a (2d, k) real matrix.
+Every gate is embedded once per circuit as a dense 2^n x 2^n matrix, and the
+fixed gates between two rotations are multiplied into the following
+rotation, so the circuit is one step matrix per rotation gate.  A sweep forms
+the R prefix products W_r of the steps in log2(R) batched products, so U is
+W_{R-1} times the trailing fixed gates.  Each W_r is unitary, so rotation r's
+derivative U W_r^dag (-i/2 G_r) W_r psi comes, for all rotations at once,
+from a fixed handful of batched products, and a one-hot matrix sums the
+rotations that share a slot: O(R log R d^3 + R d^2 k) arithmetic in
+O(log R) NumPy calls instead of a few calls per rotation.  The cubic cost in
+d is deliberate: the package targets small dense simulation, the shipped
+ansaetze act on 2 and 3 qubits, and there the cost of a sweep is call
+overhead, not arithmetic.
+
+Every matrix is stored in the real form A + iB -> [[A, -B], [B, A]] and a
+batch of states in the real form [Re psi; Im psi].  The real form maps
+products to products and M^dag to M^T, so the kernel is the complex one
+with real arithmetic, and it writes the derivatives of a batch directly as
+the (k, P, 2d) real factor t = [Re D | Im D] that the McLachlan system is
+built from.  On 3 and 4 amplitudes a stacked complex product costs 2-3
+times a real one of twice the width (NumPy 2.4: 8.2 us for (15, 4, 4)
+complex against 4.4 us for (15, 8, 8) real), and the prefix products are
+most of a sweep.
+
+Here d = 2^n, or less when the inputs lie in a subspace that every gate maps
+into itself: :func:`invariant_basis` finds an orthonormal basis Q of the
+smallest such subspace, and the kernel runs unchanged on
 ``DenseCircuit.restrict(Q)`` with d = rank Q (3 instead of 8 for the
 excitation-preserving ansatz on one-excitation inputs).  The
 tensor-contraction path (:func:`derivative_state`, :func:`hadamard_test`)
-stays as the independent reference.
+stays complex, as the independent reference.
 """
 
 from __future__ import annotations
@@ -200,19 +212,48 @@ def _embed(mat: np.ndarray, targets: tuple[int, ...], n: int) -> np.ndarray:
     return _apply_matrix(columns, mat, targets).reshape(dim, dim)
 
 
+def real_form(z: np.ndarray) -> np.ndarray:
+    """Real form of complex amplitudes: [Re z; Im z] along the first axis."""
+    z = np.asarray(z)
+    return np.concatenate((z.real, z.imag))
+
+
+def complex_form(x: np.ndarray) -> np.ndarray:
+    """Complex amplitudes of a real form along the first axis; inverts :func:`real_form`."""
+    d = len(x) // 2
+    z = np.empty((d,) + x.shape[1:], dtype=complex)
+    z.real, z.imag = x[:d], x[d:]
+    return z
+
+
+def real_matrix(m: np.ndarray) -> np.ndarray:
+    """Real form [[A, -B], [B, A]] of complex matrices A + iB on the last two axes."""
+    m = np.asarray(m)
+    a, b = m.real, m.imag
+    return np.concatenate((np.concatenate((a, -b), axis=-1),
+                           np.concatenate((b, a), axis=-1)), axis=-2)
+
+
+def _complex_matrix(m: np.ndarray) -> np.ndarray:
+    """Complex matrices of real forms on the last two axes; inverts :func:`real_matrix`."""
+    d = m.shape[-1] // 2
+    return m[..., :d, :d] + 1j * m[..., d:, :d]
+
+
 @dataclass(frozen=True, eq=False)
 class DenseCircuit:
     """A circuit as one step per rotation gate, in circuit order.
 
     Step r applies ``lead[r]`` (the fixed gates since the previous rotation)
     and then rotation r; ``tail`` holds the fixed gates after the last
-    rotation, or None when there are none.
+    rotation, or None when there are none.  Every matrix is stored in its
+    real form (:func:`real_matrix`), so it acts on real-form state columns.
     """
 
     slots: np.ndarray  # (R,) parameter slot of each rotation
-    lead: np.ndarray  # (R, 2^n, 2^n)
-    turned_lead: np.ndarray  # (R, 2^n, 2^n) -i G lead, as R(theta) = cos I + sin (-i G)
-    insertion: np.ndarray  # (R, 2^n, 2^n) -i/2 G, the derivative of rotation r
+    lead: np.ndarray  # (R, 2d, 2d)
+    turned_lead: np.ndarray  # (R, 2d, 2d) -i G lead, as R(theta) = cos I + sin (-i G)
+    insertion: np.ndarray  # (R, 2d, 2d) -i/2 G, the derivative of rotation r
     slot_sum: np.ndarray  # (P, R) one-hot, 1 where rotation r reads slot p
     tail: np.ndarray | None
 
@@ -222,25 +263,27 @@ class DenseCircuit:
 
     @property
     def dim(self) -> int:
-        """Number of amplitudes the matrices act on."""
-        return self.lead.shape[1]
+        """Number of complex amplitudes d; the matrices are 2d x 2d."""
+        return self.lead.shape[1] // 2
 
     def restrict(self, q: np.ndarray) -> "DenseCircuit":
-        """This circuit in the coordinates of an orthonormal (d, r) basis ``q``.
+        """This circuit in the coordinates of an orthonormal complex (d, r) basis ``q``.
 
         ``q`` must span a subspace that every lead, generator and tail
         matrix maps into itself (see :func:`invariant_basis`).  Each matrix M
         becomes Q^H M Q, and because the subspace is invariant that turns
         products of matrices into products of their restrictions: a sweep of
-        the result on Q^H psi gives Q^H times the full sweep on psi.
+        the result on Q^H psi gives Q^H times the full sweep on psi.  In real
+        form Q^H M Q is real_matrix(Q)^T M real_matrix(Q).
         """
-        qh = q.conj().T
+        qr = real_matrix(q)
+        qt = qr.T
         return replace(
             self,
-            lead=qh @ self.lead @ q,
-            turned_lead=qh @ self.turned_lead @ q,
-            insertion=qh @ self.insertion @ q,
-            tail=None if self.tail is None else qh @ self.tail @ q,
+            lead=qt @ self.lead @ qr,
+            turned_lead=qt @ self.turned_lead @ qr,
+            insertion=qt @ self.insertion @ qr,
+            tail=None if self.tail is None else qt @ self.tail @ qr,
         )
 
     def steps(self, theta: np.ndarray) -> np.ndarray:
@@ -265,15 +308,15 @@ def _compile(c: Circuit) -> DenseCircuit:
             pending = fixed if pending is None else fixed @ pending
     gens = np.array(gens, dtype=complex).reshape(-1, dim, dim)
     lead = np.array(lead, dtype=complex).reshape(-1, dim, dim)
-    slot_sum = np.zeros((c.num_params, len(slots)), dtype=complex)
+    slot_sum = np.zeros((c.num_params, len(slots)))
     slot_sum[slots, np.arange(len(slots))] = 1.0
     return DenseCircuit(
         slots=np.array(slots, dtype=int),
-        lead=lead,
-        turned_lead=-1j * gens @ lead,
-        insertion=-0.5j * gens,
+        lead=real_matrix(lead),
+        turned_lead=real_matrix(-1j * gens @ lead),
+        insertion=real_matrix(-0.5j * gens),
         slot_sum=slot_sum,
-        tail=pending,
+        tail=None if pending is None else real_matrix(pending),
     )
 
 
@@ -287,14 +330,15 @@ def invariant_basis(c: Circuit, amps) -> np.ndarray:
     identity columns (exactly, for basis-state inputs).  It is extended by
     the part of every matrix's image of it that lies outside its span,
     orthonormalized, until that part vanishes (singular values at most 1e-10
-    count as rounding noise).
+    count as rounding noise).  The search runs on the complex matrices read
+    back from the stored real forms.
     """
     amps = np.asarray(amps, dtype=complex)
     if not np.allclose(amps.conj().T @ amps, np.eye(amps.shape[1]), rtol=0, atol=1e-10):
         raise ValueError("invariant_basis needs orthonormal input columns")
     plan = c.dense
     mats = [plan.lead, plan.insertion] + ([plan.tail[None]] if plan.tail is not None else [])
-    mats = np.concatenate(mats)
+    mats = _complex_matrix(np.concatenate(mats))
     q = amps
     while True:
         images = (mats @ q).transpose(1, 0, 2).reshape(plan.dim, -1)
@@ -306,44 +350,47 @@ def invariant_basis(c: Circuit, amps) -> np.ndarray:
 
 
 def _prefix_products(steps: np.ndarray) -> np.ndarray:
-    """``w[r] = steps[r] @ ... @ steps[0]`` for every r, in log2(R) batched products."""
+    """``w[r] = steps[r] @ ... @ steps[0]`` for every r, in log2(R) batched products.
+
+    Overwrites ``steps`` with the result.
+    """
     w, shift = steps, 1
     while shift < len(w):
-        w = np.concatenate((w[:shift], w[shift:] @ w[:-shift]))
+        w[shift:] = w[shift:] @ w[:-shift]
         shift *= 2
     return w
 
 
 def _sweep(plan: DenseCircuit, theta: np.ndarray, amps: np.ndarray,
            derivatives: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Move the k columns of ``amps`` through U(theta) together.
+    """Move the k real-form columns of ``amps`` through U(theta) together.
 
-    Returns the (d, k) final states and, with ``derivatives``, the
-    (P, d, k) stack of their slot derivatives.  With W_r the product of
-    the first r + 1 steps, U = V_r W_r for the rest V_r of the circuit, and
-    W_r is unitary, so rotation r's derivative V_r (-i/2 G_r) W_r psi equals
-    U W_r^dag (-i/2 G_r) W_r psi: every rotation at once in a few batched
-    products, summed per slot through ``slot_sum``.
+    Returns the (2d, k) final states and, with ``derivatives``, the
+    C-contiguous (k, P, 2d) stack t of their slot derivatives, t[l, p] the
+    real form of d_p phi_l.  With W_r the product of the first r + 1 steps,
+    U = V_r W_r for the rest V_r of the circuit, and W_r is orthogonal, so
+    rotation r's derivative V_r I_r W_r psi equals U W_r^T I_r W_r psi:
+    every rotation at once in a few batched products, summed per slot
+    through ``slot_sum``.
     """
-    dim, k = amps.shape
+    size, k = amps.shape
     w = _prefix_products(plan.steps(theta))
-    u = w[-1] if len(w) else np.eye(dim, dtype=complex)
+    u = w[-1] if len(w) else np.eye(size)
     if plan.tail is not None:
         u = plan.tail @ u
     phi = u @ amps
     if not derivatives:
         return phi, None
-    rows = w.reshape(-1, dim)  # the W_r stacked by rows
-    after = (rows @ amps).reshape(-1, dim, k)  # W_r psi
-    # Block r of U [W_0^dag | W_1^dag | ...] is U W_r^dag.
-    back = (u @ rows.conj().T).reshape(dim, -1, dim).transpose(1, 0, 2)
-    per_rotation = back @ (plan.insertion @ after)
-    stack = plan.slot_sum @ per_rotation.reshape(len(w), dim * k)
-    return phi, stack.reshape(plan.num_params, dim, k)
+    rows = w.reshape(-1, size)  # the W_r stacked by rows
+    after = (rows @ amps).reshape(-1, size, k)  # W_r psi
+    # Block r of U [W_0^T | W_1^T | ...] is U W_r^T.
+    back = (u @ rows.T).reshape(size, -1, size).transpose(1, 0, 2)
+    per_rotation = back @ (plan.insertion @ after)  # (R, 2d, k)
+    return phi, plan.slot_sum @ per_rotation.transpose(2, 0, 1)
 
 
 def _inputs(c: Circuit | DenseCircuit, theta, s) -> tuple[DenseCircuit, np.ndarray, np.ndarray]:
-    """Dense plan, validated parameters and (d, k) input columns of a state or batch."""
+    """Dense plan, validated parameters and (2d, k) real-form input columns."""
     plan = c.dense if isinstance(c, Circuit) else c
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (plan.num_params,):
@@ -353,26 +400,28 @@ def _inputs(c: Circuit | DenseCircuit, theta, s) -> tuple[DenseCircuit, np.ndarr
     if isinstance(s, Statevector):
         if 2 ** s.n != plan.dim:
             raise DimensionMismatch(f"state of {2 ** s.n} amplitudes, circuit on {plan.dim}")
-        return plan, theta, s.amps.reshape(-1, 1)
-    amps = np.asarray(s, dtype=complex)
-    if amps.ndim != 2 or amps.shape[0] != plan.dim:
+        return plan, theta, real_form(s.amps)[:, None]
+    amps = np.asarray(s)
+    if np.iscomplexobj(amps):
+        raise TypeError("a state batch is given by its real form, see real_form")
+    if amps.ndim != 2 or amps.shape[0] != 2 * plan.dim:
         raise DimensionMismatch(
-            f"state batch has shape {amps.shape}, expected ({plan.dim}, k)"
+            f"state batch has shape {amps.shape}, expected ({2 * plan.dim}, k)"
         )
-    return plan, theta, amps
+    return plan, theta, amps.astype(float, copy=False)
 
 
 def apply(c: Circuit | DenseCircuit, theta, s):
     """Run the circuit: ``U(theta) |s>``.
 
     ``c`` is a Circuit or a DenseCircuit, such as a restricted one.  ``s`` is
-    a Statevector (returns a Statevector) or a (d, k) matrix of state
-    columns (returns the evolved matrix).
+    a Statevector (returns a Statevector) or a (2d, k) real-form matrix of
+    state columns (returns the evolved real-form matrix).
     """
     plan, theta, amps = _inputs(c, theta, s)
     out, _ = _sweep(plan, theta, amps, derivatives=False)
     if isinstance(s, Statevector):
-        return Statevector(amps=out[:, 0], n=s.n)
+        return Statevector(amps=complex_form(out[:, 0]), n=s.n)
     return out
 
 
@@ -451,17 +500,18 @@ def derivative_state(c: Circuit, theta, i: int, s0: Statevector) -> np.ndarray:
 def derivative_stack(c: Circuit | DenseCircuit, theta, s0):
     """Final state plus all slot derivatives in one forward sweep.
 
-    For a Statevector returns ``(phi, D)`` with
-    ``D[i] == derivative_state(c, theta, i, s0)``.  For a (d, k) matrix of
-    state columns returns the (d, k) final states and the (P, d, k)
-    derivative stack, all k columns from the same sweep.  ``c`` is a Circuit
-    or a DenseCircuit, such as a restricted one.
+    For a Statevector returns ``(phi, D)`` with the complex (P, d) stack
+    ``D[i] == derivative_state(c, theta, i, s0)``.  For a (2d, k) real-form
+    matrix of state columns returns the (2d, k) real-form final states and
+    the C-contiguous (k, P, 2d) real factor t, t[l, i] the real form of
+    d_i phi_l, all k columns from the same sweep.  ``c`` is a Circuit or a
+    DenseCircuit, such as a restricted one.
     """
     plan, theta, amps = _inputs(c, theta, s0)
-    phi, stack = _sweep(plan, theta, amps, derivatives=True)
+    phi, t = _sweep(plan, theta, amps, derivatives=True)
     if isinstance(s0, Statevector):
-        return Statevector(amps=phi[:, 0], n=s0.n), stack[:, :, 0]
-    return phi, stack
+        return Statevector(amps=complex_form(phi[:, 0]), n=s0.n), complex_form(t[0].T).T
+    return phi, t
 
 
 # --- paper ansatz builders --------------------------------------------------

@@ -25,8 +25,9 @@ circuit maps into itself (:func:`~ssqite.simulator.invariant_basis`), found
 once per run.  For the excitation-preserving ansatz on one-excitation
 inputs that is the 3-dimensional one-excitation sector, so every sweep and
 solve works on 3 amplitudes instead of 8.  The systems are the same as in
-the full space, and everything a run reports (states, overlaps)
-is in the full 2^n basis.
+the full space.  The overlaps a run records are computed in the frame,
+since Q preserves them, and the states it reports are in the full 2^n
+basis.
 """
 
 from __future__ import annotations
@@ -38,7 +39,18 @@ import numpy as np
 from .errors import DimensionMismatch, MaxItersExceeded, NonDecreasingWeights
 from .pauli_algebra import PauliSum
 from .qite_engine import assemble, solve
-from .simulator import Circuit, DenseCircuit, Statevector, apply, expectation, invariant_basis
+from .simulator import (
+    Circuit,
+    DenseCircuit,
+    Statevector,
+    apply,
+    complex_form,
+    expectation,
+    invariant_basis,
+    real_form,
+    real_matrix,
+)
+
 
 @dataclass(frozen=True)
 class SsqiteConfig:
@@ -65,8 +77,12 @@ class SsqiteConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.regularization < 0:
-            raise ValueError(f"regularization must be >= 0, got {self.regularization}")
+        if not 0 <= self.regularization < np.inf:
+            raise ValueError(
+                f"regularization must be >= 0 and finite, got {self.regularization}"
+            )
+        if not 0 <= self.ortho_tol < np.inf:
+            raise ValueError(f"ortho_tol must be >= 0 and finite, got {self.ortho_tol}")
 
 
 @dataclass(frozen=True)
@@ -171,35 +187,40 @@ class _RecordViews:
 class _Frame:
     """The coordinates a run assembles in.
 
-    ``basis`` is the orthonormal basis Q of the circuit's invariant subspace
-    around the inputs, or None when that subspace is the whole space;
-    ``plan`` and ``inputs`` are the dense circuit and the input columns in
-    Q's coordinates.
+    ``basis`` is the orthonormal complex basis Q of the circuit's invariant
+    subspace around the inputs, or None when that subspace is the whole
+    space.  ``plan`` is the dense circuit and ``inputs`` the (2r, k)
+    real-form input columns in Q's coordinates, and ``exact`` the exact
+    eigenvector columns projected onto them, Q^H E.  Q preserves inner
+    products, and <E|Q phi> = <Q^H E|phi>, so every overlap a run records
+    is computed in these coordinates and nothing is lifted back to the full
+    space.  ``h_matrix`` is the real form of Q^H H Q
+    (:func:`~ssqite.simulator.real_matrix`).
     """
 
     basis: np.ndarray | None
     plan: DenseCircuit
     inputs: np.ndarray
+    exact: np.ndarray | None
     h: PauliSum | None = None  # the Hamiltonian ``h_matrix`` was built from
     h_matrix: np.ndarray | None = None
 
     @classmethod
-    def of(cls, c: Circuit, amps: np.ndarray) -> "_Frame":
+    def of(cls, c: Circuit, amps: np.ndarray, exact_states) -> "_Frame":
         q = invariant_basis(c, amps)
         if q.shape[1] == q.shape[0]:
-            return cls(None, c.dense, amps)
-        return cls(q, c.dense.restrict(q), q.conj().T @ amps)
+            return cls(None, c.dense, real_form(amps), exact_states)
+        qh = q.conj().T
+        exact = None if exact_states is None else qh @ exact_states
+        return cls(q, c.dense.restrict(q), real_form(qh @ amps), exact)
 
     def hamiltonian(self, h: PauliSum) -> np.ndarray:
         """H in this frame's coordinates, built once per Hamiltonian."""
         if h is not self.h:
             q = self.basis
-            self.h, self.h_matrix = h, h.dense if q is None else q.conj().T @ h.dense @ q
+            self.h, self.h_matrix = h, real_matrix(
+                h.dense if q is None else q.conj().T @ h.dense @ q)
         return self.h_matrix
-
-    def lift(self, phi: np.ndarray) -> np.ndarray:
-        """Full-space amplitudes of columns given in this frame's coordinates."""
-        return phi if self.basis is None else self.basis @ phi
 
 
 @dataclass
@@ -244,7 +265,7 @@ class SubspaceRun(_RecordViews):
             converged=np.zeros(k, dtype=bool),
             streaks=np.zeros(k, dtype=int),
             history=[],
-            frame=_Frame.of(c, amps),
+            frame=_Frame.of(c, amps, exact_states),
         )
 
     @property
@@ -260,8 +281,8 @@ class SubspaceRun(_RecordViews):
     def states(self) -> tuple[Statevector, ...]:
         """Trial states at the current parameters (one circuit sweep per read)."""
         c = self.circuit
-        rows = apply(c, self.theta, _columns(self.initial_states)).T.copy()
-        return tuple(Statevector(amps=amps, n=c.n) for amps in rows)
+        out = apply(c, self.theta, real_form(_columns(self.initial_states)))
+        return tuple(Statevector(amps=amps, n=c.n) for amps in complex_form(out).T.copy())
 
 
 def _converged_prefix(converged: np.ndarray) -> int:
@@ -284,7 +305,7 @@ def iteration(run: SubspaceRun, h: PauliSum, cfg: SsqiteConfig) -> SubspaceRun:
     system = assemble(frame.plan, run.theta, frame.hamiltonian(h), frame.inputs)
     theta_dots = solve(system, cfg.regularization)
     grads = np.abs(theta_dots).max(axis=1).tolist()
-    ortho = _report(frame.lift(system.phi.T), run.exact_states, cfg.ortho_tol)
+    ortho = _report(complex_form(system.phi.T), frame.exact, cfg.ortho_tol)
 
     # A converged level whose velocity re-awakens and keeps growing signals
     # that step doubling pushed dtau past the explicit-integrator stability

@@ -38,6 +38,10 @@ from ssqite.subspace import SsqiteConfig, init_schedule, run
 
 H2_STRETCH = 5.5e-5
 LIH_STRETCH = 3.3e-4
+# Iterations of the whole shipped scans at their seed 11, summed over the
+# geometries.  A kernel change that moves a trajectory by rounding shows here.
+H2_ITERS = 8143
+LIH_ITERS = 1723
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -60,20 +64,27 @@ def h2_scan(tmp_path_factory):
     return cfg, code, elapsed
 
 
+def scan_iterations(lines) -> int:
+    """Iterations summed over the geometries of scan.csv rows."""
+    return sum({l.split(",")[0]: int(l.split(",")[5]) for l in lines}.values())
+
+
 def test_criterion_1_h2_benchmark(h2_scan):
     cfg, code, elapsed = h2_scan
     lines = (cfg.output_dir / "scan.csv").read_text().splitlines()[1:]
     errors = np.array([float(l.split(",")[4]) for l in lines])
     geometries = len({l.split(",")[0] for l in lines})
     per_geometry = elapsed / geometries
+    iters = scan_iterations(lines)
     detail = (
         f"max|E-E_exact|={errors.max():.3e} Ha over {geometries} geometries x 3 levels "
         f"(chemical accuracy {CHEMICAL_ACCURACY:g}; stretch {H2_STRETCH:g} "
         f"{'met' if errors.max() < H2_STRETCH else 'missed'}), "
-        f"{per_geometry:.1f} s/geometry"
+        f"{per_geometry:.1f} s/geometry, {iters} iterations at seed {cfg.seed} "
+        f"(expected {H2_ITERS} at seed 11)"
     )
     report("1 (H2 benchmark)", code == 0 and errors.max() < CHEMICAL_ACCURACY
-           and per_geometry < 60.0, detail)
+           and per_geometry < 60.0 and cfg.seed == 11 and iters == H2_ITERS, detail)
 
 
 def test_criterion_2_lih_benchmark(tmp_path):
@@ -85,13 +96,15 @@ def test_criterion_2_lih_benchmark(tmp_path):
     errors = np.array([float(l.split(",")[4]) for l in lines])
     geometries = len({l.split(",")[0] for l in lines})
     per_geometry = elapsed / geometries
+    iters = scan_iterations(lines)
     detail = (
         f"max|E-E_exact|={errors.max():.3e} Ha over {geometries} geometries x 3 levels "
         f"(stretch {LIH_STRETCH:g} {'met' if errors.max() < LIH_STRETCH else 'missed'}), "
-        f"{per_geometry:.1f} s/geometry"
+        f"{per_geometry:.1f} s/geometry, {iters} iterations at seed {cfg.seed} "
+        f"(expected {LIH_ITERS} at seed 11)"
     )
     report("2 (LiH benchmark)", code == 0 and errors.max() < CHEMICAL_ACCURACY
-           and per_geometry < 300.0, detail)
+           and per_geometry < 300.0 and cfg.seed == 11 and iters == LIH_ITERS, detail)
 
 
 @pytest.fixture(scope="module")

@@ -22,7 +22,11 @@ from ssqite.simulator import (
     apply,
     build_excitation_preserving,
     build_twolocal,
+    derivative_stack,
     expectation,
+    invariant_basis,
+    real_form,
+    real_matrix,
 )
 
 
@@ -98,8 +102,6 @@ class TestAssemble:
 
     def test_phase_correction_identity(self, rng):
         # A_corrected == A - g g^T with g_i = Im<phi|d_i phi>.
-        from ssqite.simulator import derivative_stack
-
         c = build_twolocal()
         theta = rng.uniform(-np.pi, np.pi, 16)
         h = decompose_dense(random_hermitian(rng, 4))
@@ -108,6 +110,44 @@ class TestAssemble:
         phi, stack = derivative_stack(c, theta, Statevector.zero(2))
         g = np.imag(phi.amps.conj() @ stack.T)
         np.testing.assert_allclose(corrected.a, plain.a - np.outer(g, g), atol=1e-12)
+
+    @pytest.mark.parametrize("restricted", [False, True])
+    @pytest.mark.parametrize(
+        "series, build, labels",
+        [("h2_series", build_twolocal, ("00", "01", "10")),
+         ("lih_series", build_excitation_preserving, ("010", "001", "100"))],
+    )
+    def test_stack_is_real_factor_of_complex_derivatives(
+        self, request, rng, series, build, labels, restricted
+    ):
+        # The sweep writes t as the C-contiguous (k, P, 2d) stack of
+        # [Re D | Im D]; w, the energies and phi follow the complex formulas,
+        # in the coordinates of the invariant basis Q when restricted.
+        c = build()
+        states = [Statevector.from_label(l) for l in labels]
+        amps = np.column_stack([s.amps for s in states])
+        _, h = request.getfixturevalue(series).points[3]
+        q = invariant_basis(c, amps) if restricted else np.eye(len(amps))
+        qh = q.conj().T
+        for _ in range(3):
+            theta = rng.uniform(-np.pi, np.pi, c.num_params)
+            if restricted:
+                system = assemble(c.dense.restrict(q), theta,
+                                  real_matrix(qh @ h.dense @ q), real_form(qh @ amps))
+            else:
+                system = assemble(c, theta, h, real_form(amps))
+            assert system.t.shape == (len(states), c.num_params, 2 * q.shape[1])
+            assert system.t.flags.c_contiguous and system.w.flags.c_contiguous
+            for l, s in enumerate(states):
+                phi, stack = derivative_stack(c, theta, s)
+                rows = stack @ q.conj()  # row i is (Q^H d_i phi)^T
+                np.testing.assert_allclose(system.t[l], np.hstack((rows.real, rows.imag)),
+                                           rtol=0, atol=1e-12)
+                h_phi = qh @ (h.dense @ phi.amps)
+                np.testing.assert_allclose(system.w[l], -real_form(h_phi), rtol=0, atol=1e-12)
+                np.testing.assert_allclose(system.phi[l], real_form(qh @ phi.amps),
+                                           rtol=0, atol=1e-12)
+                assert abs(system.energy[l] - expectation(h, phi)) <= 1e-12
 
 
 class TestConfig:
@@ -120,6 +160,12 @@ class TestConfig:
             QiteConfig(regularization=-1.0)
         with pytest.raises(ValueError):
             QiteConfig(integrator="leapfrog")
+
+    @pytest.mark.parametrize("key", ["dtau", "regularization"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, key, value):
+        with pytest.raises(ValueError):
+            QiteConfig(**{key: value})
 
 
 class TestSolve:
@@ -159,7 +205,7 @@ class TestSolve:
         amps = np.column_stack([Statevector.from_label(l).amps for l in labels])
         for _, h in request.getfixturevalue(series).points[::3]:
             theta = rng.normal(0, 0.5, c.num_params)
-            systems = assemble(c, theta, h, amps)
+            systems = assemble(c, theta, h, real_form(amps))
             stacked = solve(systems, 0.0)
             assert stacked.shape == (3, c.num_params)
             for a, cvec, t, w, got in zip(systems.a, systems.c, systems.t, systems.w, stacked):
@@ -182,7 +228,7 @@ class TestSolve:
         for _, h in request.getfixturevalue(series).points[::3]:
             theta = rng.normal(0, 0.5, c.num_params)
             for corrected in (False, True):
-                systems = assemble(c, theta, h, amps, phase_correction=corrected)
+                systems = assemble(c, theta, h, real_form(amps), phase_correction=corrected)
                 assert systems.t.shape == (3, c.num_params, 2 * amps.shape[0])
                 for a, cvec, got in zip(systems.a, systems.c, solve(systems, 1e-3)):
                     want = np.linalg.solve(a + 1e-3 * np.eye(c.num_params), cvec)

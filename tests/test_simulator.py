@@ -15,12 +15,15 @@ from ssqite.simulator import (
     apply_pauli_sum,
     build_excitation_preserving,
     build_twolocal,
+    complex_form,
     derivative_stack,
     derivative_state,
     expectation,
     hadamard_test,
     invariant_basis,
     overlap,
+    real_form,
+    real_matrix,
     sample_expectation,
 )
 
@@ -32,6 +35,17 @@ def single_ry():
 def random_state(rng, n):
     amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
     return Statevector(amps=amps / np.linalg.norm(amps), n=n)
+
+
+def complex_stack(t):
+    """The complex (P, d, k) derivative stack of a batch sweep's (k, P, 2d) real factor."""
+    return complex_form(t.transpose(2, 1, 0)).transpose(1, 0, 2)
+
+
+def complex_matrix(m):
+    """A + iB from the real forms [[A, -B], [B, A]] on the last two axes."""
+    d = m.shape[-1] // 2
+    return m[..., :d, :d] + 1j * m[..., d:, :d]
 
 
 class TestApply:
@@ -299,10 +313,11 @@ class TestDerivatives:
             theta = rng.uniform(-np.pi, np.pi, c.num_params)
             states = [random_state(rng, n) for _ in range(3)]
             amps = np.column_stack([s.amps for s in states])
-            phi, stack = derivative_stack(c, theta, amps)
-            assert phi.shape == (2 ** n, 3)
-            assert stack.shape == (c.num_params, 2 ** n, 3)
-            np.testing.assert_allclose(phi, apply(c, theta, amps), atol=1e-12)
+            phi, t = derivative_stack(c, theta, real_form(amps))
+            assert phi.shape == (2 ** (n + 1), 3)
+            assert t.shape == (3, c.num_params, 2 ** (n + 1)) and t.flags.c_contiguous
+            np.testing.assert_array_equal(phi, apply(c, theta, real_form(amps)))
+            phi, stack = complex_form(phi), complex_stack(t)
             for l, s in enumerate(states):
                 np.testing.assert_allclose(phi[:, l], apply(c, theta, s).amps, atol=1e-12)
                 for i in range(c.num_params):
@@ -322,7 +337,8 @@ class TestDerivatives:
         )
         theta = rng.uniform(-np.pi, np.pi, 2)
         states = [random_state(rng, 2) for _ in range(2)]
-        phi, stack = derivative_stack(c, theta, np.column_stack([s.amps for s in states]))
+        _, t = derivative_stack(c, theta, real_form(np.column_stack([s.amps for s in states])))
+        stack = complex_stack(t)
         for l, s in enumerate(states):
             for i in range(2):
                 np.testing.assert_allclose(
@@ -354,10 +370,25 @@ class TestDerivatives:
             )
 
     def test_batch_shape_checked(self):
+        # A batch of 2-qubit states is (8, k): the real form of 4 amplitudes.
         with pytest.raises(DimensionMismatch):
-            derivative_stack(build_twolocal(), np.zeros(16), np.zeros((8, 2)))
+            derivative_stack(build_twolocal(), np.zeros(16), np.zeros((4, 2)))
         with pytest.raises(DimensionMismatch):
-            apply(build_twolocal(), np.zeros(16), np.zeros(4))
+            apply(build_twolocal(), np.zeros(16), np.zeros(8))
+        with pytest.raises(TypeError):
+            apply(build_twolocal(), np.zeros(16), np.zeros((8, 2), dtype=complex))
+
+    def test_real_form_round_trip(self, rng):
+        z = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+        m = rng.normal(size=(2, 4, 4)) + 1j * rng.normal(size=(2, 4, 4))
+        np.testing.assert_array_equal(complex_form(real_form(z)), z)
+        # Products and adjoints carry over: real(M Z) = real(M) real(Z), M^H -> M^T.
+        np.testing.assert_allclose(real_form(m[0] @ z), real_matrix(m[0]) @ real_form(z),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(real_matrix(m @ m), real_matrix(m) @ real_matrix(m),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(real_matrix(m.conj().swapaxes(1, 2)),
+                                      real_matrix(m).swapaxes(1, 2))
 
 
 class TestInvariantBasis:
@@ -380,15 +411,22 @@ class TestInvariantBasis:
         plan = c.dense
         mats = list(plan.lead) + list(plan.insertion) + [m for m in [plan.tail] if m is not None]
         for m in mats:
-            image = m @ q
+            image = complex_matrix(m) @ q
             np.testing.assert_allclose(q @ (q.conj().T @ image), image, rtol=0, atol=1e-12)
+        # Restricting commutes with the real form: each matrix becomes the
+        # real form of Q^H M Q.
+        restricted = plan.restrict(q)
+        for full, small in [(plan.lead, restricted.lead), (plan.insertion, restricted.insertion),
+                            (plan.turned_lead, restricted.turned_lead)]:
+            want = q.conj().T @ complex_matrix(full) @ q
+            np.testing.assert_allclose(small, real_matrix(want), rtol=0, atol=1e-12)
         # The restricted sweep gives Q^H times the full states and derivatives.
         theta = rng.uniform(-np.pi, np.pi, c.num_params)
-        phi, stack = derivative_stack(c, theta, amps)
-        phi_r, stack_r = derivative_stack(plan.restrict(q), theta, q.conj().T @ amps)
-        assert stack_r.shape == (c.num_params, rank, len(labels))
-        np.testing.assert_allclose(q @ phi_r, phi, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(q @ stack_r, stack, rtol=0, atol=1e-12)
+        phi, t = derivative_stack(c, theta, real_form(amps))
+        phi_r, t_r = derivative_stack(restricted, theta, real_form(q.conj().T @ amps))
+        assert t_r.shape == (len(labels), c.num_params, 2 * rank)
+        np.testing.assert_allclose(q @ complex_form(phi_r), complex_form(phi), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(q @ complex_stack(t_r), complex_stack(t), rtol=0, atol=1e-12)
 
     def test_inputs_must_be_orthonormal(self):
         amps = np.column_stack([Statevector.from_label(l).amps for l in ("010", "001")])

@@ -14,6 +14,7 @@ from ssqite.simulator import (
     apply,
     build_excitation_preserving,
     build_twolocal,
+    real_form,
 )
 from ssqite.subspace import (
     SsqiteConfig,
@@ -67,6 +68,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             SsqiteConfig(regularization=-1e-6)
         SsqiteConfig(regularization=0.0)
+
+    @pytest.mark.parametrize("key", ["b", "grad_tol", "ortho_tol", "regularization"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_rejected(self, key, value):
+        with pytest.raises(ValueError):
+            SsqiteConfig(**{key: value})
 
 
 class TestWeights:
@@ -235,7 +242,7 @@ class TestBatchedIteration:
         h = PauliSum.from_terms([(0.3, "ZZI"), (-0.7, "XXI"), (0.2, "IYY"), (0.1, "ZIZ")])
         theta = rng.uniform(-np.pi, np.pi, 16)
         states = basis("010", "001", "100")
-        batch = assemble(c, theta, h, np.column_stack([s.amps for s in states]))
+        batch = assemble(c, theta, h, real_form(np.column_stack([s.amps for s in states])))
         for l, s in enumerate(states):
             single = assemble(c, theta, h, s)
             np.testing.assert_allclose(batch.a[l], single.a, rtol=0, atol=1e-12)
