@@ -203,7 +203,8 @@ def cmd_scan(cfg: RunConfig, tolerance: float = CHEMICAL_ACCURACY) -> int:
     t_start = time.perf_counter()
     series = load_geometry_series(cfg.hamiltonian_path)
     circuit = _build_ansatz(cfg)
-    rows = []
+    lines = ["R,level,E_ssqite,E_exact,abs_err,iters"]
+    errors = np.zeros((len(series), cfg.k))
     for gi, (bond, hamiltonian) in enumerate(series.points):
         result = _run_geometry(cfg, circuit, hamiltonian)
         exact = eigensolve(hamiltonian).eigenvalues[: cfg.k]
@@ -216,17 +217,9 @@ def cmd_scan(cfg: RunConfig, tolerance: float = CHEMICAL_ACCURACY) -> int:
                     cfg.shots,
                     seed=_sample_seed(cfg.seed, gi, level),
                 )
-            rows.append((bond, level, energy, exact[level], result.iterations))
-    rows.sort(key=lambda r: (r[0], r[1]))
-
-    lines = ["R,level,E_ssqite,E_exact,abs_err,iters"]
-    errors = np.zeros((len(series), cfg.k))
-    for bond, level, energy, reference, iters in rows:
-        abs_err = abs(energy - reference)
-        errors[series.bond_lengths.searchsorted(bond), level] = abs_err
-        lines.append(
-            f"{_fmt(bond)},{level},{_fmt(energy)},{_fmt(reference)},{_fmt(abs_err)},{iters}"
-        )
+            errors[gi, level] = abs_err = abs(energy - exact[level])
+            lines.append(f"{_fmt(bond)},{level},{_fmt(energy)},{_fmt(exact[level])},"
+                         f"{_fmt(abs_err)},{result.iterations}")
     _write_lines(cfg.output_dir / "scan.csv", lines)
 
     summary = {

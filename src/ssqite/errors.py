@@ -66,7 +66,7 @@ class ZeroShots(SsqiteError, ValueError):
 # --- Imaginary-time engines ---
 
 class SingularSystem(SsqiteError, RuntimeError):
-    """Both the regularized factorization and the least-squares fallback failed."""
+    """The McLachlan system has non-finite entries, or its eigendecomposition failed."""
 
 
 class MaxStepsExceeded(SsqiteError, RuntimeError):

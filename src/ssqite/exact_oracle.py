@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli_algebra import GeometrySeries, PauliSum, to_dense
+from .pauli_algebra import GeometrySeries, PauliSum
 
 
 @dataclass(frozen=True)
@@ -25,9 +25,8 @@ class Spectrum:
 
 
 def eigensolve(h: PauliSum) -> Spectrum:
-    """Diagonalize the dense form of a Pauli sum (capped at 12 qubits)."""
-    matrix = to_dense(h)
-    values, vectors = np.linalg.eigh(matrix)
+    """Diagonalize the dense form ``h.dense`` of a Pauli sum (capped at 12 qubits)."""
+    values, vectors = np.linalg.eigh(h.dense)
     for col in range(vectors.shape[1]):
         lead = np.argmax(np.abs(vectors[:, col]))
         pivot = vectors[lead, col]

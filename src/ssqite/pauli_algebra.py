@@ -8,6 +8,7 @@ corresponds to axis ``q`` of the statevector reshaped to ``(2,) * n``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -198,7 +199,7 @@ class GeometrySeries:
         from .errors import GeometryNotFound
 
         best = min(self.points, key=lambda p: abs(p[0] - bond_length))
-        if abs(best[0] - bond_length) > tol:
+        if not abs(best[0] - bond_length) <= tol:  # a NaN R matches nothing
             raise GeometryNotFound(
                 f"no geometry within {tol} of R={bond_length} "
                 f"(closest is {best[0]})"
@@ -207,6 +208,17 @@ class GeometrySeries:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def _finite(text: str, what: str, lineno: int) -> float:
+    """The finite number ``text`` names; anything else is a ParseError on ``lineno``."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParseError(f"bad {what} {text!r}", lineno)
+    return value
 
 
 def load_geometry_series(path) -> GeometrySeries:
@@ -219,8 +231,9 @@ def load_geometry_series(path) -> GeometrySeries:
         ZI   -0.3980
         XX    0.1810
 
-    Bond lengths are Angstrom, coefficients Hartree.  Duplicate strings within
-    a block are merged by addition; bond lengths must be strictly increasing.
+    Bond lengths are Angstrom and coefficients Hartree, both finite.
+    Duplicate strings within a block are merged by addition; bond lengths
+    must be strictly increasing.
     """
     path = Path(path)
     label: str | None = None
@@ -242,11 +255,7 @@ def load_geometry_series(path) -> GeometrySeries:
             elif fields[0] == "geometry":
                 if len(fields) != 2:
                     raise ParseError("expected 'geometry <R>'", lineno)
-                try:
-                    bond = float(fields[1])
-                except ValueError:
-                    raise ParseError(f"bad bond length {fields[1]!r}", lineno) from None
-                blocks.append((bond, [], lineno))
+                blocks.append((_finite(fields[1], "bond length", lineno), [], lineno))
             else:
                 if len(fields) != 2:
                     raise ParseError(
@@ -258,10 +267,7 @@ def load_geometry_series(path) -> GeometrySeries:
                     string = parse_pauli_string(fields[0])
                 except (InvalidLabel, EmptyString) as exc:
                     raise ParseError(str(exc), lineno) from None
-                try:
-                    coeff = float(fields[1])
-                except ValueError:
-                    raise ParseError(f"bad coefficient {fields[1]!r}", lineno) from None
+                coeff = _finite(fields[1], "coefficient", lineno)
                 if qubits is None:
                     qubits = string.n
                 elif string.n != qubits:

@@ -115,11 +115,11 @@ def solve(system: McLachlanSystem, regularization: float) -> np.ndarray:
     """Solve (A + lambda I) theta_dot = C for one system or a stack of them.
 
     Returns the (P,) theta_dot of one system or the (k, P) rows of a stack,
-    solved together in one batched factorization through the (2d, 2d)
-    Grams t^T t: theta_dot = t (t^T t + lambda I)^-1 w, which is
-    (t t^T + lambda I)^-1 t w by the push-through identity.  Without a shift
-    the pseudo-solve cuts the same eigenvalues as on A, since t^T t and
-    t t^T share their nonzero ones.
+    solved together in one batched eigendecomposition of the (2d, 2d) Grams
+    t^T t: theta_dot = t (t^T t + lambda I)^-1 w, which is
+    (t t^T + lambda I)^-1 t w by the push-through identity.  The
+    pseudo-solve cuts the same eigenvalues as on A + lambda I, since t^T t
+    and t t^T share their nonzero ones.
     """
     if regularization < 0:
         raise ValueError("regularization must be nonnegative")
@@ -133,29 +133,18 @@ def solve(system: McLachlanSystem, regularization: float) -> np.ndarray:
 
 
 def _solve_stack(a: np.ndarray, c: np.ndarray, regularization: float) -> np.ndarray:
-    """(k, m) solutions of the (k, m, m) symmetric systems ``a`` with right-hand sides ``c``.
+    """(k, m) solutions of the (k, m, m) symmetric systems ``a + regularization I``.
 
-    Tries a Cholesky factorization of the shifted matrices first; without a
-    shift, or if that fails, an eigendecomposition pseudo-solve drops the
-    eigenvalues with |lambda| <= 1e-8 max |lambda|, which for a symmetric
-    matrix is the cut a least-squares solve with rcond = 1e-8 makes on the
-    singular values.
+    One eigendecomposition pseudo-solve for every shift, which is added to
+    the eigenvalues of ``a``.  Those with |lambda| <= 1e-8 max |lambda| are
+    dropped (A is singular whenever the ansatz is locally redundant): the
+    cut a least-squares solve with rcond = 1e-8 makes on singular values.
     """
-    if regularization > 0:
-        # Gram matrix + positive shift: positive definite unless degenerate.
-        a = a + regularization * np.eye(a.shape[1])
-        try:
-            lower = np.linalg.cholesky(a)
-            half = np.linalg.solve(lower, c[:, :, None])
-            return np.linalg.solve(lower.transpose(0, 2, 1), half)[:, :, 0]
-        except np.linalg.LinAlgError:
-            pass
-    # With no shift A is singular whenever the ansatz is locally redundant,
-    # so the definite factorization cannot apply; truncate instead.
     try:
         lam, vec = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"eigendecomposition failed: {exc}") from None
+    lam = lam + regularization
     mag = np.abs(lam)
     keep = mag > 1e-8 * mag.max(axis=1, keepdims=True)
     coef = (c[:, None, :] @ vec)[:, 0]

@@ -16,18 +16,18 @@ in one derivative sweep, and its record holds what that sweep gave: the
 energies, each level's ||theta_dot||_inf, the step sizes of the update it
 applied, and the overlaps of the states at theta_i.  ``traces``,
 ``records`` and ``ortho_history`` are read-only views of that stream.  The
-trial states at the final parameters come from one ``apply`` when the run
+final energies, overlaps and states come from one ``apply`` when the run
 ends.
 
-Each run assembles in the coordinates of an orthonormal basis Q of the
-smallest subspace that holds its input states and that every gate of the
-circuit maps into itself (:func:`~ssqite.simulator.invariant_basis`), found
-once per run.  For the excitation-preserving ansatz on one-excitation
-inputs that is the 3-dimensional one-excitation sector, so every sweep and
-solve works on 3 amplitudes instead of 8.  The systems are the same as in
-the full space.  The overlaps a run records are computed in the frame,
-since Q preserves them, and the states it reports are in the full 2^n
-basis.
+A run is bound to its problem when it starts, in the coordinates of an
+orthonormal basis Q of the smallest subspace that holds its input states
+and that every gate of the circuit maps into itself
+(:func:`~ssqite.simulator.invariant_basis`).  For the excitation-preserving
+ansatz on one-excitation inputs that is the 3-dimensional one-excitation
+sector, so every sweep and solve works on 3 amplitudes instead of 8.  The
+systems are the same as in the full space.  Every energy and overlap a run
+reports is computed in the frame, since Q preserves them; only the states
+it reports are lifted to the full 2^n basis.
 """
 
 from __future__ import annotations
@@ -183,64 +183,66 @@ class _RecordViews:
         )
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class _Frame:
-    """The coordinates a run assembles in.
+    """The coordinates a run assembles and reads out in, built once per run.
 
     ``basis`` is the orthonormal complex basis Q of the circuit's invariant
     subspace around the inputs, or None when that subspace is the whole
     space.  ``plan`` is the dense circuit and ``inputs`` the (2r, k)
-    real-form input columns in Q's coordinates, and ``exact`` the exact
+    real-form input columns in Q's coordinates, ``h`` the real form of
+    Q^H H Q (:func:`~ssqite.simulator.real_matrix`) and ``exact`` the exact
     eigenvector columns projected onto them, Q^H E.  Q preserves inner
-    products, and <E|Q phi> = <Q^H E|phi>, so every overlap a run records
-    is computed in these coordinates and nothing is lifted back to the full
-    space.  ``h_matrix`` is the real form of Q^H H Q
-    (:func:`~ssqite.simulator.real_matrix`).
+    products, and <E|Q phi> = <Q^H E|phi>, so every energy and overlap a run
+    reports is computed in these coordinates; only the reported states are
+    lifted back to the full space.
     """
 
     basis: np.ndarray | None
     plan: DenseCircuit
     inputs: np.ndarray
+    h: np.ndarray
     exact: np.ndarray | None
-    h: PauliSum | None = None  # the Hamiltonian ``h_matrix`` was built from
-    h_matrix: np.ndarray | None = None
 
     @classmethod
-    def of(cls, c: Circuit, amps: np.ndarray, exact_states) -> "_Frame":
+    def of(cls, h: PauliSum, c: Circuit, amps: np.ndarray, exact_states) -> "_Frame":
+        if h.n != c.n:
+            raise DimensionMismatch(f"Hamiltonian on {h.n} qubits, circuit on {c.n}")
         q = invariant_basis(c, amps)
         if q.shape[1] == q.shape[0]:
-            return cls(None, c.dense, real_form(amps), exact_states)
+            return cls(None, c.dense, real_form(amps), real_matrix(h.dense), exact_states)
         qh = q.conj().T
         exact = None if exact_states is None else qh @ exact_states
-        return cls(q, c.dense.restrict(q), real_form(qh @ amps), exact)
+        return cls(q, c.dense.restrict(q), real_form(qh @ amps),
+                   real_matrix(qh @ h.dense @ q), exact)
 
-    def hamiltonian(self, h: PauliSum) -> np.ndarray:
-        """H in this frame's coordinates, built once per Hamiltonian."""
-        if h is not self.h:
-            q = self.basis
-            self.h, self.h_matrix = h, real_matrix(
-                h.dense if q is None else q.conj().T @ h.dense @ q)
-        return self.h_matrix
+    def lift(self, amps: np.ndarray, n: int) -> tuple[Statevector, ...]:
+        """The full-space states Q amps of complex frame columns ``amps``."""
+        if self.basis is not None:
+            amps = self.basis @ amps
+        return tuple(Statevector(amps=a, n=n) for a in amps.T.copy())
 
 
 @dataclass
 class SubspaceRun(_RecordViews):
-    """Evolving state of one subspace search; :func:`iteration` advances it."""
+    """Evolving state of one subspace search, bound to its problem by ``frame``.
 
-    circuit: Circuit
+    :func:`iteration` advances it; its states are reported on ``n`` qubits.
+    """
+
+    n: int
     theta: np.ndarray
-    initial_states: tuple[Statevector, ...]
-    exact_states: np.ndarray | None  # eigenvector columns, for the overlap records
     dtau: np.ndarray
     converged: np.ndarray
     streaks: np.ndarray
     history: list[IterationRecord]
     frame: _Frame
+    cfg: SsqiteConfig
 
     @classmethod
-    def start(cls, c: Circuit, initial_states, cfg: SsqiteConfig,
+    def start(cls, h: PauliSum, c: Circuit, initial_states, cfg: SsqiteConfig,
               theta0=None, exact_states=None) -> "SubspaceRun":
-        """Validate inputs and build the iteration-zero run."""
+        """Validate inputs and build the iteration-zero run and its frame, once per run."""
         initial_states = tuple(initial_states)
         k = len(initial_states)
         dtau = init_schedule(k, cfg.b)
@@ -257,20 +259,19 @@ class SubspaceRun(_RecordViews):
         if theta0 is None:
             theta0 = np.zeros(c.num_params)
         return cls(
-            circuit=c,
+            n=c.n,
             theta=np.array(theta0, dtype=float),
-            initial_states=initial_states,
-            exact_states=exact_states,
             dtau=dtau,
             converged=np.zeros(k, dtype=bool),
             streaks=np.zeros(k, dtype=int),
             history=[],
-            frame=_Frame.of(c, amps, exact_states),
+            frame=_Frame.of(h, c, amps, exact_states),
+            cfg=cfg,
         )
 
     @property
     def k(self) -> int:
-        return len(self.initial_states)
+        return len(self.dtau)
 
     @property
     def iteration(self) -> int:
@@ -280,9 +281,8 @@ class SubspaceRun(_RecordViews):
     @property
     def states(self) -> tuple[Statevector, ...]:
         """Trial states at the current parameters (one circuit sweep per read)."""
-        c = self.circuit
-        out = apply(c, self.theta, real_form(_columns(self.initial_states)))
-        return tuple(Statevector(amps=amps, n=c.n) for amps in complex_form(out).T.copy())
+        frame = self.frame
+        return frame.lift(complex_form(apply(frame.plan, self.theta, frame.inputs)), self.n)
 
 
 def _converged_prefix(converged: np.ndarray) -> int:
@@ -290,19 +290,19 @@ def _converged_prefix(converged: np.ndarray) -> int:
     return len(converged) if converged.all() else int(converged.argmin())
 
 
-def iteration(run: SubspaceRun, h: PauliSum, cfg: SsqiteConfig) -> SubspaceRun:
+def iteration(run: SubspaceRun) -> SubspaceRun:
     """One joint update of all k levels; advances ``run`` in place and returns it.
 
     Measures every level's McLachlan system at the current parameters from
-    one batched circuit sweep in the run's frame, solves the stack in one
-    call and appends what it measured to the record stream.  Marks levels
+    one batched circuit sweep in the run's frame, with the Hamiltonian and
+    config the run was started with, solves the stack in one call and
+    appends what it measured to the record stream.  Marks levels
     whose velocity stalled for ``patience`` iterations as converged
     (doubling the step sizes from that level upward), then adds every
     level's update to the shared parameters.
     """
-    k = run.k
-    frame = run.frame
-    system = assemble(frame.plan, run.theta, frame.hamiltonian(h), frame.inputs)
+    k, frame, cfg = run.k, run.frame, run.cfg
+    system = assemble(frame.plan, run.theta, frame.h, frame.inputs)
     theta_dots = solve(system, cfg.regularization)
     grads = np.abs(theta_dots).max(axis=1).tolist()
     ortho = _report(complex_form(system.phi.T), frame.exact, cfg.ortho_tol)
@@ -389,19 +389,22 @@ class SubspaceResult(_RecordViews):
         return tuple(rec.ortho for rec in self.history)
 
 
-def _finalize(run: SubspaceRun, h: PauliSum, cfg: SsqiteConfig) -> SubspaceResult:
-    states = run.states  # the one sweep at the final parameters
-    amps = _columns(states)
-    # The same dense form as every recorded energy: Re(phi^dag H phi).
-    energies = np.real(np.sum(amps.conj() * (h.dense @ amps), axis=0))
+def _finalize(run: SubspaceRun) -> SubspaceResult:
+    """The result at the final parameters, read out in the run's frame from one sweep."""
+    frame = run.frame
+    phi = apply(frame.plan, run.theta, frame.inputs)
+    rows = phi.T
+    # The recorded energies' form: Re(phi^dag H phi) on the real form.
+    energies = np.sum(rows * (rows @ frame.h.T), axis=1)
+    amps = complex_form(phi)
     return SubspaceResult(
         theta=run.theta,
         energies=energies,
         history=tuple(run.history),
-        ortho=ortho_report(amps, exact_states=run.exact_states, tol=cfg.ortho_tol),
+        ortho=_report(amps, frame.exact, run.cfg.ortho_tol),
         ascending=bool(np.all(np.diff(energies) >= -1e-6)),
         converged=run.converged.copy(),
-        final_states=states,
+        final_states=frame.lift(amps, run.n),
     )
 
 
@@ -413,17 +416,17 @@ def run(h: PauliSum, c: Circuit, initial_states, cfg: SsqiteConfig,
     energies in the result come from the final iterate, reported in level
     order with ``ascending`` flagging any ordering violation.
     """
-    state = SubspaceRun.start(c, initial_states, cfg, theta0=theta0,
+    state = SubspaceRun.start(h, c, initial_states, cfg, theta0=theta0,
                               exact_states=exact_states)
     while not np.all(state.converged):
         if state.iteration >= cfg.max_iters:
             raise MaxItersExceeded(
                 f"{int(np.sum(~state.converged))} level(s) unconverged "
                 f"after {cfg.max_iters} iterations",
-                result=_finalize(state, h, cfg),
+                result=_finalize(state),
             )
-        state = iteration(state, h, cfg)
-    return _finalize(state, h, cfg)
+        state = iteration(state)
+    return _finalize(state)
 
 
 def ssvqe_loss(h: PauliSum, c: Circuit, theta, initial_states,

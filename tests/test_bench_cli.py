@@ -295,6 +295,33 @@ class TestMainDispatch:
         assert capsys.readouterr().err.startswith("error: tolerance")
         assert not (tmp_path / "out" / "scan.csv").exists()
 
+    @pytest.mark.parametrize("hamiltonian, ansatz", [
+        ("lih_sto3g.txt", "twolocal"), ("h2_sto3g.txt", "excitation-preserving"),
+    ])
+    def test_hamiltonian_width_mismatch_exit_2(self, tmp_path, capsys, hamiltonian, ansatz):
+        cfg_path = write_config(tmp_path, DATA / hamiltonian, ansatz=ansatz)
+        assert main(["scan", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "qubits" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("where", ["bond-length", "geometry", "coefficient"])
+    def test_non_finite_geometry_input_exit_2(self, tmp_path, capsys, where, value):
+        if where == "bond-length":
+            cfg_path = write_config(tmp_path, DATA / "h2_sto3g.txt")
+            argv = ["trace", "--config", str(cfg_path), "--bond-length", value]
+        else:
+            terms = ["ZI -0.5", "IZ 0.25", "XX 0.125"]
+            if where == "coefficient":
+                terms[0] = f"ZI {value}"
+            bond = value if where == "geometry" else "0.7"
+            h = tmp_path / "h.txt"
+            h.write_text("\n".join(["molecule X2", f"geometry {bond}"] + terms) + "\n")
+            argv = ["scan", "--config", str(write_config(tmp_path, h))]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_bad_env_seed_exit_2(self, tmp_path, capsys, monkeypatch):
         cfg_path = write_config(tmp_path, trimmed_h2(tmp_path))
         monkeypatch.setenv("SSQITE_SEED", "eleven")

@@ -212,6 +212,16 @@ ZI 0.25
         with pytest.raises(ParseError):
             load_geometry_series(self._write(tmp_path, "molecule X2\ngeometry 1.0\nZI abc\n"))
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("body, line", [
+        ("molecule X2\ngeometry {}\nZI 0.25\n", 2),
+        ("molecule X2\ngeometry 1.0\nZI {}\n", 3),
+    ], ids=["geometry", "coefficient"])
+    def test_non_finite_number_names_line(self, tmp_path, body, line, value):
+        with pytest.raises(ParseError) as exc:
+            load_geometry_series(self._write(tmp_path, body.format(value)))
+        assert exc.value.line == line and repr(value) in str(exc.value)
+
     def test_mixed_qubit_counts_across_blocks(self, tmp_path):
         with pytest.raises(ParseError):
             load_geometry_series(self._write(tmp_path, """

@@ -117,10 +117,10 @@ class TestSsvqeLoss:
         states = basis("00", "01", "10")
         cfg = SsqiteConfig(max_iters=300)
         w = SsvqeWeights(omega=np.array([3.0, 2.0, 1.0]))
-        state = SubspaceRun.start(c, states, cfg, theta0=seeded_theta(16))
+        state = SubspaceRun.start(h, c, states, cfg, theta0=seeded_theta(16))
         losses = [ssvqe_loss(h, c, state.theta, states, w)]
         for _ in range(150):
-            state = iteration(state, h, cfg)
+            state = iteration(state)
             losses.append(ssvqe_loss(h, c, state.theta, states, w))
         print(
             f"ssvqe loss along trajectory: start {losses[0]:.6f}, "
@@ -133,15 +133,15 @@ class TestIteration:
     def test_orthonormal_inputs_required(self):
         skewed = Statevector(amps=np.array([1, 1, 0, 0]) / np.sqrt(2), n=2)
         with pytest.raises(ValueError):
-            SubspaceRun.start(build_twolocal(), [basis("00")[0], skewed], SsqiteConfig())
+            SubspaceRun.start(ZZ, build_twolocal(), [basis("00")[0], skewed], SsqiteConfig())
 
     def test_shared_mode_keeps_orthogonality(self, h2_series):
         _, h = h2_series.nearest(0.95)
         c = build_twolocal()
         cfg = SsqiteConfig()
-        state = SubspaceRun.start(c, basis("00", "01", "10"), cfg, theta0=seeded_theta(16))
+        state = SubspaceRun.start(h, c, basis("00", "01", "10"), cfg, theta0=seeded_theta(16))
         for _ in range(50):
-            state = iteration(state, h, cfg)
+            state = iteration(state)
             report = ortho_report(state)
             assert report.max_offdiag < 1e-10
 
@@ -151,12 +151,12 @@ class TestIteration:
         _, h = h2_series.nearest(0.95)
         c = build_twolocal()
         cfg = SsqiteConfig()
-        state = SubspaceRun.start(c, basis("00", "01", "10"), cfg, theta0=seeded_theta(16))
+        state = SubspaceRun.start(h, c, basis("00", "01", "10"), cfg, theta0=seeded_theta(16))
         flip = None
         for _ in range(cfg.max_iters):
             prev_dtau = state.dtau.copy()
             was = state.converged.copy()
-            state = iteration(state, h, cfg)
+            state = iteration(state)
             newly = state.converged & ~was
             if newly[0] and not was[1] and not was[2]:
                 flip = state.iteration - 1
@@ -175,10 +175,10 @@ class TestIteration:
         _, h = h2_series.nearest(0.95)
         c = build_twolocal()
         cfg = SsqiteConfig()
-        state = SubspaceRun.start(c, basis("00", "01", "10"), cfg, theta0=seeded_theta(16))
+        state = SubspaceRun.start(h, c, basis("00", "01", "10"), cfg, theta0=seeded_theta(16))
         seen = np.zeros(3, dtype=bool)
         for _ in range(400):
-            state = iteration(state, h, cfg)
+            state = iteration(state)
             assert np.all(state.converged >= seen)
             seen = state.converged.copy()
             if seen.all():
@@ -217,13 +217,13 @@ class TestBatchedIteration:
         c = build_twolocal()
         cfg = SsqiteConfig()
         states = basis("00", "01", "10")
-        state = SubspaceRun.start(c, states, cfg, theta0=seeded_theta(16))
+        state = SubspaceRun.start(h, c, states, cfg, theta0=seeded_theta(16))
         theta = np.array(state.theta)
         dtau = state.dtau.copy()
         for _ in range(5):
             systems = [assemble(c, theta, h, s) for s in states]
             dots = [solve(sys, cfg.regularization) for sys in systems]
-            state = iteration(state, h, cfg)
+            state = iteration(state)
             assert not state.converged.any()  # no dtau change in these steps
             for step, dot in zip(dtau, dots):
                 theta = theta + step * dot
@@ -268,13 +268,13 @@ class TestInvariantFrame:
         c = build_excitation_preserving()
         cfg = SsqiteConfig()
         states = basis("010", "001", "100")
-        restricted = SubspaceRun.start(c, states, cfg, theta0=seeded_theta(16))
+        restricted = SubspaceRun.start(h, c, states, cfg, theta0=seeded_theta(16))
         self.full_space(monkeypatch)
-        full = SubspaceRun.start(c, states, cfg, theta0=seeded_theta(16))
+        full = SubspaceRun.start(h, c, states, cfg, theta0=seeded_theta(16))
         assert restricted.frame.basis.shape == (8, 3) and full.frame.basis is None
         for _ in range(10):
-            restricted = iteration(restricted, h, cfg)
-            full = iteration(full, h, cfg)
+            restricted = iteration(restricted)
+            full = iteration(full)
             np.testing.assert_allclose(restricted.theta, full.theta, rtol=0, atol=1e-10)
             rec, ref = restricted.history[-1], full.history[-1]
             np.testing.assert_allclose(rec.energies, ref.energies, rtol=0, atol=1e-12)
@@ -322,6 +322,29 @@ class TestRun:
         assert settled.any()
         # and the exact-state overlaps confirm the level assignment
         assert np.all(np.diag(result.ortho.exact) > 0.999)
+
+    @pytest.mark.parametrize(
+        "series, build, labels, bond",
+        [("h2_series", build_twolocal, ("00", "01", "10"), 0.95),
+         ("lih_series", build_excitation_preserving, ("010", "001", "100"), 1.6)],
+    )
+    def test_final_readout_matches_full_space(self, request, series, build, labels, bond):
+        # The final energies and overlaps are read in the run's frame (the
+        # 3-dimensional sector for LiH, the whole space for H2); they match
+        # the full-space formulas on the lifted states.
+        _, h = request.getfixturevalue(series).nearest(bond)
+        exact = eigensolve(h).eigenvectors[:, :3]
+        c, states = build(), basis(*labels)
+        result = run(h, c, states, SsqiteConfig(), theta0=seeded_theta(16),
+                     exact_states=exact)
+        amps = np.column_stack([s.amps for s in result.final_states])
+        energies = np.real(np.sum(amps.conj() * (h.dense @ amps), axis=0))
+        np.testing.assert_allclose(result.energies, energies, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(result.ortho.exact, np.abs(exact.conj().T @ amps).T,
+                                   rtol=0, atol=1e-12)
+        for got, s in zip(result.final_states, states):
+            np.testing.assert_allclose(got.amps, apply(c, result.theta, s).amps,
+                                       rtol=0, atol=1e-12)
 
     def test_max_iters_carries_partial_result(self, h2_series):
         _, h = h2_series.nearest(0.95)
