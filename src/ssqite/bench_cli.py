@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import MaxItersExceeded, ParseError, SingularSystem, SsqiteError
 from .exact_oracle import eigensolve
-from .pauli_algebra import GeometrySeries, load_geometry_series
+from .pauli_algebra import content_lines, load_geometry_series
 from .simulator import (
     Statevector,
     build_excitation_preserving,
@@ -122,21 +122,17 @@ def parse_config(path) -> RunConfig:
     if not path.is_file():
         raise ParseError(f"config file {path} not found")
     values: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError("expected 'key = value'", lineno)
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _FIELD_PARSERS:
-                raise ParseError(f"unknown config key {key!r}", lineno)
-            try:
-                values[key] = _FIELD_PARSERS[key](value)
-            except ValueError:
-                raise ParseError(f"bad value for {key}: {value!r}", lineno) from None
+    for lineno, line in content_lines(path):
+        if "=" not in line:
+            raise ParseError("expected 'key = value'", lineno)
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if key not in _FIELD_PARSERS:
+            raise ParseError(f"unknown config key {key!r}", lineno)
+        try:
+            values[key] = _FIELD_PARSERS[key](value)
+        except ValueError:
+            raise ParseError(f"bad value for {key}: {value!r}", lineno) from None
     if "hamiltonian_path" not in values or "ansatz" not in values:
         raise ParseError(f"{path}: config needs hamiltonian_path and ansatz")
     base = path.parent

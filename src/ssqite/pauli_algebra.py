@@ -81,7 +81,8 @@ class PauliSum:
     def from_terms(cls, terms, n: int | None = None) -> "PauliSum":
         """Build from (coefficient, string) pairs, merging duplicate strings.
 
-        Coefficients must be real; complex values are rejected outright.
+        Coefficients must be real and finite; complex, NaN and infinite
+        values are rejected outright.
         """
         merged: dict[str, tuple[float, PauliString]] = {}
         width = n
@@ -93,6 +94,8 @@ class PauliSum:
                     raise InvalidLabel(f"coefficient {coeff} is not real")
                 coeff = coeff.real
             coeff = float(coeff)
+            if not math.isfinite(coeff):
+                raise InvalidLabel(f"coefficient {coeff} is not finite")
             if width is None:
                 width = string.n
             elif string.n != width:
@@ -221,6 +224,22 @@ def _finite(text: str, what: str, lineno: int) -> float:
     return value
 
 
+def content_lines(path):
+    """Yield (line number, text) for each nonblank line of a UTF-8 text file.
+
+    Text from ``#`` to the end of a line is a comment and is cut.  A file that
+    is not UTF-8 is a ParseError naming it.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
 def load_geometry_series(path) -> GeometrySeries:
     """Read a Hamiltonian coefficient file.
 
@@ -240,41 +259,35 @@ def load_geometry_series(path) -> GeometrySeries:
     blocks: list[tuple[float, list, int]] = []  # (R, term list, header line no)
     qubits: int | None = None
 
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            fields = line.split()
-            if fields[0] == "molecule":
-                if label is not None:
-                    raise ParseError("duplicate molecule header", lineno)
-                if len(fields) != 2:
-                    raise ParseError("expected 'molecule <name>'", lineno)
-                label = fields[1]
-            elif fields[0] == "geometry":
-                if len(fields) != 2:
-                    raise ParseError("expected 'geometry <R>'", lineno)
-                blocks.append((_finite(fields[1], "bond length", lineno), [], lineno))
-            else:
-                if len(fields) != 2:
-                    raise ParseError(
-                        "expected '<pauli-string> <coefficient>'", lineno
-                    )
-                if not blocks:
-                    raise ParseError("term before any geometry line", lineno)
-                try:
-                    string = parse_pauli_string(fields[0])
-                except (InvalidLabel, EmptyString) as exc:
-                    raise ParseError(str(exc), lineno) from None
-                coeff = _finite(fields[1], "coefficient", lineno)
-                if qubits is None:
-                    qubits = string.n
-                elif string.n != qubits:
-                    raise ParseError(
-                        f"string length {string.n} != {qubits} used earlier", lineno
-                    )
-                blocks[-1][1].append((coeff, string))
+    for lineno, line in content_lines(path):
+        fields = line.split()
+        if fields[0] == "molecule":
+            if label is not None:
+                raise ParseError("duplicate molecule header", lineno)
+            if len(fields) != 2:
+                raise ParseError("expected 'molecule <name>'", lineno)
+            label = fields[1]
+        elif fields[0] == "geometry":
+            if len(fields) != 2:
+                raise ParseError("expected 'geometry <R>'", lineno)
+            blocks.append((_finite(fields[1], "bond length", lineno), [], lineno))
+        else:
+            if len(fields) != 2:
+                raise ParseError("expected '<pauli-string> <coefficient>'", lineno)
+            if not blocks:
+                raise ParseError("term before any geometry line", lineno)
+            try:
+                string = parse_pauli_string(fields[0])
+            except (InvalidLabel, EmptyString) as exc:
+                raise ParseError(str(exc), lineno) from None
+            coeff = _finite(fields[1], "coefficient", lineno)
+            if qubits is None:
+                qubits = string.n
+            elif string.n != qubits:
+                raise ParseError(
+                    f"string length {string.n} != {qubits} used earlier", lineno
+                )
+            blocks[-1][1].append((coeff, string))
 
     if label is None:
         raise ParseError(f"{path}: missing 'molecule' header")

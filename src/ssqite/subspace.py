@@ -14,10 +14,10 @@ A run keeps one append-only stream of :class:`IterationRecord`, one per
 iteration.  Iteration i measures every level's McLachlan system at theta_i
 in one derivative sweep, and its record holds what that sweep gave: the
 energies, each level's ||theta_dot||_inf, the step sizes of the update it
-applied, and the overlaps of the states at theta_i.  ``traces``,
-``records`` and ``ortho_history`` are read-only views of that stream.  The
-final energies, overlaps and states come from one ``apply`` when the run
-ends.
+applied, and the overlaps of the states at theta_i.  That stream, as
+``history``, and the final fields of :class:`SubspaceResult` are the one way
+to read a run.  The final energies, overlaps and states come from one
+``apply`` when the run ends.
 
 A run is bound to its problem when it starts, in the coordinates of an
 orthonormal basis Q of the smallest subspace that holds its input states
@@ -65,8 +65,6 @@ class SsqiteConfig:
     grad_tol: float = 3e-4
     patience: int = 3
     max_iters: int = 6000
-    ortho_tol: float = 1e-8
-    regularization: float = 0.0
 
     def __post_init__(self):
         if not 0 < self.b < np.inf:
@@ -77,12 +75,6 @@ class SsqiteConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 0 <= self.regularization < np.inf:
-            raise ValueError(
-                f"regularization must be >= 0 and finite, got {self.regularization}"
-            )
-        if not 0 <= self.ortho_tol < np.inf:
-            raise ValueError(f"ortho_tol must be >= 0 and finite, got {self.ortho_tol}")
 
 
 @dataclass(frozen=True)
@@ -115,43 +107,22 @@ def init_schedule(k: int, b: float) -> np.ndarray:
     return b / np.power(2.0, np.arange(k))
 
 
-def _columns(states) -> np.ndarray:
-    """(2^n, k) matrix of the states' amplitudes (a matrix passes through)."""
-    if isinstance(states, np.ndarray):
-        return states
-    return np.column_stack([s.amps for s in states])
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """One monitoring row of one level, as ``trace.csv`` lists it."""
-
-    iteration: int
-    level: int
-    energy: float
-    grad_inf: float
-    dtau: float
-    ortho_max_offdiag: float
-
-
 @dataclass(frozen=True)
 class OrthoReport:
     """Overlap magnitudes between levels (and exact eigenvectors if given)."""
 
-    pairwise: np.ndarray
     exact: np.ndarray | None
     max_offdiag: float
-    flagged: bool
 
 
-def _report(amps: np.ndarray, exact_states, tol: float) -> OrthoReport:
+def _report(amps: np.ndarray, exact_states) -> OrthoReport:
     """Overlaps of the state columns ``amps`` from one k x k Gram matrix."""
     pairwise = np.abs(amps.conj().T @ amps)
     exact = None
     if exact_states is not None:
         exact = np.abs(amps.T @ np.conj(exact_states))
     max_offdiag = float((pairwise - np.diag(pairwise.diagonal())).max())
-    return OrthoReport(pairwise, exact, max_offdiag, flagged=max_offdiag > tol)
+    return OrthoReport(exact, max_offdiag)
 
 
 @dataclass(frozen=True)
@@ -162,25 +133,6 @@ class IterationRecord:
     grads: tuple[float, ...]  # ||theta_dot||_inf per level
     dtau: tuple[float, ...]  # step sizes of the update this iteration applied
     ortho: OrthoReport  # overlaps of the states at theta_i
-
-
-class _RecordViews:
-    """Per-level views of a record stream ``history`` over ``k`` levels."""
-
-    @property
-    def traces(self) -> tuple[tuple[float, ...], ...]:
-        """Energy of each level at every iterate, one tuple per level."""
-        return tuple(tuple(rec.energies[l] for rec in self.history) for l in range(self.k))
-
-    @property
-    def records(self) -> tuple[TraceRecord, ...]:
-        """One row per iteration and level, iteration-major."""
-        return tuple(
-            TraceRecord(i, l, rec.energies[l], rec.grads[l], rec.dtau[l],
-                        rec.ortho.max_offdiag)
-            for i, rec in enumerate(self.history)
-            for l in range(self.k)
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,15 +168,9 @@ class _Frame:
         return cls(q, c.dense.restrict(q), real_form(qh @ amps),
                    real_matrix(qh @ h.dense @ q), exact)
 
-    def lift(self, amps: np.ndarray, n: int) -> tuple[Statevector, ...]:
-        """The full-space states Q amps of complex frame columns ``amps``."""
-        if self.basis is not None:
-            amps = self.basis @ amps
-        return tuple(Statevector(amps=a, n=n) for a in amps.T.copy())
-
 
 @dataclass
-class SubspaceRun(_RecordViews):
+class SubspaceRun:
     """Evolving state of one subspace search, bound to its problem by ``frame``.
 
     :func:`iteration` advances it; its states are reported on ``n`` qubits.
@@ -249,7 +195,7 @@ class SubspaceRun(_RecordViews):
         for s in initial_states:
             if s.n != c.n:
                 raise DimensionMismatch(f"state on {s.n} qubits, circuit on {c.n}")
-        amps = _columns(initial_states)
+        amps = np.column_stack([s.amps for s in initial_states])
         dev = np.abs(np.abs(amps.conj().T @ amps) - np.eye(k))
         if dev.max() > 1e-10:
             i, j = np.unravel_index(np.argmax(dev), dev.shape)
@@ -278,12 +224,6 @@ class SubspaceRun(_RecordViews):
         """Number of iterations run so far."""
         return len(self.history)
 
-    @property
-    def states(self) -> tuple[Statevector, ...]:
-        """Trial states at the current parameters (one circuit sweep per read)."""
-        frame = self.frame
-        return frame.lift(complex_form(apply(frame.plan, self.theta, frame.inputs)), self.n)
-
 
 def _converged_prefix(converged: np.ndarray) -> int:
     """Number of levels, counted from level 0, converged without a gap."""
@@ -303,9 +243,9 @@ def iteration(run: SubspaceRun) -> SubspaceRun:
     """
     k, frame, cfg = run.k, run.frame, run.cfg
     system = assemble(frame.plan, run.theta, frame.h, frame.inputs)
-    theta_dots = solve(system, cfg.regularization)
+    theta_dots = solve(system, 0.0)
     grads = np.abs(theta_dots).max(axis=1).tolist()
-    ortho = _report(complex_form(system.phi.T), frame.exact, cfg.ortho_tol)
+    ortho = _report(complex_form(system.phi.T), frame.exact)
 
     # A converged level whose velocity re-awakens and keeps growing signals
     # that step doubling pushed dtau past the explicit-integrator stability
@@ -345,20 +285,8 @@ def iteration(run: SubspaceRun) -> SubspaceRun:
     return run
 
 
-def ortho_report(run_or_states, exact_states=None, tol: float = 1e-8) -> OrthoReport:
-    """Pairwise |<psi_i|psi_j>| matrix; flags the run when levels coincide.
-
-    ``exact_states`` may be a matrix of eigenvector columns, adding the
-    |<E_j|psi_i>| block.  Accepts a SubspaceRun (its states at the current
-    parameters), a state sequence or a (2^n, k) matrix of columns.
-    """
-    if isinstance(run_or_states, SubspaceRun):
-        run_or_states = run_or_states.states
-    return _report(_columns(run_or_states), exact_states, tol)
-
-
 @dataclass(frozen=True)
-class SubspaceResult(_RecordViews):
+class SubspaceResult:
     """Outcome of a subspace run, energies in level order.
 
     ``history`` holds one record per iteration; record i describes theta_i
@@ -376,17 +304,8 @@ class SubspaceResult(_RecordViews):
     final_states: tuple[Statevector, ...]
 
     @property
-    def k(self) -> int:
-        return len(self.energies)
-
-    @property
     def iterations(self) -> int:
         return len(self.history)
-
-    @property
-    def ortho_history(self) -> tuple[OrthoReport, ...]:
-        """The overlaps of every iteration, record i's at theta_i."""
-        return tuple(rec.ortho for rec in self.history)
 
 
 def _finalize(run: SubspaceRun) -> SubspaceResult:
@@ -397,14 +316,17 @@ def _finalize(run: SubspaceRun) -> SubspaceResult:
     # The recorded energies' form: Re(phi^dag H phi) on the real form.
     energies = np.sum(rows * (rows @ frame.h.T), axis=1)
     amps = complex_form(phi)
+    ortho = _report(amps, frame.exact)
+    if frame.basis is not None:
+        amps = frame.basis @ amps
     return SubspaceResult(
         theta=run.theta,
         energies=energies,
         history=tuple(run.history),
-        ortho=_report(amps, frame.exact, run.cfg.ortho_tol),
+        ortho=ortho,
         ascending=bool(np.all(np.diff(energies) >= -1e-6)),
         converged=run.converged.copy(),
-        final_states=frame.lift(amps, run.n),
+        final_states=tuple(Statevector(amps=a, n=run.n) for a in amps.T.copy()),
     )
 
 

@@ -124,7 +124,7 @@ def fig1_run():
 
 def test_criterion_3_convergence_shape(fig1_run):
     _, result = fig1_run
-    traces = np.array(result.traces)
+    traces = np.array([rec.energies for rec in result.history]).T
     final = result.energies[:, None]
     within = np.all(np.abs(traces - final) < CHEMICAL_ACCURACY, axis=0)
     settled = next(
@@ -208,7 +208,7 @@ def test_criterion_4c_hadamard_equivalence():
 
 def test_criterion_4d_shared_mode_orthogonality(fig1_run):
     _, result = fig1_run
-    worst = max(rec.ortho_max_offdiag for rec in result.records)
+    worst = max(rec.ortho.max_offdiag for rec in result.history)
     report(
         "4d (shared-mode orthogonality)",
         worst < 1e-10,
@@ -244,14 +244,14 @@ def test_criterion_4f_k1_reduction():
     with pytest.raises(MaxItersExceeded) as ss_exc:
         run(
             h, c, [s0],
-            SsqiteConfig(b=0.55, grad_tol=0.0, max_iters=steps, regularization=0.0),
+            SsqiteConfig(b=0.55, grad_tol=0.0, max_iters=steps),
             theta0=theta0,
         )
     deviation = float(
         np.max(
             np.abs(
                 qite_exc.value.energies[:steps]
-                - np.array(ss_exc.value.result.traces[0])
+                - np.array([rec.energies[0] for rec in ss_exc.value.result.history])
             )
         )
     )

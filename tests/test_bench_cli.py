@@ -322,6 +322,22 @@ class TestMainDispatch:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("where", ["config", "hamiltonian"])
+    def test_undecodable_input_exit_2(self, tmp_path, capsys, where):
+        # Byte 0xff is not UTF-8: in a comment of the config, or in a term
+        # line of the coefficient file.
+        h = tmp_path / "h.txt"
+        term = b"IZ\xff 0.25" if where == "hamiltonian" else b"IZ 0.25"
+        h.write_bytes(b"\n".join([b"molecule X2", b"geometry 0.7", b"ZI -0.5", term]) + b"\n")
+        cfg_path = write_config(tmp_path, h)
+        if where == "config":
+            cfg_path.write_bytes(cfg_path.read_bytes() + b"# caf\xff\n")
+        assert main(["exact", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not UTF-8" in err
+        assert (cfg_path if where == "config" else h).name in err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_env_seed_exit_2(self, tmp_path, capsys, monkeypatch):
         cfg_path = write_config(tmp_path, trimmed_h2(tmp_path))
         monkeypatch.setenv("SSQITE_SEED", "eleven")

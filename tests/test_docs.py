@@ -1,0 +1,20 @@
+"""The README's library example runs, and every exported name resolves."""
+
+import re
+
+import numpy as np
+
+import ssqite
+from conftest import REPO
+
+
+def test_readme_library_use_runs_and_exports_resolve(monkeypatch):
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library use", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(REPO)
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    exact = ssqite.eigensolve(namespace["h"]).eigenvalues[:3]
+    np.testing.assert_allclose(namespace["result"].energies, exact, atol=1.6e-3)
+    assert [name for name in ssqite.__all__ if not hasattr(ssqite, name)] == []

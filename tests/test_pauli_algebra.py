@@ -61,6 +61,11 @@ class TestPauliSum:
         with pytest.raises(InvalidLabel):
             PauliSum.from_terms([(1.0 + 0.5j, "Z")])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0)])
+    def test_rejects_non_finite_coefficient(self, value):
+        with pytest.raises(InvalidLabel):
+            PauliSum.from_terms([(value, "Z")])
+
     def test_rejects_mixed_lengths(self):
         with pytest.raises(InvalidLabel):
             PauliSum.from_terms([(1.0, "Z"), (1.0, "ZZ")])

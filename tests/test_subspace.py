@@ -20,9 +20,9 @@ from ssqite.subspace import (
     SsqiteConfig,
     SsvqeWeights,
     SubspaceRun,
+    _finalize,
     init_schedule,
     iteration,
-    ortho_report,
     run,
     ssvqe_loss,
 )
@@ -64,12 +64,7 @@ class TestSchedule:
 
 
 class TestConfig:
-    def test_negative_regularization_rejected(self):
-        with pytest.raises(ValueError):
-            SsqiteConfig(regularization=-1e-6)
-        SsqiteConfig(regularization=0.0)
-
-    @pytest.mark.parametrize("key", ["b", "grad_tol", "ortho_tol", "regularization"])
+    @pytest.mark.parametrize("key", ["b", "grad_tol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_rejected(self, key, value):
         with pytest.raises(ValueError):
@@ -139,11 +134,13 @@ class TestIteration:
         _, h = h2_series.nearest(0.95)
         c = build_twolocal()
         cfg = SsqiteConfig()
-        state = SubspaceRun.start(h, c, basis("00", "01", "10"), cfg, theta0=seeded_theta(16))
+        states = basis("00", "01", "10")
+        state = SubspaceRun.start(h, c, states, cfg, theta0=seeded_theta(16))
         for _ in range(50):
             state = iteration(state)
-            report = ortho_report(state)
-            assert report.max_offdiag < 1e-10
+            amps = np.column_stack([apply(c, state.theta, s).amps for s in states])
+            gram = np.abs(amps.conj().T @ amps)
+            assert (gram - np.diag(gram.diagonal())).max() < 1e-10
 
     def test_doubling_fires_when_level_converges(self, h2_series):
         # When level 0's flag flips, the higher-level steps double exactly on
@@ -163,9 +160,9 @@ class TestIteration:
                 assert state.dtau[1] == 2.0 * prev_dtau[1]
                 assert state.dtau[2] == 2.0 * prev_dtau[2]
                 assert state.dtau[0] == 2.0 * prev_dtau[0]
-                recs = [r for r in state.records if r.iteration == flip]
-                assert recs[1].dtau == 2.0 * prev_dtau[1]
-                assert recs[2].dtau == 2.0 * prev_dtau[2]
+                rec = state.history[flip]
+                assert rec.dtau[1] == 2.0 * prev_dtau[1]
+                assert rec.dtau[2] == 2.0 * prev_dtau[2]
                 break
             if state.converged.all():
                 break
@@ -200,12 +197,12 @@ class TestReduction:
         with pytest.raises(MaxStepsExceeded) as qite_exc:
             run_qite(c, theta0, h, s0, qcfg)
 
-        scfg = SsqiteConfig(b=0.55, grad_tol=0.0, max_iters=steps, regularization=0.0)
+        scfg = SsqiteConfig(b=0.55, grad_tol=0.0, max_iters=steps)
         with pytest.raises(MaxItersExceeded) as ss_exc:
             run(h, c, [s0], scfg, theta0=theta0)
 
         qite_trace = qite_exc.value.energies[:steps]
-        ss_trace = np.array(ss_exc.value.result.traces[0])
+        ss_trace = np.array([rec.energies[0] for rec in ss_exc.value.result.history])
         np.testing.assert_array_equal(qite_trace, ss_trace)
 
 
@@ -222,20 +219,18 @@ class TestBatchedIteration:
         dtau = state.dtau.copy()
         for _ in range(5):
             systems = [assemble(c, theta, h, s) for s in states]
-            dots = [solve(sys, cfg.regularization) for sys in systems]
+            dots = [solve(sys, 0.0) for sys in systems]
             state = iteration(state)
             assert not state.converged.any()  # no dtau change in these steps
             for step, dot in zip(dtau, dots):
                 theta = theta + step * dot
             np.testing.assert_allclose(state.theta, theta, rtol=0, atol=1e-12)
-            recs = state.records[-3:]
-            for rec, sys, dot in zip(recs, systems, dots):
-                assert abs(rec.energy - sys.energy) <= 1e-12
-                assert abs(rec.grad_inf - np.max(np.abs(dot))) <= 1e-12
-            for l, s in enumerate(states):
-                np.testing.assert_allclose(
-                    state.states[l].amps, apply(c, theta, s).amps, atol=1e-12
-                )
+            rec = state.history[-1]
+            for l, (sys, dot) in enumerate(zip(systems, dots)):
+                assert abs(rec.energies[l] - sys.energy) <= 1e-12
+                assert abs(rec.grads[l] - np.max(np.abs(dot))) <= 1e-12
+            for got, s in zip(_finalize(state).final_states, states):
+                np.testing.assert_allclose(got.amps, apply(c, theta, s).amps, atol=1e-12)
 
     def test_batched_systems_match_single(self, rng):
         c = build_excitation_preserving()
@@ -280,11 +275,11 @@ class TestInvariantFrame:
             np.testing.assert_allclose(rec.energies, ref.energies, rtol=0, atol=1e-12)
             np.testing.assert_allclose(rec.grads, ref.grads, rtol=0, atol=1e-10)
             assert rec.dtau == ref.dtau
-        for got, want in zip(restricted.states, full.states):
+        lifted, reference = _finalize(restricted), _finalize(full)
+        for got, want in zip(lifted.final_states, reference.final_states):
             assert got.amps.shape == (8,)
             np.testing.assert_allclose(got.amps, want.amps, rtol=0, atol=1e-10)
-        np.testing.assert_allclose(ortho_report(restricted).pairwise,
-                                   ortho_report(full).pairwise, rtol=0, atol=1e-10)
+        assert abs(lifted.ortho.max_offdiag - reference.ortho.max_offdiag) <= 1e-10
 
 
 class TestRun:
@@ -315,7 +310,7 @@ class TestRun:
         assert result.ascending
         assert np.all(result.converged)
         # traces reach every converged energy within 200 iterations
-        traces = np.array(result.traces)
+        traces = np.array([rec.energies for rec in result.history]).T
         settled = np.all(
             np.abs(traces[:, :200] - exact.eigenvalues[:3, None]) < 1.6e-3, axis=0
         )
@@ -353,43 +348,43 @@ class TestRun:
             run(h, build_twolocal(), basis("00", "01", "10"), cfg, theta0=seeded_theta(16))
         partial = exc.value.result
         assert partial.iterations == 5
-        assert len(partial.traces[0]) == 5
+        assert [len(rec.energies) for rec in partial.history] == [3] * 5
         assert not np.all(partial.converged)
 
-    def test_ortho_history_tracks_every_iteration(self, h2_series):
+    def test_record_overlaps_track_every_iteration(self, h2_series):
         _, h = h2_series.nearest(0.95)
         exact = eigensolve(h)
         result = run(
             h, build_twolocal(), basis("00", "01", "10"), SsqiteConfig(),
             theta0=seeded_theta(16), exact_states=exact.eigenvectors[:, :3],
         )
-        assert len(result.ortho_history) == result.iterations
-        assert all(rep.exact is not None for rep in result.ortho_history)
-        assert all(rep.max_offdiag < 1e-10 for rep in result.ortho_history)
+        reports = [rec.ortho for rec in result.history]
+        assert len(reports) == result.iterations
+        assert all(rep.exact is not None for rep in reports)
+        assert all(rep.max_offdiag < 1e-10 for rep in reports)
+        offdiag = [rep.max_offdiag for rep in reports]
+        assert len(set(offdiag)) > len(offdiag) // 2  # the overlaps move
 
 
 class TestOrthoReport:
-    def test_identical_levels_flagged(self):
-        s = Statevector.from_label("00")
-        report = ortho_report([s, s], tol=1e-8)
-        assert report.pairwise[0, 1] == pytest.approx(1.0)
-        assert report.flagged
-
     def test_orthogonal_levels_clean(self):
-        report = ortho_report(basis("00", "01"))
-        assert report.max_offdiag < 1e-12
-        assert not report.flagged
+        result = run(Z, single_ry(), basis("0", "1"), SsqiteConfig(), theta0=np.array([0.3]))
+        assert result.ortho.max_offdiag < 1e-12
+        assert all(rec.ortho.max_offdiag < 1e-12 for rec in result.history)
 
     def test_exact_overlap_block_shape(self, h2_series):
         _, h = h2_series.nearest(0.95)
         exact = eigensolve(h)
-        report = ortho_report(basis("00", "01"), exact_states=exact.eigenvectors[:, :3])
+        with pytest.raises(MaxItersExceeded) as exc:
+            run(h, build_twolocal(), basis("00", "01"), SsqiteConfig(max_iters=5),
+                theta0=seeded_theta(16), exact_states=exact.eigenvectors[:, :3])
+        report = exc.value.result.ortho
         assert report.exact.shape == (2, 3)
         assert np.all(report.exact <= 1 + 1e-10)
 
 
 class TestRecordStream:
-    """One derivative sweep per iteration, and views that agree on the iterate."""
+    """One derivative sweep per iteration."""
 
     def test_one_derivative_sweep_per_iteration(self, h2_series, monkeypatch):
         from ssqite import qite_engine, subspace
@@ -416,23 +411,3 @@ class TestRecordStream:
         assert calls["derivative_stack"] == partial.iterations
         assert calls["apply"] <= 1
         assert len(partial.final_states) == 3
-
-    def test_views_describe_the_same_iterate(self, h2_series):
-        _, h = h2_series.nearest(0.95)
-        exact = eigensolve(h)
-        result = run(
-            h, build_twolocal(), basis("00", "01", "10"),
-            SsqiteConfig(),
-            theta0=seeded_theta(16), exact_states=exact.eigenvectors[:, :3],
-        )
-        history = result.ortho_history
-        offdiag = [rep.max_offdiag for rep in history]
-        assert len(set(offdiag)) > len(offdiag) // 2  # the overlaps move
-        assert len(history) == len(result.traces[0]) == result.iterations
-        rows = result.records
-        assert len(rows) == 3 * result.iterations
-        for rec in rows:
-            i, l = rec.iteration, rec.level
-            assert rec.ortho_max_offdiag == history[i].max_offdiag
-            assert rec.energy == result.traces[l][i]
-            assert history[i].exact is not None
