@@ -32,7 +32,7 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from ssqite.exact_oracle import eigensolve  # noqa: E402
-from ssqite.pauli_algebra import decompose_dense, load_geometry_series, to_dense  # noqa: E402
+from ssqite.pauli_algebra import decompose_dense, load_geometry_series  # noqa: E402
 
 ANGSTROM_TO_BOHR = 1.8897259886
 
@@ -474,7 +474,7 @@ def main():
             assert abs(e_rhf - (-1.1167)) < 2e-3, e_rhf
             assert abs(ci_energies[0] - (-1.1373)) < 2e-3, ci_energies[0]
         pauli_sum = decompose_dense(m4.astype(complex))
-        recon = np.max(np.abs(to_dense(pauli_sum).real - m4))
+        recon = np.max(np.abs(pauli_sum.dense.real - m4))
         assert recon < 1e-10, recon
         rows.append((r, pauli_sum))
     write_series(

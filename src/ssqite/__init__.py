@@ -1,7 +1,7 @@
 """Subspace-search quantum imaginary time evolution on a statevector simulator."""
 
 from . import errors
-from .exact_oracle import Spectrum, eigensolve, reference_curve
+from .exact_oracle import Spectrum, eigensolve
 from .pauli_algebra import (
     GeometrySeries,
     PauliString,
@@ -9,9 +9,8 @@ from .pauli_algebra import (
     decompose_dense,
     load_geometry_series,
     parse_pauli_string,
-    to_dense,
 )
-from .qite_engine import McLachlanSystem, QiteConfig, QiteResult, assemble, run_qite, solve, step
+from .qite_engine import McLachlanSystem, QiteConfig, QiteResult, assemble, run_qite, solve
 from .simulator import (
     Circuit,
     Gate,
@@ -22,40 +21,34 @@ from .simulator import (
     derivative_state,
     expectation,
     hadamard_test,
-    overlap,
     sample_expectation,
 )
 from .subspace import (
     OrthoReport,
     SsqiteConfig,
-    SsvqeWeights,
     SubspaceResult,
     SubspaceRun,
     init_schedule,
     iteration,
     run,
-    ssvqe_loss,
 )
 
 __all__ = [
     "errors",
     "Spectrum",
     "eigensolve",
-    "reference_curve",
     "GeometrySeries",
     "PauliString",
     "PauliSum",
     "decompose_dense",
     "load_geometry_series",
     "parse_pauli_string",
-    "to_dense",
     "McLachlanSystem",
     "QiteConfig",
     "QiteResult",
     "assemble",
     "run_qite",
     "solve",
-    "step",
     "Circuit",
     "Gate",
     "Statevector",
@@ -65,15 +58,12 @@ __all__ = [
     "derivative_state",
     "expectation",
     "hadamard_test",
-    "overlap",
     "sample_expectation",
     "OrthoReport",
     "SsqiteConfig",
-    "SsvqeWeights",
     "SubspaceResult",
     "SubspaceRun",
     "init_schedule",
     "iteration",
     "run",
-    "ssvqe_loss",
 ]

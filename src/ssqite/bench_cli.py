@@ -6,11 +6,11 @@ Subcommands::
     ssqite trace --config h2.cfg --bond-length 0.95 [--out DIR]
     ssqite exact --config h2.cfg [--out DIR]
 
-Config files are flat ``key = value`` text with ``#`` comments; relative paths
-resolve against the config file's directory.  The environment variable
-``SSQITE_SEED`` overrides the configured seed.  With ``shots > 0`` only the
-final energy readout of each level is sampled; the McLachlan systems that
-drive the evolution stay exact.  Exit codes: 0 success, 1 accuracy or
+Config files are flat ``key = value`` text with ``#`` comments, each key at
+most once; relative paths resolve against the config file's directory.  The
+environment variable ``SSQITE_SEED`` overrides the configured seed.  With
+``shots > 0`` only the final energy readout of each level is sampled; the
+McLachlan systems that drive the evolution stay exact.  Exit codes: 0 success, 1 accuracy or
 convergence failure, 2 input error.
 """
 
@@ -129,6 +129,8 @@ def parse_config(path) -> RunConfig:
         key, value = key.strip(), value.strip()
         if key not in _FIELD_PARSERS:
             raise ParseError(f"unknown config key {key!r}", lineno)
+        if key in values:
+            raise ParseError(f"repeated config key {key!r}", lineno)
         try:
             values[key] = _FIELD_PARSERS[key](value)
         except ValueError:

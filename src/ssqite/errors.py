@@ -84,7 +84,3 @@ class MaxItersExceeded(SsqiteError, RuntimeError):
     def __init__(self, message: str, result):
         self.result = result
         super().__init__(message)
-
-
-class NonDecreasingWeights(SsqiteError, ValueError):
-    """Subspace loss weights must be strictly decreasing and positive."""

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pauli_algebra import GeometrySeries, PauliSum
+from .pauli_algebra import PauliSum
 
 
 @dataclass(frozen=True)
@@ -20,9 +20,6 @@ class Spectrum:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def __len__(self) -> int:
-        return self.eigenvalues.shape[0]
-
 
 def eigensolve(h: PauliSum) -> Spectrum:
     """Diagonalize the dense form ``h.dense`` of a Pauli sum (capped at 12 qubits)."""
@@ -34,13 +31,3 @@ def eigensolve(h: PauliSum) -> Spectrum:
             vectors[:, col] *= np.conj(pivot) / abs(pivot)
     return Spectrum(eigenvalues=values, eigenvectors=vectors)
 
-
-def reference_curve(series: GeometrySeries, k: int) -> np.ndarray:
-    """k lowest eigenvalues per geometry, rows aligned with the bond lengths."""
-    dim = 2 ** series.n
-    if not 1 <= k <= dim:
-        raise ValueError(f"k must be in 1..{dim}, got {k}")
-    rows = []
-    for _, hamiltonian in series.points:
-        rows.append(eigensolve(hamiltonian).eigenvalues[:k])
-    return np.array(rows)

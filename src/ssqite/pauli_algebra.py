@@ -2,8 +2,9 @@
 
 Tensor ordering convention, used everywhere in this package: position 0 of a
 Pauli string (the leftmost character) acts on the highest-numbered bit of the
-basis index, i.e. ``to_dense("XZ") == kron(X, Z)``.  Equivalently, qubit ``q``
-corresponds to axis ``q`` of the statevector reshaped to ``(2,) * n``.
+basis index, i.e. the ``dense`` matrix of ``"XZ"`` is ``kron(X, Z)``.
+Equivalently, qubit ``q`` corresponds to axis ``q`` of the statevector
+reshaped to ``(2,) * n``.
 """
 
 from __future__ import annotations
@@ -126,22 +127,17 @@ class PauliSum:
 
     @cached_property
     def dense(self) -> np.ndarray:
-        """``to_dense(self)``, built on first use."""
-        return to_dense(self)
-
-
-def to_dense(h: PauliSum) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of the sum; Hermitian for real coefficients."""
-    if h.n > DENSE_QUBIT_LIMIT:
-        raise TooManyQubits(f"dense conversion capped at {DENSE_QUBIT_LIMIT} qubits")
-    dim = 2 ** h.n
-    out = np.zeros((dim, dim), dtype=complex)
-    for coeff, string in h.terms:
-        term = np.array([[1.0]], dtype=complex)
-        for label in string:
-            term = np.kron(term, PAULI_MATRICES[label])
-        out += coeff * term
-    return out
+        """Dense 2^n x 2^n matrix of the sum, built on first use; Hermitian."""
+        if self.n > DENSE_QUBIT_LIMIT:
+            raise TooManyQubits(f"dense conversion capped at {DENSE_QUBIT_LIMIT} qubits")
+        dim = 2 ** self.n
+        out = np.zeros((dim, dim), dtype=complex)
+        for coeff, string in self.terms:
+            term = np.array([[1.0]], dtype=complex)
+            for label in string:
+                term = np.kron(term, PAULI_MATRICES[label])
+            out += coeff * term
+        return out
 
 
 def decompose_dense(m: np.ndarray, drop_tol: float = 1e-12) -> PauliSum:

@@ -2,8 +2,8 @@
 
 Each step solves A(theta) theta_dot = C(theta) with
 A_ij = Re<d_i phi|d_j phi> and C_i = -Re<d_i phi|H|phi>, then advances theta
-by explicit Euler or classical Runge-Kutta.  Because C = -1/2 grad E, the flow
-descends the energy towards the ground state reachable from the start.
+by explicit Euler.  Because C = -1/2 grad E, the flow descends the energy
+towards the ground state reachable from the start.
 """
 
 from __future__ import annotations
@@ -48,34 +48,20 @@ class McLachlanSystem:
 
 @dataclass(frozen=True)
 class QiteConfig:
-    """Knobs for a single-state imaginary-time run.
-
-    ``phase_correction`` switches the metric to the global-phase-corrected
-    (Fubini-Study) variant A - g g^T with g_i = Im<phi|d_i phi>, which zeroes
-    out pure-phase directions; the plain form is the default.
-    """
+    """Knobs for a single-state imaginary-time run: Euler steps of ``dtau``."""
 
     dtau: float = 0.1
-    regularization: float = 1e-6
     max_steps: int = 500
     grad_tol: float = 1e-5
-    integrator: str = "rk4"
-    phase_correction: bool = False
 
     def __post_init__(self):
         if not 0 < self.dtau < np.inf:
             raise ValueError(f"dtau must be positive and finite, got {self.dtau}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
-        if not 0 <= self.regularization < np.inf:
-            raise ValueError(
-                f"regularization must be >= 0 and finite, got {self.regularization}"
-            )
-        if self.integrator not in ("euler", "rk4"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
 
 
-def assemble(c, theta, h, s0, phase_correction: bool = False) -> McLachlanSystem:
+def assemble(c, theta, h, s0) -> McLachlanSystem:
     """Measure A, C, and the energy at the current parameters.
 
     ``s0`` is one Statevector (returns one system) or a (2d, k) real-form
@@ -91,10 +77,6 @@ def assemble(c, theta, h, s0, phase_correction: bool = False) -> McLachlanSystem
     (:func:`~ssqite.simulator.real_matrix`) and input columns Q^H psi.  A,
     C and the energy are inner products, which Q preserves, so both give
     the same systems; ``phi`` is in the coordinates of the inputs.
-
-    The phase-corrected metric A - g g^T with g = t v, v = [-Im phi; Re phi]
-    and |v| = 1, is the factor t - (t v) v^T; C is unchanged, since
-    v^T w = -Im<phi|H|phi> = 0.
     """
     single = isinstance(s0, Statevector)
     phi, t = derivative_stack(c, theta, real_form(s0.amps)[:, None] if single else s0)
@@ -102,84 +84,46 @@ def assemble(c, theta, h, s0, phase_correction: bool = False) -> McLachlanSystem
     rows = phi.T  # (k, 2d)
     w = -(rows @ h.T)  # the rows of -H phi
     energies = -np.sum(rows * w, axis=1)
-    if phase_correction:
-        d = len(phi) // 2
-        v = np.concatenate((-phi[d:], phi[:d])).T
-        t = t - (t @ v[:, :, None]) * v[:, None, :]
     if single:
         return McLachlanSystem(t=t[0], w=w[0], energy=float(energies[0]), phi=rows[0])
     return McLachlanSystem(t=t, w=w, energy=energies, phi=rows)
 
 
-def solve(system: McLachlanSystem, regularization: float) -> np.ndarray:
-    """Solve (A + lambda I) theta_dot = C for one system or a stack of them.
+def solve(system: McLachlanSystem) -> np.ndarray:
+    """Solve A theta_dot = C for one system or a stack of them.
 
     Returns the (P,) theta_dot of one system or the (k, P) rows of a stack,
     solved together in one batched eigendecomposition of the (2d, 2d) Grams
-    t^T t: theta_dot = t (t^T t + lambda I)^-1 w, which is
-    (t t^T + lambda I)^-1 t w by the push-through identity.  The
-    pseudo-solve cuts the same eigenvalues as on A + lambda I, since t^T t
-    and t t^T share their nonzero ones.
+    t^T t: theta_dot = t (t^T t)^+ w, which is (t t^T)^+ t w.  The
+    pseudo-solve cuts the same eigenvalues as on A, since t^T t and t t^T
+    share their nonzero ones.
     """
-    if regularization < 0:
-        raise ValueError("regularization must be nonnegative")
     single = system.t.ndim == 2
     t, w = (system.t[None], system.w[None]) if single else (system.t, system.w)
     if not (np.isfinite(t).all() and np.isfinite(w).all()):
         raise SingularSystem("non-finite entries in the McLachlan system")
-    x = _solve_stack(t.transpose(0, 2, 1) @ t, w, regularization)
+    x = _solve_stack(t.transpose(0, 2, 1) @ t, w)
     theta_dot = (t @ x[:, :, None])[:, :, 0]
     return theta_dot[0] if single else theta_dot
 
 
-def _solve_stack(a: np.ndarray, c: np.ndarray, regularization: float) -> np.ndarray:
-    """(k, m) solutions of the (k, m, m) symmetric systems ``a + regularization I``.
+def _solve_stack(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """(k, m) solutions of the (k, m, m) symmetric systems ``a``.
 
-    One eigendecomposition pseudo-solve for every shift, which is added to
-    the eigenvalues of ``a``.  Those with |lambda| <= 1e-8 max |lambda| are
-    dropped (A is singular whenever the ansatz is locally redundant): the
-    cut a least-squares solve with rcond = 1e-8 makes on singular values.
+    One eigendecomposition pseudo-solve: eigenvalues with
+    |lambda| <= 1e-8 max |lambda| are dropped (A is singular whenever the
+    ansatz is locally redundant), the cut a least-squares solve with
+    rcond = 1e-8 makes on singular values.
     """
     try:
         lam, vec = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"eigendecomposition failed: {exc}") from None
-    lam = lam + regularization
     mag = np.abs(lam)
     keep = mag > 1e-8 * mag.max(axis=1, keepdims=True)
     coef = (c[:, None, :] @ vec)[:, 0]
     coef = np.divide(coef, lam, out=np.zeros_like(coef), where=keep)
     return (vec @ coef[:, :, None])[:, :, 0]
-
-
-def _theta_dot(c: Circuit, theta, h: PauliSum, s0: Statevector,
-               cfg: QiteConfig) -> np.ndarray:
-    sys = assemble(c, theta, h, s0, phase_correction=cfg.phase_correction)
-    return solve(sys, cfg.regularization)
-
-
-def _advance(c: Circuit, theta: np.ndarray, h: PauliSum, s0: Statevector,
-             cfg: QiteConfig, k1: np.ndarray) -> np.ndarray:
-    """One integrator update given the already-measured first stage."""
-    if cfg.integrator == "euler":
-        return theta + cfg.dtau * k1
-    dt = cfg.dtau
-    k2 = _theta_dot(c, theta + 0.5 * dt * k1, h, s0, cfg)
-    k3 = _theta_dot(c, theta + 0.5 * dt * k2, h, s0, cfg)
-    k4 = _theta_dot(c, theta + dt * k3, h, s0, cfg)
-    return theta + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def step(c: Circuit, theta, h: PauliSum, s0: Statevector,
-         cfg: QiteConfig) -> np.ndarray:
-    """Advance theta by one imaginary-time step of size cfg.dtau.
-
-    The rk4 integrator re-assembles and re-solves the full system at every
-    intermediate stage (nonlinear Runge-Kutta, not a frozen linearization).
-    """
-    theta = np.asarray(theta, dtype=float)
-    k1 = _theta_dot(c, theta, h, s0, cfg)
-    return _advance(c, theta, h, s0, cfg, k1)
 
 
 @dataclass(frozen=True)
@@ -190,7 +134,7 @@ class QiteResult:
 
 def run_qite(c: Circuit, theta0, h: PauliSum, s0: Statevector,
              cfg: QiteConfig) -> QiteResult:
-    """Evolve until the parameter velocity stalls.
+    """Evolve by explicit Euler steps until the parameter velocity stalls.
 
     Stops when ||theta_dot||_inf < cfg.grad_tol; raises MaxStepsExceeded
     (carrying the energy trace) if the cap is hit first.  The returned
@@ -199,13 +143,13 @@ def run_qite(c: Circuit, theta0, h: PauliSum, s0: Statevector,
     theta = np.asarray(theta0, dtype=float).copy()
     energies: list[float] = []
     for _ in range(cfg.max_steps):
-        sys = assemble(c, theta, h, s0, phase_correction=cfg.phase_correction)
+        sys = assemble(c, theta, h, s0)
         energies.append(sys.energy)
-        theta_dot = solve(sys, cfg.regularization)
+        theta_dot = solve(sys)
         if np.max(np.abs(theta_dot)) < cfg.grad_tol:
             return QiteResult(theta=theta, energies=np.array(energies))
-        theta = _advance(c, theta, h, s0, cfg, theta_dot)
-    final = assemble(c, theta, h, s0, phase_correction=cfg.phase_correction)
+        theta = theta + cfg.dtau * theta_dot
+    final = assemble(c, theta, h, s0)
     energies.append(final.energy)
     raise MaxStepsExceeded(
         f"no convergence to {cfg.grad_tol} within {cfg.max_steps} steps",

@@ -461,13 +461,6 @@ def expectation(h: PauliSum, s: Statevector) -> float:
     return float(value.real)
 
 
-def overlap(a: Statevector, b: Statevector) -> complex:
-    """Inner product <a|b>."""
-    if a.n != b.n:
-        raise DimensionMismatch(f"states on {a.n} and {b.n} qubits")
-    return complex(np.vdot(a.amps, b.amps))
-
-
 # --- analytic parameter derivatives ----------------------------------------
 
 def _occurrences(c: Circuit, slot: int) -> list[int]:
@@ -649,6 +642,8 @@ def hadamard_test(c: Circuit, theta, mode: str, i: int, j: int | None = None,
     theta = np.asarray(theta, dtype=float)
     if s0 is None:
         s0 = Statevector.zero(c.n)
+    if s0.n != c.n:
+        raise DimensionMismatch(f"state on {s0.n} qubits, circuit on {c.n}")
     if not 0 <= i < c.num_params:
         raise SlotOutOfRange(f"slot {i} outside 0..{c.num_params - 1}")
 

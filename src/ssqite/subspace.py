@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MaxItersExceeded, NonDecreasingWeights
+from .errors import DimensionMismatch, MaxItersExceeded
 from .pauli_algebra import PauliSum
 from .qite_engine import assemble, solve
 from .simulator import (
@@ -45,7 +45,6 @@ from .simulator import (
     Statevector,
     apply,
     complex_form,
-    expectation,
     invariant_basis,
     real_form,
     real_matrix,
@@ -75,23 +74,6 @@ class SsqiteConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-
-
-@dataclass(frozen=True)
-class SsvqeWeights:
-    """Strictly decreasing positive weights for the diagnostic loss."""
-
-    omega: np.ndarray
-
-    def __post_init__(self):
-        omega = np.asarray(self.omega, dtype=float)
-        object.__setattr__(self, "omega", omega)
-        if omega.ndim != 1 or omega.size == 0:
-            raise NonDecreasingWeights("weights must be a nonempty vector")
-        if np.any(omega <= 0):
-            raise NonDecreasingWeights("weights must be positive")
-        if omega.size > 1 and np.any(np.diff(omega) >= 0):
-            raise NonDecreasingWeights("weights must be strictly decreasing")
 
 
 def init_schedule(k: int, b: float) -> np.ndarray:
@@ -243,7 +225,7 @@ def iteration(run: SubspaceRun) -> SubspaceRun:
     """
     k, frame, cfg = run.k, run.frame, run.cfg
     system = assemble(frame.plan, run.theta, frame.h, frame.inputs)
-    theta_dots = solve(system, 0.0)
+    theta_dots = solve(system)
     grads = np.abs(theta_dots).max(axis=1).tolist()
     ortho = _report(complex_form(system.phi.T), frame.exact)
 
@@ -350,16 +332,3 @@ def run(h: PauliSum, c: Circuit, initial_states, cfg: SsqiteConfig,
         state = iteration(state)
     return _finalize(state)
 
-
-def ssvqe_loss(h: PauliSum, c: Circuit, theta, initial_states,
-               w: SsvqeWeights) -> float:
-    """Weighted energy sum over the evolved levels (diagnostic only)."""
-    initial_states = tuple(initial_states)
-    if w.omega.size != len(initial_states):
-        raise NonDecreasingWeights(
-            f"{w.omega.size} weights for {len(initial_states)} states"
-        )
-    total = 0.0
-    for weight, phi in zip(w.omega, initial_states):
-        total += weight * expectation(h, apply(c, theta, phi))
-    return total

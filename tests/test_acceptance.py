@@ -21,7 +21,7 @@ from ssqite.bench_cli import (
 )
 from ssqite.errors import MaxItersExceeded, MaxStepsExceeded
 from ssqite.exact_oracle import eigensolve
-from ssqite.pauli_algebra import PauliSum, decompose_dense, load_geometry_series, to_dense
+from ssqite.pauli_algebra import PauliSum, decompose_dense, load_geometry_series
 from ssqite.qite_engine import QiteConfig, assemble, run_qite
 from ssqite.simulator import (
     Statevector,
@@ -147,11 +147,11 @@ def test_criterion_4a_decomposition_round_trip():
     for n in (1, 2, 3, 4):
         m = random_hermitian(rng, 2 ** n)
         h = decompose_dense(m)
-        worst = max(worst, float(np.max(np.abs(to_dense(h) - m))))
+        worst = max(worst, float(np.max(np.abs(h.dense - m))))
         labels = ["".join(t) for t in itertools.product("IXYZ", repeat=n)]
         coeffs = rng.normal(size=len(labels))
         h0 = PauliSum.from_terms(list(zip(coeffs, labels)))
-        h1 = decompose_dense(to_dense(h0), drop_tol=0.0)
+        h1 = decompose_dense(h0.dense, drop_tol=0.0)
         for coeff, string in h0.terms:
             worst = max(worst, abs(h1.coefficient(str(string)) - coeff))
     report("4a (decomposition round trip)", worst < 1e-12, f"max deviation {worst:.2e}")
@@ -238,8 +238,7 @@ def test_criterion_4f_k1_reduction():
     with pytest.raises(MaxStepsExceeded) as qite_exc:
         run_qite(
             c, theta0, h, s0,
-            QiteConfig(dtau=0.55, integrator="euler", grad_tol=0.0,
-                       max_steps=steps, regularization=0.0),
+            QiteConfig(dtau=0.55, grad_tol=0.0, max_steps=steps),
         )
     with pytest.raises(MaxItersExceeded) as ss_exc:
         run(

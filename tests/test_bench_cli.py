@@ -16,17 +16,17 @@ from ssqite.errors import ParseError
 
 
 def write_config(tmp_path, hamiltonian, **overrides):
-    lines = [
-        f"hamiltonian_path = {hamiltonian}",
-        "ansatz = twolocal",
-        "k = 3",
-        "seed = 11",
-        f"output_dir = {tmp_path / 'out'}",
-    ]
-    for key, value in overrides.items():
-        lines.append(f"{key} = {value}")
+    values = {
+        "hamiltonian_path": hamiltonian,
+        "ansatz": "twolocal",
+        "k": 3,
+        "seed": 11,
+        "output_dir": tmp_path / "out",
+    }
+    values.update(overrides)
     path = tmp_path / "run.cfg"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path.write_text("".join(f"{key} = {value}\n" for key, value in values.items()),
+                    encoding="utf-8")
     return path
 
 
@@ -77,6 +77,16 @@ class TestConfig:
     def test_bad_ansatz(self, tmp_path):
         with pytest.raises(ParseError):
             parse_config(write_config(tmp_path, trimmed_h2(tmp_path), ansatz="magic"))
+
+    def test_repeated_key_names_second_line(self, tmp_path):
+        # The first five lines set one key each; a second k on line 6 would
+        # otherwise silently run with k = 2.
+        path = write_config(tmp_path, trimmed_h2(tmp_path))
+        path.write_text(path.read_text() + "k = 2\n")
+        with pytest.raises(ParseError) as exc:
+            parse_config(path)
+        assert exc.value.line == 6
+        assert main(["exact", "--config", str(path)]) == 2
 
 
 class TestScan:
@@ -212,10 +222,7 @@ class TestTrace:
         # compare against the direct single-state engine on the same setup
         _, h = load_geometry_series(cfg.hamiltonian_path).nearest(0.95)
         theta0 = np.random.default_rng(cfg.seed).normal(0, 0.1, 16)
-        qcfg = QiteConfig(
-            dtau=cfg.b, integrator="euler", grad_tol=0.0, max_steps=30,
-            regularization=0.0,
-        )
+        qcfg = QiteConfig(dtau=cfg.b, grad_tol=0.0, max_steps=30)
         with pytest.raises(MaxStepsExceeded) as exc:
             run_qite(build_twolocal(), theta0, h, Statevector.from_label("00"), qcfg)
         direct = exc.value.energies

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from ssqite.exact_oracle import eigensolve, reference_curve
-from ssqite.pauli_algebra import PauliSum, decompose_dense, to_dense
+from ssqite.exact_oracle import eigensolve
+from ssqite.pauli_algebra import PauliSum, decompose_dense
 from ssqite.simulator import Statevector, expectation
 
 
@@ -21,7 +21,7 @@ class TestEigensolve:
     def test_residuals_random_three_qubits(self, rng):
         h = decompose_dense(random_hermitian(rng, 8))
         spec = eigensolve(h)
-        m = to_dense(h)
+        m = h.dense
         for j in range(8):
             residual = m @ spec.eigenvectors[:, j] - spec.eigenvalues[j] * spec.eigenvectors[:, j]
             assert np.linalg.norm(residual) < 1e-9
@@ -54,31 +54,20 @@ class TestEigensolve:
 
 
 class TestReferenceCurve:
+    """The exact curves along the shipped series, as the CLI reads them."""
+
     def test_h2_ground_minimum_interior(self, h2_series):
-        curve = reference_curve(h2_series, 3)
-        assert curve.shape == (len(h2_series), 3)
-        ground = curve[:, 0]
+        ground = [eigensolve(h).eigenvalues[0] for _, h in h2_series.points]
         argmin = int(np.argmin(ground))
         assert 0 < argmin < len(h2_series) - 1
         # equilibrium of the shipped data sits near 0.735 Angstrom
         assert h2_series.bond_lengths[argmin] == pytest.approx(0.735, abs=0.15)
 
     def test_full_spectrum(self, h2_series):
-        curve = reference_curve(h2_series, 4)
-        assert curve.shape == (len(h2_series), 4)
-        assert np.all(np.diff(curve, axis=1) >= -1e-12)
-
-    def test_single_geometry(self, h2_series):
-        from ssqite.pauli_algebra import GeometrySeries
-
-        one = GeometrySeries(label="H2", points=h2_series.points[:1])
-        assert reference_curve(one, 2).shape == (1, 2)
-
-    def test_k_bounds(self, h2_series):
-        with pytest.raises(ValueError):
-            reference_curve(h2_series, 5)
-        with pytest.raises(ValueError):
-            reference_curve(h2_series, 0)
+        for _, h in h2_series.points:
+            values = eigensolve(h).eigenvalues
+            assert values.shape == (4,)
+            assert np.all(np.diff(values) >= -1e-12)
 
     def test_lih_low_states_in_weight_one_sector(self, lih_series):
         # The three lowest eigenvectors must live on the single-excitation

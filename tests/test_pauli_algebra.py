@@ -21,7 +21,6 @@ from ssqite.pauli_algebra import (
     decompose_dense,
     load_geometry_series,
     parse_pauli_string,
-    to_dense,
 )
 
 
@@ -73,11 +72,11 @@ class TestPauliSum:
 
 class TestToDense:
     def test_single_z(self):
-        m = to_dense(PauliSum.from_terms([(1.0, "Z")]))
+        m = PauliSum.from_terms([(1.0, "Z")]).dense
         np.testing.assert_allclose(m, np.diag([1.0, -1.0]))
 
     def test_bit_flip_positions(self):
-        m = to_dense(PauliSum.from_terms([(0.5, "XI"), (0.5, "IX")]))
+        m = PauliSum.from_terms([(0.5, "XI"), (0.5, "IX")]).dense
         # XI flips the first qubit (stride 2), IX the second (stride 1).
         expected = np.zeros((4, 4))
         for i, j in [(0, 2), (1, 3), (0, 1), (2, 3)]:
@@ -87,18 +86,18 @@ class TestToDense:
     def test_guardrail(self):
         h = PauliSum.from_terms([(1.0, "Z" * 13)])
         with pytest.raises(TooManyQubits):
-            to_dense(h)
+            h.dense
 
     def test_hermitian(self, rng):
         for n in (1, 2, 3):
             labels = ["".join(t) for t in itertools.product("IXYZ", repeat=n)]
             coeffs = rng.normal(size=len(labels))
-            m = to_dense(PauliSum.from_terms(list(zip(coeffs, labels))))
+            m = PauliSum.from_terms(list(zip(coeffs, labels))).dense
             assert np.max(np.abs(m - m.conj().T)) < 1e-12
 
     def test_tensor_ordering(self):
         # Leftmost label acts on the highest basis-index bit: ZI == Z (x) I.
-        m = to_dense(PauliSum.from_terms([(1.0, "ZI")]))
+        m = PauliSum.from_terms([(1.0, "ZI")]).dense
         np.testing.assert_allclose(m, np.kron(PAULI_MATRICES["Z"], np.eye(2)))
 
 
@@ -142,9 +141,9 @@ class TestInvariants:
     def test_round_trip(self, n, rng):
         m = random_hermitian(rng, 2 ** n)
         h = decompose_dense(m)
-        np.testing.assert_allclose(to_dense(h), m, atol=1e-10)
+        np.testing.assert_allclose(h.dense, m, atol=1e-10)
         # coefficient-level round trip
-        h2 = decompose_dense(to_dense(h))
+        h2 = decompose_dense(h.dense)
         for coeff, string in h.terms:
             assert h2.coefficient(str(string)) == pytest.approx(coeff, abs=1e-12)
 
@@ -243,7 +242,7 @@ ZII 0.25
 
     def test_shipped_h2_hermitian_round_trip(self, h2_series):
         for _, h in h2_series.points:
-            m = to_dense(h)
+            m = h.dense
             assert np.max(np.abs(m - m.conj().T)) < 1e-12
             h2 = decompose_dense(m)
             for coeff, string in h.terms:

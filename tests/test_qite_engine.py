@@ -1,4 +1,4 @@
-"""McLachlan system assembly, regularized solve, and imaginary-time stepping."""
+"""McLachlan system assembly, pseudo-solve, and Euler imaginary-time stepping."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,6 @@ from ssqite.qite_engine import (
     assemble,
     run_qite,
     solve,
-    step,
 )
 from ssqite.simulator import (
     Circuit,
@@ -70,15 +69,6 @@ class TestAssemble:
                 ) / (2 * eps)
                 assert sys.c[i] == pytest.approx(-0.5 * grad, abs=1e-8)
 
-    def test_phase_correction_zeroes_pure_phase(self):
-        # RZ on |0> only changes the global phase; the corrected metric must
-        # vanish while the plain one sees the phase velocity.
-        rz = Circuit(n=1, gates=(Gate("RZ", (0,), 0),), num_params=1)
-        plain = assemble(rz, [0.3], Z, Statevector.zero(1))
-        corrected = assemble(rz, [0.3], Z, Statevector.zero(1), phase_correction=True)
-        assert plain.a[0, 0] == pytest.approx(0.25, abs=1e-12)
-        assert corrected.a[0, 0] == pytest.approx(0.0, abs=1e-12)
-
     def test_energy_shift_leaves_velocity_unchanged(self, rng):
         # Subtracting E*I from H shifts nothing for a unitary ansatz: the
         # velocity direction is identical because Re<d_i phi|phi> vanishes.
@@ -93,23 +83,7 @@ class TestAssemble:
         np.testing.assert_allclose(shifted.c, plain.c, atol=1e-12)
         np.testing.assert_allclose(shifted.a, plain.a, atol=1e-12)
         assert shifted.energy == pytest.approx(0.0, abs=1e-10)
-        for corr in (False, True):
-            a0 = assemble(c, theta, h, s0, phase_correction=corr)
-            a1 = assemble(c, theta, h_shifted, s0, phase_correction=corr)
-            np.testing.assert_allclose(
-                solve(a1, 1e-6), solve(a0, 1e-6), atol=1e-10
-            )
-
-    def test_phase_correction_identity(self, rng):
-        # A_corrected == A - g g^T with g_i = Im<phi|d_i phi>.
-        c = build_twolocal()
-        theta = rng.uniform(-np.pi, np.pi, 16)
-        h = decompose_dense(random_hermitian(rng, 4))
-        plain = assemble(c, theta, h, Statevector.zero(2))
-        corrected = assemble(c, theta, h, Statevector.zero(2), phase_correction=True)
-        phi, stack = derivative_stack(c, theta, Statevector.zero(2))
-        g = np.imag(phi.amps.conj() @ stack.T)
-        np.testing.assert_allclose(corrected.a, plain.a - np.outer(g, g), atol=1e-12)
+        np.testing.assert_allclose(solve(shifted), solve(plain), atol=1e-10)
 
     @pytest.mark.parametrize("restricted", [False, True])
     @pytest.mark.parametrize(
@@ -156,12 +130,8 @@ class TestConfig:
             QiteConfig(dtau=0.0)
         with pytest.raises(ValueError):
             QiteConfig(max_steps=0)
-        with pytest.raises(ValueError):
-            QiteConfig(regularization=-1.0)
-        with pytest.raises(ValueError):
-            QiteConfig(integrator="leapfrog")
 
-    @pytest.mark.parametrize("key", ["dtau", "regularization"])
+    @pytest.mark.parametrize("key", ["dtau"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_rejected(self, key, value):
         with pytest.raises(ValueError):
@@ -170,11 +140,11 @@ class TestConfig:
 
 class TestSolve:
     def test_scalar_division(self):
-        x = _solve_stack(np.array([[[0.25]]]), np.array([[0.5]]), 0.0)[0]
+        x = _solve_stack(np.array([[[0.25]]]), np.array([[0.5]]))[0]
         assert x[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_stationary_zero_system(self):
-        x = _solve_stack(np.zeros((1, 1, 1)), np.zeros((1, 1)), 1e-6)[0]
+        x = _solve_stack(np.zeros((1, 1, 1)), np.zeros((1, 1)))[0]
         assert x[0] == pytest.approx(0.0)
 
     def test_spd_residual(self, rng):
@@ -182,13 +152,13 @@ class TestSolve:
             m = rng.normal(size=(8, 8))
             a = m @ m.T + 0.5 * np.eye(8)
             cvec = rng.normal(size=8)
-            x = _solve_stack(a[None], cvec[None], 0.0)[0]
+            x = _solve_stack(a[None], cvec[None])[0]
             assert np.linalg.norm(a @ x - cvec) < 1e-9
 
     def test_singular_truncated(self):
         # Rank-1 A with C in range: pseudo-solve recovers the range component.
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
-        x = _solve_stack(a[None], np.array([[2.0, 0.0]]), 0.0)[0]
+        x = _solve_stack(a[None], np.array([[2.0, 0.0]]))[0]
         np.testing.assert_allclose(x, [2.0, 0.0], atol=1e-10)
 
     @pytest.mark.parametrize(
@@ -206,33 +176,14 @@ class TestSolve:
         for _, h in request.getfixturevalue(series).points[::3]:
             theta = rng.normal(0, 0.5, c.num_params)
             systems = assemble(c, theta, h, real_form(amps))
-            stacked = solve(systems, 0.0)
+            stacked = solve(systems)
             assert stacked.shape == (3, c.num_params)
             for a, cvec, t, w, got in zip(systems.a, systems.c, systems.t, systems.w, stacked):
                 assert np.linalg.matrix_rank(a, tol=1e-8) < c.num_params
                 want, *_ = np.linalg.lstsq(a, cvec, rcond=1e-8)
                 assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
                 level = McLachlanSystem(t=t, w=w, energy=0.0)
-                np.testing.assert_allclose(solve(level, 0.0), got, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize(
-        "series, build, labels",
-        [("h2_series", build_twolocal, ("00", "01", "10")),
-         ("lih_series", build_excitation_preserving, ("010", "001", "100"))],
-    )
-    def test_factored_shifted_solve_matches_dense(self, request, rng, series, build, labels):
-        # With a shift the Gram solve t (t^T t + lambda I)^-1 w is the
-        # push-through form of (A + lambda I)^-1 C.
-        c = build()
-        amps = np.column_stack([Statevector.from_label(l).amps for l in labels])
-        for _, h in request.getfixturevalue(series).points[::3]:
-            theta = rng.normal(0, 0.5, c.num_params)
-            for corrected in (False, True):
-                systems = assemble(c, theta, h, real_form(amps), phase_correction=corrected)
-                assert systems.t.shape == (3, c.num_params, 2 * amps.shape[0])
-                for a, cvec, got in zip(systems.a, systems.c, solve(systems, 1e-3)):
-                    want = np.linalg.solve(a + 1e-3 * np.eye(c.num_params), cvec)
-                    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+                np.testing.assert_allclose(solve(level), got, rtol=0, atol=1e-12)
 
     def test_cut_matches_lstsq_rcond(self, rng):
         # Eigenvalues on both sides of 1e-8 of the largest: 2e-8 is kept and
@@ -243,17 +194,16 @@ class TestSolve:
         lams = np.array([[1.0, 2e-8, 5e-9, 0.0], [3.0, -1.0, 4e-8, -1e-8]])
         a = np.array([q @ np.diag(lam) @ q.T for lam in lams])
         cvecs = np.array([q @ (np.abs(lam) * rng.uniform(1, 2, 4)) for lam in lams])
-        for a_l, c_l, got in zip(a, cvecs, _solve_stack(a, cvecs, 0.0)):
+        for a_l, c_l, got in zip(a, cvecs, _solve_stack(a, cvecs)):
             want, *_ = np.linalg.lstsq(a_l, c_l, rcond=1e-8)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
-    @pytest.mark.parametrize("regularization", [0.0, 1e-6])
-    def test_non_finite_entry_in_one_system(self, regularization):
+    def test_non_finite_entry_in_one_system(self):
         w = np.ones((3, 2))
         w[1, 1] = np.nan  # one entry of the middle system's driving vector
         stack = McLachlanSystem(t=np.stack([np.eye(2)] * 3), w=w, energy=np.zeros(3))
         with pytest.raises(SingularSystem):
-            solve(stack, regularization)
+            solve(stack)
 
     def test_eigendecomposition_failure_is_singular(self, monkeypatch):
         def fail(a):
@@ -263,7 +213,7 @@ class TestSolve:
         stack = McLachlanSystem(t=np.stack([np.eye(2)] * 2), w=np.ones((2, 2)),
                                 energy=np.zeros(2))
         with pytest.raises(SingularSystem):
-            solve(stack, 0.0)
+            solve(stack)
 
     def test_stacked_cholesky_matches_single(self, rng):
         a, cvecs = [], []
@@ -272,49 +222,38 @@ class TestSolve:
             a.append(m @ m.T)
             cvecs.append(rng.normal(size=6))
         a, cvecs = np.array(a), np.array(cvecs)
-        stacked = _solve_stack(a, cvecs, 1e-3)
+        stacked = _solve_stack(a, cvecs)
         for l, got in enumerate(stacked):
-            want = np.linalg.solve(a[l] + 1e-3 * np.eye(6), cvecs[l])
+            want = np.linalg.solve(a[l], cvecs[l])
             np.testing.assert_allclose(got, want, rtol=1e-9)
-            single = _solve_stack(a[l:l + 1], cvecs[l:l + 1], 1e-3)[0]
+            single = _solve_stack(a[l:l + 1], cvecs[l:l + 1])[0]
             np.testing.assert_allclose(single, got, rtol=0, atol=1e-12)
 
 
 class TestStep:
+    """One Euler step: run_qite capped at one step, read from MaxStepsExceeded."""
+
+    @staticmethod
+    def one_step(theta, dtau):
+        cfg = QiteConfig(dtau=dtau, max_steps=1, grad_tol=0.0)
+        with pytest.raises(MaxStepsExceeded) as exc:
+            run_qite(single_ry(), theta, Z, Statevector.zero(1), cfg)
+        return exc.value.theta
+
     def test_euler_closed_form(self):
-        cfg = QiteConfig(dtau=0.1, integrator="euler", regularization=0.0)
-        new = step(single_ry(), [np.pi / 2], Z, Statevector.zero(1), cfg)
+        new = self.one_step([np.pi / 2], 0.1)
         assert new[0] == pytest.approx(np.pi / 2 + 0.2, abs=1e-12)
 
-    def test_rk4_matches_fine_reference(self):
-        # The single-RY flow reduces to d theta / d tau = 2 sin(theta); compare
-        # one rk4 step of the full machinery to a dense-step reference
-        # integration of the scalar ODE.
-        def reference(theta0, dtau, substeps=10000):
-            h = dtau / substeps
-            th = theta0
-            for _ in range(substeps):
-                k1 = 2 * np.sin(th)
-                k2 = 2 * np.sin(th + 0.5 * h * k1)
-                k3 = 2 * np.sin(th + 0.5 * h * k2)
-                k4 = 2 * np.sin(th + h * k3)
-                th += h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-            return th
-
-        cfg = QiteConfig(dtau=0.1, integrator="rk4", regularization=0.0)
-        new = step(single_ry(), [np.pi / 2], Z, Statevector.zero(1), cfg)
-        assert new[0] == pytest.approx(reference(np.pi / 2, 0.1), abs=1e-6)
-
     def test_small_step_energy_descent(self):
-        cfg = QiteConfig(dtau=1e-3, integrator="euler", regularization=0.0)
+        dtau = 1e-3
         theta = np.array([1.1])
         s0 = Statevector.zero(1)
         e0 = expectation(Z, apply(single_ry(), theta, s0))
-        new = step(single_ry(), theta, Z, s0, cfg)
+        new = self.one_step(theta, dtau)
         e1 = expectation(Z, apply(single_ry(), new, s0))
         theta_dot = 2 * np.sin(theta[0])
         c_entry = np.sin(theta[0]) / 2
-        predicted = -2 * c_entry * theta_dot * cfg.dtau
+        predicted = -2 * c_entry * theta_dot * dtau
         assert e1 < e0
         assert (e1 - e0) == pytest.approx(predicted, rel=1e-2)
 
@@ -351,32 +290,9 @@ class TestRunQite:
 
     def test_energy_monotone_euler_small_steps(self, h2_series):
         _, h = h2_series.nearest(0.95)
-        cfg = QiteConfig(dtau=0.05, integrator="euler", max_steps=200, grad_tol=0.0)
+        cfg = QiteConfig(dtau=0.05, max_steps=200, grad_tol=0.0)
         theta0 = np.random.default_rng(11).normal(0, 0.1, 16)
         with pytest.raises(MaxStepsExceeded) as exc:
             run_qite(build_twolocal(), theta0, h, Statevector.zero(2), cfg)
         energies = exc.value.energies
         assert np.all(np.diff(energies) <= 1e-9)
-
-    def test_rk4_euler_consistency_ratio(self, h2_series):
-        # Euler's deviation from rk4 over a fixed horizon shrinks by >= 1.8x
-        # when the step is halved.
-        _, h = h2_series.nearest(0.95)
-        theta0 = np.random.default_rng(11).normal(0, 0.1, 16)
-        s0 = Statevector.zero(2)
-        c = build_twolocal()
-        horizon = 1.6
-
-        def final_theta(integrator, dtau):
-            cfg = QiteConfig(
-                dtau=dtau, integrator=integrator,
-                max_steps=int(round(horizon / dtau)), grad_tol=0.0,
-            )
-            with pytest.raises(MaxStepsExceeded) as exc:
-                run_qite(c, theta0, h, s0, cfg)
-            return exc.value.theta
-
-        reference = final_theta("rk4", 0.05)
-        coarse = np.linalg.norm(final_theta("euler", 0.2) - reference)
-        fine = np.linalg.norm(final_theta("euler", 0.1) - reference)
-        assert coarse / fine >= 1.8

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_hermitian
 from ssqite.errors import DimensionMismatch, SlotOutOfRange, UnsupportedMode, ZeroShots
-from ssqite.pauli_algebra import PauliSum, decompose_dense, to_dense
+from ssqite.pauli_algebra import PauliSum, decompose_dense
 from ssqite.simulator import (
     Circuit,
     Gate,
@@ -21,7 +21,6 @@ from ssqite.simulator import (
     expectation,
     hadamard_test,
     invariant_basis,
-    overlap,
     real_form,
     real_matrix,
     sample_expectation,
@@ -98,12 +97,12 @@ class TestApply:
         with pytest.raises(ValueError):
             Statevector(amps=np.array([1.0, 1.0]), n=1)
 
-    def test_expectation_overlap_dimension_checks(self):
+    def test_expectation_dimension_checks(self):
         h = PauliSum.from_terms([(1.0, "Z")])
         with pytest.raises(DimensionMismatch):
             expectation(h, Statevector.zero(2))
         with pytest.raises(DimensionMismatch):
-            overlap(Statevector.zero(1), Statevector.zero(2))
+            sample_expectation(h, Statevector.zero(2), 10, seed=0)
 
 
 class TestCircuitValidation:
@@ -203,14 +202,14 @@ class TestExpectation:
         for n in (1, 2, 3):
             h = decompose_dense(random_hermitian(rng, 2 ** n))
             s = random_state(rng, n)
-            expected = np.vdot(s.amps, to_dense(h) @ s.amps).real
+            expected = np.vdot(s.amps, h.dense @ s.amps).real
             assert expectation(h, s) == pytest.approx(expected, abs=1e-10)
 
     def test_pauli_string_action_matches_dense(self, rng):
         for label in ("X", "Y", "Z", "XY", "ZYX", "IYI"):
             n = len(label)
             s = random_state(rng, n)
-            dense = to_dense(PauliSum.from_terms([(1.0, label)]))
+            dense = PauliSum.from_terms([(1.0, label)]).dense
             np.testing.assert_allclose(
                 apply_pauli_string(PauliSum.from_terms([(1.0, label)]).terms[0][1], s.amps),
                 dense @ s.amps,
@@ -219,20 +218,12 @@ class TestExpectation:
 
 
 class TestOverlap:
-    def test_self(self):
-        assert overlap(Statevector.zero(1), Statevector.zero(1)) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert overlap(
-            Statevector.from_label("0"), Statevector.from_label("1")
-        ) == pytest.approx(0.0)
-
     def test_unitary_preserves_orthogonality(self, rng):
         c = build_twolocal()
         theta = rng.uniform(-np.pi, np.pi, 16)
         a = apply(c, theta, Statevector.from_label("00"))
         b = apply(c, theta, Statevector.from_label("01"))
-        assert abs(overlap(a, b)) < 1e-10
+        assert abs(np.vdot(a.amps, b.amps)) < 1e-10
 
 
 class TestDerivatives:
@@ -482,6 +473,13 @@ class TestHadamardTest:
     def test_unknown_mode(self):
         with pytest.raises(UnsupportedMode):
             hadamard_test(single_ry(), [0.1], "B-imag", 0, j=0)
+
+    def test_state_width_checked(self):
+        c = build_twolocal()
+        h = PauliSum.from_terms([(1.0, "ZZ")])
+        for mode, operand in (("A-real", {"j": 1}), ("C-real", {"h": h})):
+            with pytest.raises(DimensionMismatch):
+                hadamard_test(c, np.zeros(16), mode, 0, s0=Statevector.zero(1), **operand)
 
     def test_missing_operand(self):
         with pytest.raises(UnsupportedMode):
