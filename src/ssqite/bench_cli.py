@@ -266,12 +266,14 @@ def cmd_trace(cfg: RunConfig, bond_length: float) -> int:
 
 
 def _write_trace(cfg: RunConfig, result: SubspaceResult) -> None:
+    history = result.history
     lines = ["iter,level,energy_Ha,grad_inf_norm,dtau,ortho_max_offdiag"]
-    for i, rec in enumerate(result.history):
-        ortho = _fmt(rec.ortho.max_offdiag)
+    rows = zip(history.energies.tolist(), history.grads.tolist(), history.dtau.tolist(),
+               map(_fmt, history.max_offdiag.tolist()))
+    for i, (energies, grads, dtau, ortho) in enumerate(rows):
         for level in range(cfg.k):
-            lines.append(f"{i},{level},{_fmt(rec.energies[level])},"
-                         f"{_fmt(rec.grads[level])},{_fmt(rec.dtau[level])},{ortho}")
+            lines.append(f"{i},{level},{_fmt(energies[level])},"
+                         f"{_fmt(grads[level])},{_fmt(dtau[level])},{ortho}")
     _write_lines(cfg.output_dir / "trace.csv", lines)
 
 

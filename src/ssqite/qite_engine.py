@@ -59,6 +59,8 @@ class QiteConfig:
             raise ValueError(f"dtau must be positive and finite, got {self.dtau}")
         if self.max_steps < 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        if not 0 <= self.grad_tol < np.inf:
+            raise ValueError(f"grad_tol must be >= 0 and finite, got {self.grad_tol}")
 
 
 def assemble(c, theta, h, s0) -> McLachlanSystem:

@@ -389,14 +389,18 @@ def _sweep(plan: DenseCircuit, theta: np.ndarray, amps: np.ndarray,
     return phi, plan.slot_sum @ per_rotation.transpose(2, 0, 1)
 
 
+def _parameters(theta, num_params: int) -> np.ndarray:
+    """``theta`` as a float array, checked to hold one value per parameter slot."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (num_params,):
+        raise DimensionMismatch(f"theta has shape {theta.shape}, expected ({num_params},)")
+    return theta
+
+
 def _inputs(c: Circuit | DenseCircuit, theta, s) -> tuple[DenseCircuit, np.ndarray, np.ndarray]:
     """Dense plan, validated parameters and (2d, k) real-form input columns."""
     plan = c.dense if isinstance(c, Circuit) else c
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (plan.num_params,):
-        raise DimensionMismatch(
-            f"theta has shape {theta.shape}, expected ({plan.num_params},)"
-        )
+    theta = _parameters(theta, plan.num_params)
     if isinstance(s, Statevector):
         if 2 ** s.n != plan.dim:
             raise DimensionMismatch(f"state of {2 ** s.n} amplitudes, circuit on {plan.dim}")
@@ -472,7 +476,7 @@ def derivative_state(c: Circuit, theta, i: int, s0: Statevector) -> np.ndarray:
 
     Sums the insertion of (-i/2) x generator over every gate sharing slot i.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = _parameters(theta, c.num_params)
     if not 0 <= i < c.num_params:
         raise SlotOutOfRange(f"slot {i} outside 0..{c.num_params - 1}")
     if s0.n != c.n:
@@ -639,7 +643,7 @@ def hadamard_test(c: Circuit, theta, mode: str, i: int, j: int | None = None,
     statevector (the infinite-shot limit) and combined with the analytic
     insertion prefactors.
     """
-    theta = np.asarray(theta, dtype=float)
+    theta = _parameters(theta, c.num_params)
     if s0 is None:
         s0 = Statevector.zero(c.n)
     if s0.n != c.n:

@@ -10,14 +10,16 @@ A single parameter vector receives the sum of every level's update, so the
 evolved states stay exactly orthogonal (one unitary applied to orthogonal
 inputs).
 
-A run keeps one append-only stream of :class:`IterationRecord`, one per
-iteration.  Iteration i measures every level's McLachlan system at theta_i
-in one derivative sweep, and its record holds what that sweep gave: the
-energies, each level's ||theta_dot||_inf, the step sizes of the update it
-applied, and the overlaps of the states at theta_i.  That stream, as
-``history``, and the final fields of :class:`SubspaceResult` are the one way
-to read a run.  The final energies, overlaps and states come from one
-``apply`` when the run ends.
+A run keeps one columnar log.  Iteration i measures every level's McLachlan
+system at theta_i in one derivative sweep and writes what that sweep gave as
+row i: the energies, each level's ||theta_dot||_inf, the step sizes of the
+update it applied, and the states at theta_i.  The columns live in buffers
+that double when full, so an iteration creates no record object and computes
+no overlap.  Reading ``history`` gives them as a :class:`History`, whose
+overlaps are computed then, for all rows in one batched product.  That and
+the final fields of :class:`SubspaceResult` are the one way to read a run.
+The final energies, overlaps and states come from one ``apply`` when the
+run ends.
 
 A run is bound to its problem when it starts, in the coordinates of an
 orthonormal basis Q of the smallest subspace that holds its input states
@@ -97,24 +99,69 @@ class OrthoReport:
     max_offdiag: float
 
 
-def _report(amps: np.ndarray, exact_states) -> OrthoReport:
-    """Overlaps of the state columns ``amps`` from one k x k Gram matrix."""
-    pairwise = np.abs(amps.conj().T @ amps)
-    exact = None
-    if exact_states is not None:
-        exact = np.abs(amps.T @ np.conj(exact_states))
-    max_offdiag = float((pairwise - np.diag(pairwise.diagonal())).max())
-    return OrthoReport(exact, max_offdiag)
+def _max_offdiag(phi: np.ndarray):
+    """Largest |<phi_a|phi_b>|, a != b, of (..., k, 2d) real-form state rows."""
+    z = complex_form(phi.T).T
+    pairwise = np.abs(z.conj() @ np.swapaxes(z, -1, -2))
+    k = pairwise.shape[-1]
+    pairwise[..., range(k), range(k)] = 0.0
+    return pairwise.max(axis=(-2, -1))
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """What one iteration measured at its parameters theta_i, from one sweep."""
+def _exact_overlaps(phi: np.ndarray, exact_states):
+    """|<phi_l|E_j>| of (..., k, 2d) real-form state rows, or None without E."""
+    if exact_states is None:
+        return None
+    return np.abs(complex_form(phi.T).T @ np.conj(exact_states))
 
-    energies: tuple[float, ...]
-    grads: tuple[float, ...]  # ||theta_dot||_inf per level
-    dtau: tuple[float, ...]  # step sizes of the update this iteration applied
-    ortho: OrthoReport  # overlaps of the states at theta_i
+
+@dataclass(frozen=True, eq=False)
+class History:
+    """A run's iterations as columns; row i was measured at theta_i by one sweep.
+
+    ``energies``, ``grads`` (||theta_dot||_inf) and ``dtau`` (the step sizes
+    of the update iteration i applied) are (n, k); ``phi`` holds the
+    (n, k, 2d) real-form states and ``exact_states`` the exact eigenvector
+    columns, both in the run's frame.  The overlaps are computed on read,
+    for every row in one batched product.
+    """
+
+    energies: np.ndarray
+    grads: np.ndarray
+    dtau: np.ndarray
+    phi: np.ndarray
+    exact_states: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.energies)
+
+    @property
+    def max_offdiag(self) -> np.ndarray:
+        """(n,) largest overlap between two levels at each iteration."""
+        return _max_offdiag(self.phi)
+
+    @property
+    def exact(self) -> np.ndarray | None:
+        """(n, k, m) overlaps with the exact eigenvectors, when they were given."""
+        return _exact_overlaps(self.phi, self.exact_states)
+
+
+class _Log:
+    """A run's columns, one row per iteration, in buffers that double when full."""
+
+    def __init__(self, k: int, width: int):
+        self.n, rows = 0, 64
+        self.energies, self.grads, self.dtau = (np.empty((rows, k)) for _ in range(3))
+        self.phi = np.empty((rows, k, width))
+
+    def append(self, energies, grads, dtau, phi) -> None:
+        n = self.n
+        if n == len(self.phi):
+            for name in ("energies", "grads", "dtau", "phi"):
+                full = getattr(self, name)
+                setattr(self, name, np.concatenate((full, np.empty_like(full))))
+        self.energies[n], self.grads[n], self.dtau[n], self.phi[n] = energies, grads, dtau, phi
+        self.n = n + 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +189,9 @@ class _Frame:
     def of(cls, h: PauliSum, c: Circuit, amps: np.ndarray, exact_states) -> "_Frame":
         if h.n != c.n:
             raise DimensionMismatch(f"Hamiltonian on {h.n} qubits, circuit on {c.n}")
+        if exact_states is not None and np.shape(exact_states)[:1] != (2 ** c.n,):
+            raise DimensionMismatch(f"exact states of shape {np.shape(exact_states)}, "
+                                    f"circuit on {c.n} qubits")
         q = invariant_basis(c, amps)
         if q.shape[1] == q.shape[0]:
             return cls(None, c.dense, real_form(amps), real_matrix(h.dense), exact_states)
@@ -163,7 +213,7 @@ class SubspaceRun:
     dtau: np.ndarray
     converged: np.ndarray
     streaks: np.ndarray
-    history: list[IterationRecord]
+    log: _Log
     frame: _Frame
     cfg: SsqiteConfig
 
@@ -186,14 +236,15 @@ class SubspaceRun:
             )
         if theta0 is None:
             theta0 = np.zeros(c.num_params)
+        frame = _Frame.of(h, c, amps, exact_states)
         return cls(
             n=c.n,
             theta=np.array(theta0, dtype=float),
             dtau=dtau,
             converged=np.zeros(k, dtype=bool),
             streaks=np.zeros(k, dtype=int),
-            history=[],
-            frame=_Frame.of(h, c, amps, exact_states),
+            log=_Log(k, len(frame.inputs)),
+            frame=frame,
             cfg=cfg,
         )
 
@@ -204,7 +255,16 @@ class SubspaceRun:
     @property
     def iteration(self) -> int:
         """Number of iterations run so far."""
-        return len(self.history)
+        return self.log.n
+
+    @property
+    def history(self) -> History:
+        """The iterations so far, as read-only views of the log's columns."""
+        log, n = self.log, self.log.n
+        columns = [c[:n] for c in (log.energies, log.grads, log.dtau, log.phi)]
+        for column in columns:
+            column.flags.writeable = False  # the next iteration reads the last row
+        return History(*columns, self.frame.exact)
 
 
 def _converged_prefix(converged: np.ndarray) -> int:
@@ -218,24 +278,24 @@ def iteration(run: SubspaceRun) -> SubspaceRun:
     Measures every level's McLachlan system at the current parameters from
     one batched circuit sweep in the run's frame, with the Hamiltonian and
     config the run was started with, solves the stack in one call and
-    appends what it measured to the record stream.  Marks levels
+    writes what it measured as one row of the run's log.  Marks levels
     whose velocity stalled for ``patience`` iterations as converged
     (doubling the step sizes from that level upward), then adds every
     level's update to the shared parameters.
     """
-    k, frame, cfg = run.k, run.frame, run.cfg
+    k, frame, cfg, log = run.k, run.frame, run.cfg, run.log
     system = assemble(frame.plan, run.theta, frame.h, frame.inputs)
     theta_dots = solve(system)
-    grads = np.abs(theta_dots).max(axis=1).tolist()
-    ortho = _report(complex_form(system.phi.T), frame.exact)
+    speeds = np.abs(theta_dots).max(axis=1)
+    grads = speeds.tolist()
 
     # A converged level whose velocity re-awakens and keeps growing signals
     # that step doubling pushed dtau past the explicit-integrator stability
     # bound; back off all step sizes together so the dtau ratios stay intact.
-    if run.history and any(
+    if log.n and any(
         run.converged[l]
         and grads[l] > 10.0 * cfg.grad_tol
-        and grads[l] > run.history[-1].grads[l]
+        and grads[l] > log.grads[log.n - 1, l]
         for l in range(k)
     ):
         run.dtau *= 0.5
@@ -258,12 +318,7 @@ def iteration(run: SubspaceRun) -> SubspaceRun:
     for l in range(k):
         theta = theta + run.dtau[l] * theta_dots[l]
     run.theta = theta
-    run.history.append(IterationRecord(
-        energies=tuple(system.energy.tolist()),
-        grads=tuple(grads),
-        dtau=tuple(run.dtau.tolist()),
-        ortho=ortho,
-    ))
+    log.append(system.energy, speeds, run.dtau, system.phi)
     return run
 
 
@@ -271,7 +326,7 @@ def iteration(run: SubspaceRun) -> SubspaceRun:
 class SubspaceResult:
     """Outcome of a subspace run, energies in level order.
 
-    ``history`` holds one record per iteration; record i describes theta_i
+    ``history`` holds the iterations as columns; row i describes theta_i
     (with exact-eigenvector overlaps whenever the oracle states were
     supplied), so leakage toward already-converged or lower states can be
     audited after the fact.  ``ortho`` describes the final iterate.
@@ -279,7 +334,7 @@ class SubspaceResult:
 
     theta: np.ndarray
     energies: np.ndarray
-    history: tuple[IterationRecord, ...]
+    history: History
     ortho: OrthoReport
     ascending: bool
     converged: np.ndarray
@@ -295,16 +350,16 @@ def _finalize(run: SubspaceRun) -> SubspaceResult:
     frame = run.frame
     phi = apply(frame.plan, run.theta, frame.inputs)
     rows = phi.T
-    # The recorded energies' form: Re(phi^dag H phi) on the real form.
+    # The logged energies' form: Re(phi^dag H phi) on the real form.
     energies = np.sum(rows * (rows @ frame.h.T), axis=1)
+    ortho = OrthoReport(_exact_overlaps(rows, frame.exact), float(_max_offdiag(rows)))
     amps = complex_form(phi)
-    ortho = _report(amps, frame.exact)
     if frame.basis is not None:
         amps = frame.basis @ amps
     return SubspaceResult(
         theta=run.theta,
         energies=energies,
-        history=tuple(run.history),
+        history=run.history,
         ortho=ortho,
         ascending=bool(np.all(np.diff(energies) >= -1e-6)),
         converged=run.converged.copy(),

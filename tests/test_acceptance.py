@@ -124,7 +124,7 @@ def fig1_run():
 
 def test_criterion_3_convergence_shape(fig1_run):
     _, result = fig1_run
-    traces = np.array([rec.energies for rec in result.history]).T
+    traces = result.history.energies.T
     final = result.energies[:, None]
     within = np.all(np.abs(traces - final) < CHEMICAL_ACCURACY, axis=0)
     settled = next(
@@ -208,7 +208,7 @@ def test_criterion_4c_hadamard_equivalence():
 
 def test_criterion_4d_shared_mode_orthogonality(fig1_run):
     _, result = fig1_run
-    worst = max(rec.ortho.max_offdiag for rec in result.history)
+    worst = float(result.history.max_offdiag.max())
     report(
         "4d (shared-mode orthogonality)",
         worst < 1e-10,
@@ -250,7 +250,7 @@ def test_criterion_4f_k1_reduction():
         np.max(
             np.abs(
                 qite_exc.value.energies[:steps]
-                - np.array([rec.energies[0] for rec in ss_exc.value.result.history])
+                - ss_exc.value.result.history.energies[:, 0]
             )
         )
     )

@@ -130,8 +130,11 @@ class TestConfig:
             QiteConfig(dtau=0.0)
         with pytest.raises(ValueError):
             QiteConfig(max_steps=0)
+        with pytest.raises(ValueError):
+            QiteConfig(grad_tol=-1.0)
+        QiteConfig(grad_tol=0.0)
 
-    @pytest.mark.parametrize("key", ["dtau"])
+    @pytest.mark.parametrize("key", ["dtau", "grad_tol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_rejected(self, key, value):
         with pytest.raises(ValueError):

@@ -236,6 +236,19 @@ class TestDerivatives:
         with pytest.raises(SlotOutOfRange):
             derivative_state(single_ry(), [0.1], 1, Statevector.zero(1))
 
+    @pytest.mark.parametrize("size", [15, 17, 20])
+    def test_theta_length_checked(self, size):
+        # The oracles reject a theta that apply rejects, in either direction.
+        c = build_twolocal()
+        with pytest.raises(DimensionMismatch):
+            apply(c, np.zeros(size), Statevector.zero(2))
+        with pytest.raises(DimensionMismatch):
+            derivative_state(c, np.zeros(size), 0, Statevector.zero(2))
+        with pytest.raises(DimensionMismatch):
+            hadamard_test(c, np.zeros(size), "A-real", 0, j=1)
+        with pytest.raises(DimensionMismatch):
+            hadamard_test(c, np.zeros(size), "C-real", 0, h=PauliSum.from_terms([(1.0, "ZZ")]))
+
     @pytest.mark.parametrize("builder,n", [(build_twolocal, 2), (build_excitation_preserving, 3)])
     def test_finite_difference_each_slot(self, builder, n, rng):
         c = builder()

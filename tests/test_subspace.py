@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ssqite.errors import MaxItersExceeded, MaxStepsExceeded
+from ssqite.errors import DimensionMismatch, MaxItersExceeded, MaxStepsExceeded
 from ssqite.exact_oracle import eigensolve
 from ssqite.pauli_algebra import PauliSum
 from ssqite.qite_engine import QiteConfig, assemble, run_qite, solve
@@ -14,6 +14,7 @@ from ssqite.simulator import (
     apply,
     build_excitation_preserving,
     build_twolocal,
+    complex_form,
     real_form,
 )
 from ssqite.subspace import (
@@ -105,9 +106,9 @@ class TestIteration:
                 assert state.dtau[1] == 2.0 * prev_dtau[1]
                 assert state.dtau[2] == 2.0 * prev_dtau[2]
                 assert state.dtau[0] == 2.0 * prev_dtau[0]
-                rec = state.history[flip]
-                assert rec.dtau[1] == 2.0 * prev_dtau[1]
-                assert rec.dtau[2] == 2.0 * prev_dtau[2]
+                dtau = state.history.dtau[flip]
+                assert dtau[1] == 2.0 * prev_dtau[1]
+                assert dtau[2] == 2.0 * prev_dtau[2]
                 break
             if state.converged.all():
                 break
@@ -144,7 +145,7 @@ class TestReduction:
             run(h, c, [s0], scfg, theta0=theta0)
 
         qite_trace = qite_exc.value.energies[:steps]
-        ss_trace = np.array([rec.energies[0] for rec in ss_exc.value.result.history])
+        ss_trace = ss_exc.value.result.history.energies[:, 0]
         np.testing.assert_array_equal(qite_trace, ss_trace)
 
 
@@ -167,10 +168,10 @@ class TestBatchedIteration:
             for step, dot in zip(dtau, dots):
                 theta = theta + step * dot
             np.testing.assert_allclose(state.theta, theta, rtol=0, atol=1e-12)
-            rec = state.history[-1]
+            history = state.history
             for l, (sys, dot) in enumerate(zip(systems, dots)):
-                assert abs(rec.energies[l] - sys.energy) <= 1e-12
-                assert abs(rec.grads[l] - np.max(np.abs(dot))) <= 1e-12
+                assert abs(history.energies[-1, l] - sys.energy) <= 1e-12
+                assert abs(history.grads[-1, l] - np.max(np.abs(dot))) <= 1e-12
             for got, s in zip(_finalize(state).final_states, states):
                 np.testing.assert_allclose(got.amps, apply(c, theta, s).amps, atol=1e-12)
 
@@ -213,10 +214,10 @@ class TestInvariantFrame:
             restricted = iteration(restricted)
             full = iteration(full)
             np.testing.assert_allclose(restricted.theta, full.theta, rtol=0, atol=1e-10)
-            rec, ref = restricted.history[-1], full.history[-1]
-            np.testing.assert_allclose(rec.energies, ref.energies, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(rec.grads, ref.grads, rtol=0, atol=1e-10)
-            assert rec.dtau == ref.dtau
+            rec, ref = restricted.history, full.history
+            np.testing.assert_allclose(rec.energies[-1], ref.energies[-1], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(rec.grads[-1], ref.grads[-1], rtol=0, atol=1e-10)
+            np.testing.assert_array_equal(rec.dtau[-1], ref.dtau[-1])
         lifted, reference = _finalize(restricted), _finalize(full)
         for got, want in zip(lifted.final_states, reference.final_states):
             assert got.amps.shape == (8,)
@@ -252,7 +253,7 @@ class TestRun:
         assert result.ascending
         assert np.all(result.converged)
         # traces reach every converged energy within 200 iterations
-        traces = np.array([rec.energies for rec in result.history]).T
+        traces = result.history.energies.T
         settled = np.all(
             np.abs(traces[:, :200] - exact.eigenvalues[:3, None]) < 1.6e-3, axis=0
         )
@@ -290,7 +291,7 @@ class TestRun:
             run(h, build_twolocal(), basis("00", "01", "10"), cfg, theta0=seeded_theta(16))
         partial = exc.value.result
         assert partial.iterations == 5
-        assert [len(rec.energies) for rec in partial.history] == [3] * 5
+        assert partial.history.energies.shape == (5, 3)
         assert not np.all(partial.converged)
 
     def test_record_overlaps_track_every_iteration(self, h2_series):
@@ -300,11 +301,11 @@ class TestRun:
             h, build_twolocal(), basis("00", "01", "10"), SsqiteConfig(),
             theta0=seeded_theta(16), exact_states=exact.eigenvectors[:, :3],
         )
-        reports = [rec.ortho for rec in result.history]
-        assert len(reports) == result.iterations
-        assert all(rep.exact is not None for rep in reports)
-        assert all(rep.max_offdiag < 1e-10 for rep in reports)
-        offdiag = [rep.max_offdiag for rep in reports]
+        history = result.history
+        assert len(history.max_offdiag) == result.iterations
+        assert history.exact.shape == (result.iterations, 3, 3)
+        assert np.all(history.max_offdiag < 1e-10)
+        offdiag = history.max_offdiag.tolist()
         assert len(set(offdiag)) > len(offdiag) // 2  # the overlaps move
 
 
@@ -312,7 +313,7 @@ class TestOrthoReport:
     def test_orthogonal_levels_clean(self):
         result = run(Z, single_ry(), basis("0", "1"), SsqiteConfig(), theta0=np.array([0.3]))
         assert result.ortho.max_offdiag < 1e-12
-        assert all(rec.ortho.max_offdiag < 1e-12 for rec in result.history)
+        assert np.all(result.history.max_offdiag < 1e-12)
 
     def test_exact_overlap_block_shape(self, h2_series):
         _, h = h2_series.nearest(0.95)
@@ -355,6 +356,102 @@ class TestRecordStream:
         assert len(partial.final_states) == 3
 
 
+class TestColumnarLog:
+    """The run's log against what each iteration measured and a per-iteration monitor.
+
+    H2 at R = 0.95 runs 267 iterations, longer than the log's first buffers,
+    so the rows written before and after every growth are both checked.
+    """
+
+    @staticmethod
+    def report(phi, exact_states):
+        # The monitor as it ran inside the loop: one k x k Gram per iteration.
+        amps = complex_form(phi.T)
+        pairwise = np.abs(amps.conj().T @ amps)
+        max_offdiag = float((pairwise - np.diag(pairwise.diagonal())).max())
+        return max_offdiag, np.abs(amps.T @ np.conj(exact_states))
+
+    @pytest.fixture(scope="class")
+    def problem(self, h2_series):
+        _, h = h2_series.nearest(0.95)
+        exact = eigensolve(h).eigenvectors[:, :3]
+        return h, build_twolocal(), basis("00", "01", "10"), exact
+
+    @pytest.fixture(scope="class")
+    def full(self, problem):
+        h, c, states, exact = problem
+        return run(h, c, states, SsqiteConfig(), theta0=seeded_theta(16), exact_states=exact)
+
+    def test_rows_are_what_each_iteration_measured(self, problem, monkeypatch):
+        from ssqite import subspace
+
+        h, c, states, exact = problem
+        systems, dots = [], []
+
+        def recorded(record, fn):
+            def wrapper(*args):
+                out = fn(*args)
+                record.append(out)
+                return out
+            return wrapper
+
+        monkeypatch.setattr(subspace, "assemble", recorded(systems, subspace.assemble))
+        monkeypatch.setattr(subspace, "solve", recorded(dots, subspace.solve))
+        result = run(h, c, states, SsqiteConfig(), theta0=seeded_theta(16), exact_states=exact)
+        fresh = SubspaceRun.start(h, c, states, SsqiteConfig(), exact_states=exact)
+        history = result.history
+        assert result.iterations == len(history) == len(systems) == 267
+        assert len(history) > len(fresh.log.phi)
+        np.testing.assert_array_equal(history.energies, [sys.energy for sys in systems])
+        np.testing.assert_array_equal(history.phi, [sys.phi for sys in systems])
+        np.testing.assert_array_equal(history.grads, np.abs(dots).max(axis=2))
+        assert history.dtau.shape == (267, 3)
+
+    def test_batched_overlaps_match_per_iteration_report(self, full):
+        history = full.history
+        offdiag, overlaps = history.max_offdiag, history.exact
+        assert offdiag.shape == (267,) and overlaps.shape == (267, 3, 3)
+        for i, phi in enumerate(history.phi):
+            want_offdiag, want_exact = self.report(phi, history.exact_states)
+            assert offdiag[i] == want_offdiag
+            np.testing.assert_array_equal(overlaps[i], want_exact)
+        final_offdiag, final_exact = self.report(
+            real_form(np.column_stack([s.amps for s in full.final_states])).T,
+            history.exact_states)
+        assert abs(full.ortho.max_offdiag - final_offdiag) <= 1e-15
+        np.testing.assert_allclose(full.ortho.exact, final_exact, rtol=0, atol=1e-15)
+
+    def test_partial_result_has_max_iters_rows(self, problem, full):
+        h, c, states, exact = problem
+        with pytest.raises(MaxItersExceeded) as exc:
+            run(h, c, states, SsqiteConfig(max_iters=100), theta0=seeded_theta(16),
+                exact_states=exact)
+        partial = exc.value.result.history
+        assert len(partial) == exc.value.result.iterations == 100
+        for name in ("energies", "grads", "dtau", "phi", "max_offdiag", "exact"):
+            np.testing.assert_array_equal(getattr(partial, name),
+                                          getattr(full.history, name)[:100])
+
+    def test_exact_states_width_checked(self, problem):
+        # The overlaps are computed only when read, so a misshapen exact
+        # block is refused when the run starts, not after it has run.
+        h, c, states, exact = problem
+        with pytest.raises(DimensionMismatch):
+            SubspaceRun.start(h, c, states, SsqiteConfig(), exact_states=np.eye(8)[:, :3])
+
+    def test_history_is_read_only(self, problem):
+        h, c, states, exact = problem
+        state = iteration(SubspaceRun.start(h, c, states, SsqiteConfig(), theta0=seeded_theta(16)))
+        with pytest.raises(ValueError):
+            state.history.grads[-1] = 0.0
+        assert state.log.grads.flags.writeable
+
+    def test_no_exact_states(self):
+        result = run(Z, single_ry(), basis("0", "1"), SsqiteConfig(), theta0=np.array([0.3]))
+        assert result.history.exact is None and result.ortho.exact is None
+        assert result.history.max_offdiag.shape == (result.iterations,)
+
+
 class TestMetamorphic:
     """Exact invariances of the McLachlan flow, checked on whole runs.
 
@@ -377,7 +474,7 @@ class TestMetamorphic:
 
     @staticmethod
     def energies(result):
-        return np.array([rec.energies for rec in result.history])
+        return result.history.energies
 
     def test_energy_shift(self, problem, base):
         # Re<d phi|phi> = 0, so H + 5 I leaves C and every theta_dot unchanged.
@@ -398,8 +495,7 @@ class TestMetamorphic:
         got = run(doubled, c, basis(*self.LABELS), cfg, theta0=theta0)
         np.testing.assert_array_equal(got.theta, base.theta)
         np.testing.assert_array_equal(self.energies(got), 2.0 * self.energies(base))
-        np.testing.assert_array_equal([rec.dtau for rec in got.history],
-                                      [np.multiply(rec.dtau, 0.5) for rec in base.history])
+        np.testing.assert_array_equal(got.history.dtau, np.multiply(base.history.dtau, 0.5))
 
     def test_input_phases(self, problem, base):
         # A global phase on each input leaves every level's A, C and energy
