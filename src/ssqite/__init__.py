@@ -24,7 +24,6 @@ from .simulator import (
     sample_expectation,
 )
 from .subspace import (
-    OrthoReport,
     SsqiteConfig,
     SubspaceResult,
     SubspaceRun,
@@ -59,7 +58,6 @@ __all__ = [
     "expectation",
     "hadamard_test",
     "sample_expectation",
-    "OrthoReport",
     "SsqiteConfig",
     "SubspaceResult",
     "SubspaceRun",

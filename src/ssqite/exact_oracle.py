@@ -13,8 +13,8 @@ from .pauli_algebra import PauliSum
 class Spectrum:
     """Full eigendecomposition, eigenvalues ascending, eigenvectors columns.
 
-    Eigenvector phases are fixed by making each column's largest-magnitude
-    component real and positive, so overlap reports are reproducible.
+    The eigenvectors are ``eigh``'s, each defined up to a phase; the CLI reads
+    only the eigenvalues.
     """
 
     eigenvalues: np.ndarray
@@ -24,10 +24,5 @@ class Spectrum:
 def eigensolve(h: PauliSum) -> Spectrum:
     """Diagonalize the dense form ``h.dense`` of a Pauli sum (capped at 12 qubits)."""
     values, vectors = np.linalg.eigh(h.dense)
-    for col in range(vectors.shape[1]):
-        lead = np.argmax(np.abs(vectors[:, col]))
-        pivot = vectors[lead, col]
-        if abs(pivot) > 0:
-            vectors[:, col] *= np.conj(pivot) / abs(pivot)
     return Spectrum(eigenvalues=values, eigenvectors=vectors)
 

@@ -122,9 +122,6 @@ class PauliSum:
                 return coeff
         return 0.0
 
-    def __str__(self) -> str:
-        return " + ".join(f"{c:+.12g}*{s}" for c, s in self.terms)
-
     @cached_property
     def dense(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix of the sum, built on first use; Hermitian."""

@@ -57,8 +57,8 @@ class QiteConfig:
     def __post_init__(self):
         if not 0 < self.dtau < np.inf:
             raise ValueError(f"dtau must be positive and finite, got {self.dtau}")
-        if self.max_steps < 1:
-            raise ValueError(f"max_steps must be >= 1, got {self.max_steps}")
+        if not isinstance(self.max_steps, (int, np.integer)) or self.max_steps < 1:
+            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
         if not 0 <= self.grad_tol < np.inf:
             raise ValueError(f"grad_tol must be >= 0 and finite, got {self.grad_tol}")
 

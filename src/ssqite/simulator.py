@@ -85,7 +85,7 @@ class Statevector:
                 f"amplitude vector of length {amps.shape} for n={self.n}"
             )
         norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > 1e-10:
+        if not abs(norm - 1.0) <= 1e-10:  # also refuses NaN
             raise ValueError(f"state norm {norm} deviates from 1")
 
     @classmethod

@@ -16,10 +16,10 @@ row i: the energies, each level's ||theta_dot||_inf, the step sizes of the
 update it applied, and the states at theta_i.  The columns live in buffers
 that double when full, so an iteration creates no record object and computes
 no overlap.  Reading ``history`` gives them as a :class:`History`, whose
-overlaps are computed then, for all rows in one batched product.  That and
-the final fields of :class:`SubspaceResult` are the one way to read a run.
-The final energies, overlaps and states come from one ``apply`` when the
-run ends.
+overlaps between the levels are computed on read, for all rows in one batched
+product.  That and the final fields of :class:`SubspaceResult` are the one
+way to read a run.  The final energies and states come from one ``apply``
+when the run ends.
 
 A run is bound to its problem when it starts, in the coordinates of an
 orthonormal basis Q of the smallest subspace that holds its input states
@@ -28,8 +28,8 @@ and that every gate of the circuit maps into itself
 ansatz on one-excitation inputs that is the 3-dimensional one-excitation
 sector, so every sweep and solve works on 3 amplitudes instead of 8.  The
 systems are the same as in the full space.  Every energy and overlap a run
-reports is computed in the frame, since Q preserves them; only the states
-it reports are lifted to the full 2^n basis.
+reports is computed in the frame, since Q preserves them; only the final
+states are lifted to the full 2^n basis.
 """
 
 from __future__ import annotations
@@ -72,10 +72,10 @@ class SsqiteConfig:
             raise ValueError(f"b must be positive and finite, got {self.b}")
         if not 0 <= self.grad_tol < np.inf:
             raise ValueError(f"grad_tol must be >= 0 and finite, got {self.grad_tol}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        for key in ("patience", "max_iters"):
+            value = getattr(self, key)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
 
 
 def init_schedule(k: int, b: float) -> np.ndarray:
@@ -86,33 +86,9 @@ def init_schedule(k: int, b: float) -> np.ndarray:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if b <= 0:
-        raise ValueError(f"b must be positive, got {b}")
+    if not 0 < b < np.inf:
+        raise ValueError(f"b must be positive and finite, got {b}")
     return b / np.power(2.0, np.arange(k))
-
-
-@dataclass(frozen=True)
-class OrthoReport:
-    """Overlap magnitudes between levels (and exact eigenvectors if given)."""
-
-    exact: np.ndarray | None
-    max_offdiag: float
-
-
-def _max_offdiag(phi: np.ndarray):
-    """Largest |<phi_a|phi_b>|, a != b, of (..., k, 2d) real-form state rows."""
-    z = complex_form(phi.T).T
-    pairwise = np.abs(z.conj() @ np.swapaxes(z, -1, -2))
-    k = pairwise.shape[-1]
-    pairwise[..., range(k), range(k)] = 0.0
-    return pairwise.max(axis=(-2, -1))
-
-
-def _exact_overlaps(phi: np.ndarray, exact_states):
-    """|<phi_l|E_j>| of (..., k, 2d) real-form state rows, or None without E."""
-    if exact_states is None:
-        return None
-    return np.abs(complex_form(phi.T).T @ np.conj(exact_states))
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,29 +97,25 @@ class History:
 
     ``energies``, ``grads`` (||theta_dot||_inf) and ``dtau`` (the step sizes
     of the update iteration i applied) are (n, k); ``phi`` holds the
-    (n, k, 2d) real-form states and ``exact_states`` the exact eigenvector
-    columns, both in the run's frame.  The overlaps are computed on read,
-    for every row in one batched product.
+    (n, k, 2d) real-form states in the run's frame.
     """
 
     energies: np.ndarray
     grads: np.ndarray
     dtau: np.ndarray
     phi: np.ndarray
-    exact_states: np.ndarray | None
 
     def __len__(self) -> int:
         return len(self.energies)
 
     @property
     def max_offdiag(self) -> np.ndarray:
-        """(n,) largest overlap between two levels at each iteration."""
-        return _max_offdiag(self.phi)
-
-    @property
-    def exact(self) -> np.ndarray | None:
-        """(n, k, m) overlaps with the exact eigenvectors, when they were given."""
-        return _exact_overlaps(self.phi, self.exact_states)
+        """(n,) largest |<phi_a|phi_b>|, a != b, at each iteration, in one batched product."""
+        z = complex_form(self.phi.T).T
+        pairwise = np.abs(z.conj() @ np.swapaxes(z, -1, -2))
+        k = pairwise.shape[-1]
+        pairwise[..., range(k), range(k)] = 0.0
+        return pairwise.max(axis=(-2, -1))
 
 
 class _Log:
@@ -170,35 +142,27 @@ class _Frame:
 
     ``basis`` is the orthonormal complex basis Q of the circuit's invariant
     subspace around the inputs, or None when that subspace is the whole
-    space.  ``plan`` is the dense circuit and ``inputs`` the (2r, k)
-    real-form input columns in Q's coordinates, ``h`` the real form of
-    Q^H H Q (:func:`~ssqite.simulator.real_matrix`) and ``exact`` the exact
-    eigenvector columns projected onto them, Q^H E.  Q preserves inner
-    products, and <E|Q phi> = <Q^H E|phi>, so every energy and overlap a run
-    reports is computed in these coordinates; only the reported states are
-    lifted back to the full space.
+    space.  ``plan`` is the dense circuit, ``inputs`` the (2r, k) real-form
+    input columns in Q's coordinates and ``h`` the real form of Q^H H Q
+    (:func:`~ssqite.simulator.real_matrix`).  Q preserves inner products, so
+    every energy and overlap a run reports is computed in these
+    coordinates; only the final states are lifted back to the full space.
     """
 
     basis: np.ndarray | None
     plan: DenseCircuit
     inputs: np.ndarray
     h: np.ndarray
-    exact: np.ndarray | None
 
     @classmethod
-    def of(cls, h: PauliSum, c: Circuit, amps: np.ndarray, exact_states) -> "_Frame":
+    def of(cls, h: PauliSum, c: Circuit, amps: np.ndarray) -> "_Frame":
         if h.n != c.n:
             raise DimensionMismatch(f"Hamiltonian on {h.n} qubits, circuit on {c.n}")
-        if exact_states is not None and np.shape(exact_states)[:1] != (2 ** c.n,):
-            raise DimensionMismatch(f"exact states of shape {np.shape(exact_states)}, "
-                                    f"circuit on {c.n} qubits")
         q = invariant_basis(c, amps)
         if q.shape[1] == q.shape[0]:
-            return cls(None, c.dense, real_form(amps), real_matrix(h.dense), exact_states)
+            return cls(None, c.dense, real_form(amps), real_matrix(h.dense))
         qh = q.conj().T
-        exact = None if exact_states is None else qh @ exact_states
-        return cls(q, c.dense.restrict(q), real_form(qh @ amps),
-                   real_matrix(qh @ h.dense @ q), exact)
+        return cls(q, c.dense.restrict(q), real_form(qh @ amps), real_matrix(qh @ h.dense @ q))
 
 
 @dataclass
@@ -219,7 +183,7 @@ class SubspaceRun:
 
     @classmethod
     def start(cls, h: PauliSum, c: Circuit, initial_states, cfg: SsqiteConfig,
-              theta0=None, exact_states=None) -> "SubspaceRun":
+              theta0=None) -> "SubspaceRun":
         """Validate inputs and build the iteration-zero run and its frame, once per run."""
         initial_states = tuple(initial_states)
         k = len(initial_states)
@@ -236,7 +200,7 @@ class SubspaceRun:
             )
         if theta0 is None:
             theta0 = np.zeros(c.num_params)
-        frame = _Frame.of(h, c, amps, exact_states)
+        frame = _Frame.of(h, c, amps)
         return cls(
             n=c.n,
             theta=np.array(theta0, dtype=float),
@@ -264,7 +228,7 @@ class SubspaceRun:
         columns = [c[:n] for c in (log.energies, log.grads, log.dtau, log.phi)]
         for column in columns:
             column.flags.writeable = False  # the next iteration reads the last row
-        return History(*columns, self.frame.exact)
+        return History(*columns)
 
 
 def _converged_prefix(converged: np.ndarray) -> int:
@@ -326,16 +290,14 @@ def iteration(run: SubspaceRun) -> SubspaceRun:
 class SubspaceResult:
     """Outcome of a subspace run, energies in level order.
 
-    ``history`` holds the iterations as columns; row i describes theta_i
-    (with exact-eigenvector overlaps whenever the oracle states were
-    supplied), so leakage toward already-converged or lower states can be
-    audited after the fact.  ``ortho`` describes the final iterate.
+    ``history`` holds the iterations as columns; row i describes theta_i.
+    ``theta``, ``energies``, ``ascending`` and ``final_states`` describe the
+    final iterate, ``converged`` the levels' flags when the run ended.
     """
 
     theta: np.ndarray
     energies: np.ndarray
     history: History
-    ortho: OrthoReport
     ascending: bool
     converged: np.ndarray
     final_states: tuple[Statevector, ...]
@@ -352,7 +314,6 @@ def _finalize(run: SubspaceRun) -> SubspaceResult:
     rows = phi.T
     # The logged energies' form: Re(phi^dag H phi) on the real form.
     energies = np.sum(rows * (rows @ frame.h.T), axis=1)
-    ortho = OrthoReport(_exact_overlaps(rows, frame.exact), float(_max_offdiag(rows)))
     amps = complex_form(phi)
     if frame.basis is not None:
         amps = frame.basis @ amps
@@ -360,7 +321,6 @@ def _finalize(run: SubspaceRun) -> SubspaceResult:
         theta=run.theta,
         energies=energies,
         history=run.history,
-        ortho=ortho,
         ascending=bool(np.all(np.diff(energies) >= -1e-6)),
         converged=run.converged.copy(),
         final_states=tuple(Statevector(amps=a, n=run.n) for a in amps.T.copy()),
@@ -368,15 +328,14 @@ def _finalize(run: SubspaceRun) -> SubspaceResult:
 
 
 def run(h: PauliSum, c: Circuit, initial_states, cfg: SsqiteConfig,
-        theta0=None, exact_states=None) -> SubspaceResult:
+        theta0=None) -> SubspaceResult:
     """Evolve until every level's convergence flag is set.
 
     Raises MaxItersExceeded carrying the partial result if the cap is hit;
     energies in the result come from the final iterate, reported in level
     order with ``ascending`` flagging any ordering violation.
     """
-    state = SubspaceRun.start(h, c, initial_states, cfg, theta0=theta0,
-                              exact_states=exact_states)
+    state = SubspaceRun.start(h, c, initial_states, cfg, theta0=theta0)
     while not np.all(state.converged):
         if state.iteration >= cfg.max_iters:
             raise MaxItersExceeded(

@@ -20,7 +20,6 @@ from ssqite.bench_cli import (
     parse_config,
 )
 from ssqite.errors import MaxItersExceeded, MaxStepsExceeded
-from ssqite.exact_oracle import eigensolve
 from ssqite.pauli_algebra import PauliSum, decompose_dense, load_geometry_series
 from ssqite.qite_engine import QiteConfig, assemble, run_qite
 from ssqite.simulator import (
@@ -117,7 +116,6 @@ def fig1_run():
     result = run(
         h, circuit, states, cfg.subspace_config(),
         theta0=_initial_theta(cfg, circuit.num_params),
-        exact_states=eigensolve(h).eigenvectors[:, :3],
     )
     return h, result
 

@@ -1,5 +1,6 @@
-"""The README's library example runs, and every name the package exports or
-the scripts import resolves."""
+"""The README's library example runs, its CLI section matches what the CLI
+reads and writes, and every name the package exports or the scripts import
+resolves."""
 
 import ast
 import importlib
@@ -9,12 +10,18 @@ import numpy as np
 
 import ssqite
 from conftest import REPO
+from ssqite.bench_cli import _FIELD_PARSERS, cmd_scan, cmd_trace, parse_config
+from ssqite.pauli_algebra import load_geometry_series
+from test_bench_cli import trimmed_h2, write_config
+
+
+def readme_section(title):
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    return readme.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def test_readme_library_use_runs_and_exports_resolve(monkeypatch):
-    readme = (REPO / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Library use", 1)[1]
-    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    block = re.search(r"```python\n(.*?)```", readme_section("Library use"), re.S).group(1)
     monkeypatch.chdir(REPO)
     namespace = {}
     exec(compile(block, "README.md", "exec"), namespace)
@@ -33,3 +40,20 @@ def test_script_imports_resolve():
                 missing += [f"{script.name}: {node.module}.{alias.name}"
                             for alias in node.names if not hasattr(module, alias.name)]
     assert missing == []
+
+
+def test_readme_cli_keys_match_config_parser():
+    keys = re.findall(r"^\| `(\w+)` \|", readme_section("CLI"), re.M)
+    assert keys == list(_FIELD_PARSERS)
+
+
+def test_readme_cli_shows_written_headers(tmp_path):
+    # One level at one geometry: a run of a few hundred iterations.
+    cfg = parse_config(write_config(tmp_path, trimmed_h2(tmp_path, keep=1), k=1))
+    assert cmd_scan(cfg) == 0
+    bond = load_geometry_series(cfg.hamiltonian_path).bond_lengths[0]
+    assert cmd_trace(cfg, bond_length=bond) == 0
+    section = readme_section("CLI")
+    for name in ("scan.csv", "trace.csv"):
+        header = (cfg.output_dir / name).read_text(encoding="utf-8").splitlines()[0]
+        assert f"`{header}`" in section, name

@@ -31,14 +31,6 @@ class TestEigensolve:
         gram = spec.eigenvectors.conj().T @ spec.eigenvectors
         np.testing.assert_allclose(gram, np.eye(8), atol=1e-9)
 
-    def test_phase_fix_deterministic(self, rng):
-        spec = eigensolve(decompose_dense(random_hermitian(rng, 4)))
-        for j in range(4):
-            lead = np.argmax(np.abs(spec.eigenvectors[:, j]))
-            pivot = spec.eigenvectors[lead, j]
-            assert pivot.imag == pytest.approx(0.0, abs=1e-12)
-            assert pivot.real > 0
-
     def test_trace_identity(self, rng):
         h = decompose_dense(random_hermitian(rng, 8))
         spec = eigensolve(h)

@@ -140,6 +140,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             QiteConfig(**{key: value})
 
+    # Only constructed, never run.
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 2.5, 3.0])
+    def test_non_integer_max_steps_rejected(self, value):
+        with pytest.raises(ValueError):
+            QiteConfig(max_steps=value)
+
 
 class TestSolve:
     def test_scalar_division(self):

@@ -97,6 +97,11 @@ class TestApply:
         with pytest.raises(ValueError):
             Statevector(amps=np.array([1.0, 1.0]), n=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_statevector_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            Statevector(amps=np.array([bad, 0.0]), n=1)
+
     def test_expectation_dimension_checks(self):
         h = PauliSum.from_terms([(1.0, "Z")])
         with pytest.raises(DimensionMismatch):
