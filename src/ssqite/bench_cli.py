@@ -203,7 +203,9 @@ def cmd_scan(cfg: RunConfig, tolerance: float = CHEMICAL_ACCURACY) -> int:
     circuit = _build_ansatz(cfg)
     lines = ["R,level,E_ssqite,E_exact,abs_err,iters"]
     errors = np.zeros((len(series), cfg.k))
+    iterations, walls = {}, {}
     for gi, (bond, hamiltonian) in enumerate(series.points):
+        t_geometry = time.perf_counter()
         result = _run_geometry(cfg, circuit, hamiltonian)
         exact = eigensolve(hamiltonian).eigenvalues[: cfg.k]
         for level in range(cfg.k):
@@ -218,6 +220,8 @@ def cmd_scan(cfg: RunConfig, tolerance: float = CHEMICAL_ACCURACY) -> int:
             errors[gi, level] = abs_err = abs(energy - exact[level])
             lines.append(f"{_fmt(bond)},{level},{_fmt(energy)},{_fmt(exact[level])},"
                          f"{_fmt(abs_err)},{result.iterations}")
+        iterations[_fmt(bond)] = result.iterations
+        walls[_fmt(bond)] = time.perf_counter() - t_geometry
     _write_lines(cfg.output_dir / "scan.csv", lines)
 
     summary = {
@@ -230,6 +234,9 @@ def cmd_scan(cfg: RunConfig, tolerance: float = CHEMICAL_ACCURACY) -> int:
             str(l): float(errors[:, l].max()) for l in range(cfg.k)
         },
         "wall_time_s": time.perf_counter() - t_start,
+        "iterations_per_geometry": iterations,
+        "iterations_total": sum(iterations.values()),
+        "wall_s_per_geometry": walls,
     }
     (cfg.output_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"

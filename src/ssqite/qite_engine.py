@@ -85,7 +85,7 @@ def assemble(c, theta, h, s0) -> McLachlanSystem:
     h = real_matrix(h.dense) if isinstance(h, PauliSum) else h
     rows = phi.T  # (k, 2d)
     w = -(rows @ h.T)  # the rows of -H phi
-    energies = -np.sum(rows * w, axis=1)
+    energies = -(rows * w).sum(axis=1)
     if single:
         return McLachlanSystem(t=t[0], w=w[0], energy=float(energies[0]), phi=rows[0])
     return McLachlanSystem(t=t, w=w, energy=energies, phi=rows)
@@ -122,9 +122,9 @@ def _solve_stack(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"eigendecomposition failed: {exc}") from None
     mag = np.abs(lam)
-    keep = mag > 1e-8 * mag.max(axis=1, keepdims=True)
+    keep = mag > 1e-8 * np.maximum.reduce(mag, axis=1, keepdims=True)
     coef = (c[:, None, :] @ vec)[:, 0]
-    coef = np.divide(coef, lam, out=np.zeros_like(coef), where=keep)
+    coef = np.divide(coef, lam, out=np.zeros(coef.shape), where=keep)
     return (vec @ coef[:, :, None])[:, :, 0]
 
 

@@ -288,9 +288,9 @@ class DenseCircuit:
 
     def steps(self, theta: np.ndarray) -> np.ndarray:
         """All R step matrices at once: R_r(theta) @ lead[r]."""
-        half = 0.5 * theta[self.slots]
-        return (np.cos(half)[:, None, None] * self.lead
-                + np.sin(half)[:, None, None] * self.turned_lead)
+        half = 0.5 * theta[self.slots][:, None, None]
+        step = np.cos(half) * self.lead
+        return np.add(step, np.sin(half) * self.turned_lead, out=step)
 
 
 def _compile(c: Circuit) -> DenseCircuit:
@@ -406,7 +406,7 @@ def _inputs(c: Circuit | DenseCircuit, theta, s) -> tuple[DenseCircuit, np.ndarr
             raise DimensionMismatch(f"state of {2 ** s.n} amplitudes, circuit on {plan.dim}")
         return plan, theta, real_form(s.amps)[:, None]
     amps = np.asarray(s)
-    if np.iscomplexobj(amps):
+    if amps.dtype.kind == "c":
         raise TypeError("a state batch is given by its real form, see real_form")
     if amps.ndim != 2 or amps.shape[0] != 2 * plan.dim:
         raise DimensionMismatch(

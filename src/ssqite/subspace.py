@@ -1,35 +1,34 @@
 """Simultaneous imaginary-time evolution of k orthogonal states.
 
-All levels share one ansatz.  Level l advances with its own step size,
-initialized to dtau_l = b / 2^l so lower levels dominate the joint parameter
-update; once a level converges, every step size from that level upward
-doubles (ratios intact), which keeps the total iteration count from growing
-like 2^k.
-
-A single parameter vector receives the sum of every level's update, so the
-evolved states stay exactly orthogonal (one unitary applied to orthogonal
-inputs).
+All levels share one ansatz, and one parameter vector receives the sum of
+every level's update, so the states stay exactly orthogonal (one unitary on
+orthogonal inputs).  Level l starts with step size dtau_l = b / 2^l, so lower
+levels dominate the joint update; once a level converges, every step size
+from that level upward doubles (ratios intact), which keeps the iteration
+count from growing like 2^k.
 
 A run keeps one columnar log.  Iteration i measures every level's McLachlan
-system at theta_i in one derivative sweep and writes what that sweep gave as
-row i: the energies, each level's ||theta_dot||_inf, the step sizes of the
-update it applied, and the states at theta_i.  The columns live in buffers
-that double when full, so an iteration creates no record object and computes
-no overlap.  Reading ``history`` gives them as a :class:`History`, whose
-overlaps between the levels are computed on read, for all rows in one batched
-product.  That and the final fields of :class:`SubspaceResult` are the one
-way to read a run.  The final energies and states come from one ``apply``
-when the run ends.
+system at theta_i in one derivative sweep and writes row i: the energies,
+each level's ||theta_dot||_inf, the step sizes of the update it applied and
+the states at theta_i, into buffers that double when full.  ``history``
+reads the rows as a :class:`History`, whose overlaps between the levels are
+computed on read in one batched product; that and :class:`SubspaceResult`
+are the one way to read a run.  The final energies and states come from
+one ``apply`` when the run ends.
 
-A run is bound to its problem when it starts, in the coordinates of an
-orthonormal basis Q of the smallest subspace that holds its input states
-and that every gate of the circuit maps into itself
-(:func:`~ssqite.simulator.invariant_basis`).  For the excitation-preserving
-ansatz on one-excitation inputs that is the 3-dimensional one-excitation
-sector, so every sweep and solve works on 3 amplitudes instead of 8.  The
-systems are the same as in the full space.  Every energy and overlap a run
-reports is computed in the frame, since Q preserves them; only the final
-states are lifted to the full 2^n basis.
+The schedule's bookkeeping is Python scalars: each level's flag, streak and
+last speed are Python lists on the run, and the k speeds are read once per
+iteration with ``tolist`` (on k = 3 levels a NumPy scalar index costs more
+than the comparison it feeds).  Theta takes the k rows of one product
+dtau[:, None] * theta_dot in level order, the bits of one update per level.
+
+A run works in an orthonormal basis Q of the smallest subspace that holds
+its inputs and that every gate maps into itself
+(:func:`~ssqite.simulator.invariant_basis`), built once when it starts.  For
+the excitation-preserving ansatz on one-excitation inputs that is the
+3-dimensional one-excitation sector, so every sweep and solve works on 3
+amplitudes instead of 8.  Q preserves energies and overlaps, so only the
+final states are lifted to the full 2^n basis.
 """
 
 from __future__ import annotations
@@ -170,13 +169,16 @@ class SubspaceRun:
     """Evolving state of one subspace search, bound to its problem by ``frame``.
 
     :func:`iteration` advances it; its states are reported on ``n`` qubits.
+    ``flags``, ``streaks`` and ``speeds`` (inf before the first iteration)
+    are each level's schedule state.
     """
 
     n: int
     theta: np.ndarray
     dtau: np.ndarray
-    converged: np.ndarray
-    streaks: np.ndarray
+    flags: list[bool]
+    streaks: list[int]
+    speeds: list[float]
     log: _Log
     frame: _Frame
     cfg: SsqiteConfig
@@ -198,23 +200,28 @@ class SubspaceRun:
             raise ValueError(
                 f"initial states {i},{j} not orthonormal (deviation {dev[i, j]:.2e})"
             )
-        if theta0 is None:
-            theta0 = np.zeros(c.num_params)
+        theta = np.zeros(c.num_params) if theta0 is None else np.array(theta0, dtype=float)
+        if theta.shape != (c.num_params,):
+            raise DimensionMismatch(f"theta0 has shape {theta.shape}, expected ({c.num_params},)")
+        if not np.isfinite(theta).all():
+            raise ValueError("theta0 must be finite")
         frame = _Frame.of(h, c, amps)
         return cls(
             n=c.n,
-            theta=np.array(theta0, dtype=float),
+            theta=theta,
             dtau=dtau,
-            converged=np.zeros(k, dtype=bool),
-            streaks=np.zeros(k, dtype=int),
+            flags=[False] * k,
+            streaks=[0] * k,
+            speeds=[np.inf] * k,
             log=_Log(k, len(frame.inputs)),
             frame=frame,
             cfg=cfg,
         )
 
     @property
-    def k(self) -> int:
-        return len(self.dtau)
+    def converged(self) -> np.ndarray:
+        """(k,) bool convergence flags, copied from ``flags``."""
+        return np.array(self.flags, dtype=bool)
 
     @property
     def iteration(self) -> int:
@@ -231,58 +238,55 @@ class SubspaceRun:
         return History(*columns)
 
 
-def _converged_prefix(converged: np.ndarray) -> int:
+def _converged_prefix(flags: list[bool]) -> int:
     """Number of levels, counted from level 0, converged without a gap."""
-    return len(converged) if converged.all() else int(converged.argmin())
+    return flags.index(False) if False in flags else len(flags)
 
 
 def iteration(run: SubspaceRun) -> SubspaceRun:
     """One joint update of all k levels; advances ``run`` in place and returns it.
 
-    Measures every level's McLachlan system at the current parameters from
-    one batched circuit sweep in the run's frame, with the Hamiltonian and
-    config the run was started with, solves the stack in one call and
-    writes what it measured as one row of the run's log.  Marks levels
-    whose velocity stalled for ``patience`` iterations as converged
-    (doubling the step sizes from that level upward), then adds every
-    level's update to the shared parameters.
+    One batched circuit sweep in the run's frame measures every level's
+    McLachlan system at the current parameters, one call solves the stack,
+    and what was measured becomes one row of the run's log.  Levels whose
+    velocity stalled for ``patience`` iterations converge (doubling the step
+    sizes from that level upward), then every level's update is added to the
+    shared parameters.  The schedule reads only Python floats and lists.
     """
-    k, frame, cfg, log = run.k, run.frame, run.cfg, run.log
+    frame, cfg, flags, streaks = run.frame, run.cfg, run.flags, run.streaks
     system = assemble(frame.plan, run.theta, frame.h, frame.inputs)
     theta_dots = solve(system)
-    speeds = np.abs(theta_dots).max(axis=1)
+    speeds = np.maximum.reduce(np.abs(theta_dots), axis=1)
     grads = speeds.tolist()
 
     # A converged level whose velocity re-awakens and keeps growing signals
     # that step doubling pushed dtau past the explicit-integrator stability
     # bound; back off all step sizes together so the dtau ratios stay intact.
-    if log.n and any(
-        run.converged[l]
-        and grads[l] > 10.0 * cfg.grad_tol
-        and grads[l] > log.grads[log.n - 1, l]
-        for l in range(k)
-    ):
+    if True in flags and any(f and g > 10.0 * cfg.grad_tol and g > p
+                             for f, g, p in zip(flags, grads, run.speeds)):
         run.dtau *= 0.5
+    run.speeds = grads
     # Every level of the converged prefix has already had its doubling.
-    doubled = _converged_prefix(run.converged)
-    for l in range(k):
-        if run.converged[l]:
-            continue
-        run.streaks[l] = run.streaks[l] + 1 if grads[l] < cfg.grad_tol else 0
-        if run.streaks[l] >= cfg.patience:
-            run.converged[l] = True
+    doubled = _converged_prefix(flags)
+    for l, g in enumerate(grads):
+        if not flags[l]:
+            streaks[l] = streaks[l] + 1 if g < cfg.grad_tol else 0
+            flags[l] = streaks[l] >= cfg.patience
     # Doubling starts at the converged level itself, which keeps the dtau
     # ratios (and the head >= tail-sum property) intact; it fires only once
     # the whole prefix below has converged, so an early high level cannot tie
     # its step with a still-active lower one.
-    for l in range(doubled, _converged_prefix(run.converged)):
+    for l in range(doubled, _converged_prefix(flags)):
         run.dtau[l:] *= 2.0
 
-    theta = run.theta
-    for l in range(k):
-        theta = theta + run.dtau[l] * theta_dots[l]
+    # One product for all levels, then the adds in level order: the same
+    # products and the same summation order as one update per level.
+    steps = run.dtau[:, None] * theta_dots
+    theta = run.theta + steps[0]
+    for step in steps[1:]:
+        theta += step
     run.theta = theta
-    log.append(system.energy, speeds, run.dtau, system.phi)
+    run.log.append(system.energy, speeds, run.dtau, system.phi)
     return run
 
 
@@ -322,7 +326,7 @@ def _finalize(run: SubspaceRun) -> SubspaceResult:
         energies=energies,
         history=run.history,
         ascending=bool(np.all(np.diff(energies) >= -1e-6)),
-        converged=run.converged.copy(),
+        converged=run.converged,
         final_states=tuple(Statevector(amps=a, n=run.n) for a in amps.T.copy()),
     )
 
@@ -336,10 +340,10 @@ def run(h: PauliSum, c: Circuit, initial_states, cfg: SsqiteConfig,
     order with ``ascending`` flagging any ordering violation.
     """
     state = SubspaceRun.start(h, c, initial_states, cfg, theta0=theta0)
-    while not np.all(state.converged):
+    while not all(state.flags):
         if state.iteration >= cfg.max_iters:
             raise MaxItersExceeded(
-                f"{int(np.sum(~state.converged))} level(s) unconverged "
+                f"{state.flags.count(False)} level(s) unconverged "
                 f"after {cfg.max_iters} iterations",
                 result=_finalize(state),
             )

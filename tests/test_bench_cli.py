@@ -99,6 +99,22 @@ class TestScan:
         summary = json.loads((cfg.output_dir / "summary.json").read_text())
         assert summary["max_abs_err_Ha"] < 1.6e-3
 
+    def test_summary_iterations_match_scan(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, trimmed_h2(tmp_path)))
+        assert cmd_scan(cfg) == 0
+        rows = (cfg.output_dir / "scan.csv").read_text().splitlines()[1:]
+        iters = {}
+        for row in rows:
+            bond, _, _, _, _, count = row.split(",")
+            assert iters.setdefault(bond, int(count)) == int(count)
+        summary = json.loads((cfg.output_dir / "summary.json").read_text())
+        assert summary["iterations_per_geometry"] == iters
+        assert summary["iterations_total"] == sum(iters.values())
+        walls = summary["wall_s_per_geometry"]
+        assert sorted(walls) == sorted(iters)
+        assert all(w > 0 for w in walls.values())
+        assert sum(walls.values()) <= summary["wall_time_s"]
+
     def test_error_column_integrity(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, trimmed_h2(tmp_path)))
         cmd_scan(cfg)

@@ -4,6 +4,7 @@ resolves."""
 
 import ast
 import importlib
+import json
 import re
 
 import numpy as np
@@ -57,3 +58,5 @@ def test_readme_cli_shows_written_headers(tmp_path):
     for name in ("scan.csv", "trace.csv"):
         header = (cfg.output_dir / name).read_text(encoding="utf-8").splitlines()[0]
         assert f"`{header}`" in section, name
+    summary = json.loads((cfg.output_dir / "summary.json").read_text(encoding="utf-8"))
+    assert sorted(re.findall(r"^- `(\w+)`:", section, re.M)) == sorted(summary)

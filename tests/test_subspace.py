@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ssqite.errors import MaxItersExceeded, MaxStepsExceeded
+from ssqite.errors import DimensionMismatch, MaxItersExceeded, MaxStepsExceeded, SingularSystem
 from ssqite.exact_oracle import eigensolve
 from ssqite.pauli_algebra import PauliSum
 from ssqite.qite_engine import QiteConfig, assemble, run_qite, solve
@@ -88,6 +88,32 @@ class TestConfig:
         assert (cfg.patience, cfg.max_iters) == (2, 10)
 
 
+class TestStart:
+    """``SubspaceRun.start`` refuses a bad theta0 before any sweep (constructed only)."""
+
+    @pytest.mark.parametrize("theta0", [np.zeros(15), np.zeros(17), np.zeros((1, 16))])
+    def test_theta0_length_checked(self, theta0):
+        with pytest.raises(DimensionMismatch):
+            SubspaceRun.start(ZZ, build_twolocal(), basis("00", "01"), SsqiteConfig(),
+                              theta0=theta0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_theta0_must_be_finite(self, bad):
+        theta0 = seeded_theta(16)
+        theta0[5] = bad
+        with pytest.raises(ValueError) as exc:
+            SubspaceRun.start(ZZ, build_twolocal(), basis("00", "01"), SsqiteConfig(),
+                              theta0=theta0)
+        assert not isinstance(exc.value, SingularSystem)
+
+    def test_theta0_is_copied(self):
+        theta0 = seeded_theta(16)
+        state = SubspaceRun.start(ZZ, build_twolocal(), basis("00", "01"), SsqiteConfig(),
+                                  theta0=theta0)
+        np.testing.assert_array_equal(state.theta, theta0)
+        assert state.theta is not theta0
+
+
 class TestIteration:
     def test_orthonormal_inputs_required(self):
         skewed = Statevector(amps=np.array([1, 1, 0, 0]) / np.sqrt(2), n=2)
@@ -144,6 +170,77 @@ class TestIteration:
             seen = state.converged.copy()
             if seen.all():
                 break
+
+
+def reference_schedule(h, c, states, cfg, theta0):
+    """The schedule rules written out as one plain loop over NumPy arrays.
+
+    Each iteration: one stacked ``assemble`` and ``solve``; if a converged
+    level's ||theta_dot||_inf is above 10 grad_tol and above its previous
+    value, every step size halves; a level below grad_tol for ``patience``
+    iterations in a row converges; each level that joins the converged
+    prefix doubles the step sizes from itself upward; then theta takes
+    every level's update in level order.  Returns the final theta, the
+    (energies, speeds, dtau) rows and the schedule events.
+    """
+    k = len(states)
+    inputs = real_form(np.column_stack([s.amps for s in states]))
+    theta, dtau = np.array(theta0, dtype=float), init_schedule(k, cfg.b)
+    converged, streaks = np.zeros(k, dtype=bool), np.zeros(k, dtype=int)
+    rows, events, previous = [], [], None
+
+    def prefix():
+        return k if converged.all() else int(np.argmin(converged))
+
+    while not converged.all():
+        assert len(rows) < cfg.max_iters
+        i = len(rows)
+        system = assemble(c, theta, h, inputs)
+        dots = solve(system)
+        speeds = np.abs(dots).max(axis=1)
+        growing = converged & (speeds > 10.0 * cfg.grad_tol)
+        if previous is not None and np.any(growing & (speeds > previous)):
+            dtau = dtau * 0.5
+            events.append((i, "halve"))
+        doubled = prefix()
+        for l in np.flatnonzero(~converged):
+            streaks[l] = streaks[l] + 1 if speeds[l] < cfg.grad_tol else 0
+            converged[l] = streaks[l] >= cfg.patience
+        for l in range(doubled, prefix()):
+            dtau[l:] = 2.0 * dtau[l:]
+            events.append((i, "double", l))
+        rows.append((system.energy, speeds, dtau.copy()))
+        for l in range(k):
+            theta = theta + dtau[l] * dots[l]
+        previous = speeds
+    return theta, rows, events
+
+
+class TestReferenceSchedule:
+    """``run`` against :func:`reference_schedule`, bit for bit.
+
+    H2 at R = 0.35 from the CLI's seed-11 start runs 262 iterations.  Level 0
+    converges at iteration 231, which doubles every step; its speed then
+    grows again and the back-off halves every step at 248; levels 1 and 2
+    converge together on the last iteration, 261.  Of the shipped series only
+    R = 0.35 and 0.45 reach the back-off.
+    """
+
+    def test_h2_back_off_and_doubling(self, h2_series):
+        _, h = h2_series.nearest(0.35)
+        c, states, theta0 = build_twolocal(), basis("00", "01", "10"), seeded_theta(16)
+        cfg = SsqiteConfig()
+        result = run(h, c, states, cfg, theta0=theta0)
+        theta, rows, events = reference_schedule(h, c, states, cfg, theta0)
+        energies, speeds, dtau = (np.array(column) for column in zip(*rows))
+        assert result.iterations == len(rows) == 262
+        np.testing.assert_array_equal(result.theta, theta)
+        np.testing.assert_array_equal(result.history.energies, energies)
+        np.testing.assert_array_equal(result.history.grads, speeds)
+        np.testing.assert_array_equal(result.history.dtau, dtau)
+        assert events == [(231, "double", 0), (248, "halve"),
+                          (261, "double", 1), (261, "double", 2)]
+        np.testing.assert_array_equal(result.converged, [True, True, True])
 
 
 class TestReduction:
