@@ -165,8 +165,10 @@ def _build_ansatz(cfg: RunConfig):
 def _initial_theta(cfg: RunConfig, num_params: int) -> np.ndarray:
     # Small seeded perturbation; an all-zero start can sit on a symmetric
     # stationary manifold of the flow.
-    rng = np.random.default_rng(cfg.seed)
-    return rng.normal(0.0, cfg.theta0_scale, num_params)
+    theta = np.random.default_rng(cfg.seed).normal(0.0, cfg.theta0_scale, num_params)
+    if not np.isfinite(theta).all():
+        raise ParseError(f"theta0_scale {cfg.theta0_scale!r} draws a non-finite theta0")
+    return theta
 
 
 def _sample_seed(seed: int, geometry_index: int, level: int) -> int:

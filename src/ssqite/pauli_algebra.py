@@ -83,7 +83,9 @@ class PauliSum:
         """Build from (coefficient, string) pairs, merging duplicate strings.
 
         Coefficients must be real and finite; complex, NaN and infinite
-        values are rejected outright.
+        values are rejected outright.  So is a sum whose merged coefficients'
+        magnitudes add up past the float range: that total bounds every
+        entry of :attr:`dense`.
         """
         merged: dict[str, tuple[float, PauliString]] = {}
         width = n
@@ -110,6 +112,8 @@ class PauliSum:
                 merged[key] = (coeff, string)
         if width is None:
             raise EmptyString("a PauliSum needs at least one term or an explicit n")
+        if not math.isfinite(sum(abs(coeff) for coeff, _ in merged.values())):
+            raise InvalidLabel("the coefficients' magnitudes sum past the float range")
         return cls(terms=tuple(merged.values()), n=width)
 
     def __len__(self) -> int:
@@ -291,7 +295,10 @@ def load_geometry_series(path) -> GeometrySeries:
     for bond, terms, lineno in blocks:
         if not terms:
             raise ParseError("geometry block has no terms", lineno)
-        points.append((bond, PauliSum.from_terms(terms, n=qubits)))
+        try:
+            points.append((bond, PauliSum.from_terms(terms, n=qubits)))
+        except InvalidLabel as exc:
+            raise ParseError(str(exc), lineno) from None
 
     bonds = [r for r, _ in points]
     if any(b2 <= b1 for b1, b2 in zip(bonds, bonds[1:])):

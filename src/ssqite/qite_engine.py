@@ -1,9 +1,14 @@
-"""Single-state imaginary-time evolution via the McLachlan linear system.
+"""McLachlan imaginary-time systems, assembled and solved as one stack.
 
-Each step solves A(theta) theta_dot = C(theta) with
-A_ij = Re<d_i phi|d_j phi> and C_i = -Re<d_i phi|H|phi>, then advances theta
-by explicit Euler.  Because C = -1/2 grad E, the flow descends the energy
-towards the ground state reachable from the start.
+:class:`_Frame` puts a problem (H, the circuit and k orthonormal inputs) into
+coordinates once: the real forms of the inputs and of H in the smallest
+subspace around the inputs that every gate maps into itself.
+:func:`assemble` measures the k McLachlan systems A theta_dot = C at theta,
+A_ij = Re<d_i phi|d_j phi> and C_i = -Re<d_i phi|H|phi> = -1/2 dE/dtheta_i,
+from one circuit sweep, and :func:`solve` solves the stack in one batched
+eigendecomposition.  :func:`run_qite` is single-state QITE by explicit Euler
+steps on a one-input frame (McArdle et al., npj Quantum Inf. 5, 75, 2019),
+the k = 1 reference that a subspace run must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -12,37 +17,74 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaxStepsExceeded, SingularSystem
+from .errors import DimensionMismatch, MaxStepsExceeded, SingularSystem
 from .pauli_algebra import PauliSum
-from .simulator import Circuit, Statevector, derivative_stack, real_form, real_matrix
+from .simulator import (
+    Circuit,
+    DenseCircuit,
+    Statevector,
+    _parameters,
+    derivative_stack,
+    invariant_basis,
+    real_form,
+    real_matrix,
+)
+
+
+@dataclass(frozen=True, eq=False)
+class _Frame:
+    """The coordinates a run assembles and reads out in, built once per run.
+
+    ``basis`` is the orthonormal complex basis Q of the circuit's invariant
+    subspace around the inputs, or None when that subspace is the whole
+    space.  ``plan`` is the dense circuit, ``inputs`` the (2r, k) real-form
+    input columns in Q's coordinates and ``h`` the real form of Q^H H Q
+    (:func:`~ssqite.simulator.real_matrix`).  Q preserves inner products, so
+    every energy and overlap a run reports is computed in these
+    coordinates; only the final states are lifted back to the full space.
+    """
+
+    basis: np.ndarray | None
+    plan: DenseCircuit
+    inputs: np.ndarray
+    h: np.ndarray
+
+    @classmethod
+    def of(cls, h: PauliSum, c: Circuit, amps: np.ndarray) -> "_Frame":
+        if h.n != c.n:
+            raise DimensionMismatch(f"Hamiltonian on {h.n} qubits, circuit on {c.n}")
+        q = invariant_basis(c, amps)
+        if q.shape[1] == q.shape[0]:
+            return cls(None, c.dense, real_form(amps), real_matrix(h.dense))
+        qh = q.conj().T
+        return cls(q, c.dense.restrict(q), real_form(qh @ amps), real_matrix(qh @ h.dense @ q))
 
 
 @dataclass(frozen=True)
 class McLachlanSystem:
-    """McLachlan systems of one trial state, or of a stack of k of them.
+    """The McLachlan systems of a stack of k trial states, one row per state.
 
-    Every field is real.  ``t`` = [Re D | Im D] is the real factor of the
-    (P, d) derivative rows D_i = d_i phi, ``w`` = -[Re H phi; Im H phi],
-    ``energy`` = <phi|H|phi> and ``phi`` = [Re phi; Im phi] the real form of
-    the amplitudes.  A stack carries a leading level axis on every field:
-    ``t`` (k, P, 2d), ``w`` (k, 2d), ``energy`` (k,) and ``phi`` (k, 2d); the
-    circuit sweep writes ``t`` in this layout.  :func:`solve` works through
-    the (2d, 2d) Gram t^T t.
+    Every field is real and in the frame's coordinates.  ``t`` (k, P, 2d) is
+    the real factor [Re D | Im D] of each state's derivative rows
+    D_i = d_i phi, the layout the circuit sweep writes; ``w`` (k, 2d) is
+    -[Re H phi; Im H phi], ``energy`` (k,) is <phi|H|phi> and ``phi``
+    (k, 2d) is the real form [Re phi; Im phi] of the states.  :func:`solve`
+    works through the (2d, 2d) Grams t^T t.
     """
 
     t: np.ndarray
     w: np.ndarray
-    energy: float | np.ndarray
-    phi: np.ndarray | None = None
+    energy: np.ndarray
+    phi: np.ndarray
 
     @property
     def a(self) -> np.ndarray:
-        """Gram matrix A = t t^T, formed on each read."""
+        """Gram matrices A = t t^T, formed on each read."""
         return self.t @ np.swapaxes(self.t, -1, -2)
 
     @property
     def c(self) -> np.ndarray:
-        """Driving vector C = t w, formed on each read."""
+        """Driving vectors C = t w, formed on each read."""
         return (self.t @ self.w[..., None])[..., 0]
 
 
@@ -63,50 +105,32 @@ class QiteConfig:
             raise ValueError(f"grad_tol must be >= 0 and finite, got {self.grad_tol}")
 
 
-def assemble(c, theta, h, s0) -> McLachlanSystem:
-    """Measure A, C, and the energy at the current parameters.
+def assemble(frame: _Frame, theta) -> McLachlanSystem:
+    """The stacked McLachlan systems of the frame's k inputs at ``theta``, from one sweep.
 
-    ``s0`` is one Statevector (returns one system) or a (2d, k) real-form
-    matrix of initial-state columns (:func:`~ssqite.simulator.real_form`;
-    returns the stack of k systems, all from a single circuit sweep).  Both
-    forms run the same arithmetic, so a one-column batch reproduces the
-    single-state system bit for bit.
-
-    ``c`` and ``h`` are a Circuit and a PauliSum, or the same problem in the
-    coordinates of an orthonormal basis Q of an invariant subspace of the
-    circuit (:func:`~ssqite.simulator.invariant_basis`): the DenseCircuit
-    ``c.dense.restrict(Q)``, the real form of the matrix Q^H H Q
-    (:func:`~ssqite.simulator.real_matrix`) and input columns Q^H psi.  A,
-    C and the energy are inner products, which Q preserves, so both give
-    the same systems; ``phi`` is in the coordinates of the inputs.
+    A, C and the energy are inner products, which the frame's basis
+    preserves, so they equal the full-space ones; ``phi`` is in the frame's
+    coordinates.
     """
-    single = isinstance(s0, Statevector)
-    phi, t = derivative_stack(c, theta, real_form(s0.amps)[:, None] if single else s0)
-    h = real_matrix(h.dense) if isinstance(h, PauliSum) else h
+    phi, t = derivative_stack(frame.plan, theta, frame.inputs)
     rows = phi.T  # (k, 2d)
-    w = -(rows @ h.T)  # the rows of -H phi
-    energies = -(rows * w).sum(axis=1)
-    if single:
-        return McLachlanSystem(t=t[0], w=w[0], energy=float(energies[0]), phi=rows[0])
-    return McLachlanSystem(t=t, w=w, energy=energies, phi=rows)
+    w = -(rows @ frame.h.T)  # the rows of -H phi
+    return McLachlanSystem(t=t, w=w, energy=-(rows * w).sum(axis=1), phi=rows)
 
 
 def solve(system: McLachlanSystem) -> np.ndarray:
-    """Solve A theta_dot = C for one system or a stack of them.
+    """The (k, P) rows theta_dot of A theta_dot = C, for the whole stack at once.
 
-    Returns the (P,) theta_dot of one system or the (k, P) rows of a stack,
-    solved together in one batched eigendecomposition of the (2d, 2d) Grams
-    t^T t: theta_dot = t (t^T t)^+ w, which is (t t^T)^+ t w.  The
-    pseudo-solve cuts the same eigenvalues as on A, since t^T t and t t^T
-    share their nonzero ones.
+    One batched eigendecomposition of the (2d, 2d) Grams t^T t:
+    theta_dot = t (t^T t)^+ w, which is (t t^T)^+ t w.  The pseudo-solve
+    cuts the same eigenvalues as on A, since t^T t and t t^T share their
+    nonzero ones.
     """
-    single = system.t.ndim == 2
-    t, w = (system.t[None], system.w[None]) if single else (system.t, system.w)
+    t, w = system.t, system.w
     if not (np.isfinite(t).all() and np.isfinite(w).all()):
         raise SingularSystem("non-finite entries in the McLachlan system")
     x = _solve_stack(t.transpose(0, 2, 1) @ t, w)
-    theta_dot = (t @ x[:, :, None])[:, :, 0]
-    return theta_dot[0] if single else theta_dot
+    return (t @ x[:, :, None])[:, :, 0]
 
 
 def _solve_stack(a: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -142,17 +166,19 @@ def run_qite(c: Circuit, theta0, h: PauliSum, s0: Statevector,
     (carrying the energy trace) if the cap is hit first.  The returned
     energies hold one entry per visited parameter vector, final one included.
     """
-    theta = np.asarray(theta0, dtype=float).copy()
-    energies: list[float] = []
+    if s0.n != c.n:
+        raise DimensionMismatch(f"state on {s0.n} qubits, circuit on {c.n}")
+    frame = _Frame.of(h, c, s0.amps[:, None])
+    theta = _parameters(theta0, c.num_params).copy()
+    energies = []
     for _ in range(cfg.max_steps):
-        sys = assemble(c, theta, h, s0)
-        energies.append(sys.energy)
-        theta_dot = solve(sys)
+        sys = assemble(frame, theta)
+        energies.append(sys.energy[0])
+        theta_dot = solve(sys)[0]
         if np.max(np.abs(theta_dot)) < cfg.grad_tol:
             return QiteResult(theta=theta, energies=np.array(energies))
         theta = theta + cfg.dtau * theta_dot
-    final = assemble(c, theta, h, s0)
-    energies.append(final.energy)
+    energies.append(assemble(frame, theta).energy[0])
     raise MaxStepsExceeded(
         f"no convergence to {cfg.grad_tol} within {cfg.max_steps} steps",
         theta=theta,

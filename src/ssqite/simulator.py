@@ -390,11 +390,13 @@ def _sweep(plan: DenseCircuit, theta: np.ndarray, amps: np.ndarray,
 
 
 def _parameters(theta, num_params: int) -> np.ndarray:
-    """``theta`` as a float array, checked to hold one value per parameter slot."""
-    theta = np.asarray(theta, dtype=float)
+    """``theta`` as a float array, checked to be real and to hold one value per slot."""
+    theta = np.asarray(theta)
+    if theta.dtype.kind == "c":
+        raise TypeError("theta must be real, got a complex array")
     if theta.shape != (num_params,):
         raise DimensionMismatch(f"theta has shape {theta.shape}, expected ({num_params},)")
-    return theta
+    return theta.astype(float, copy=False)
 
 
 def _inputs(c: Circuit | DenseCircuit, theta, s) -> tuple[DenseCircuit, np.ndarray, np.ndarray]:

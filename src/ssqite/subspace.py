@@ -7,28 +7,14 @@ levels dominate the joint update; once a level converges, every step size
 from that level upward doubles (ratios intact), which keeps the iteration
 count from growing like 2^k.
 
-A run keeps one columnar log.  Iteration i measures every level's McLachlan
-system at theta_i in one derivative sweep and writes row i: the energies,
-each level's ||theta_dot||_inf, the step sizes of the update it applied and
-the states at theta_i, into buffers that double when full.  ``history``
-reads the rows as a :class:`History`, whose overlaps between the levels are
-computed on read in one batched product; that and :class:`SubspaceResult`
-are the one way to read a run.  The final energies and states come from
-one ``apply`` when the run ends.
-
-The schedule's bookkeeping is Python scalars: each level's flag, streak and
-last speed are Python lists on the run, and the k speeds are read once per
-iteration with ``tolist`` (on k = 3 levels a NumPy scalar index costs more
-than the comparison it feeds).  Theta takes the k rows of one product
-dtau[:, None] * theta_dot in level order, the bits of one update per level.
-
-A run works in an orthonormal basis Q of the smallest subspace that holds
-its inputs and that every gate maps into itself
-(:func:`~ssqite.simulator.invariant_basis`), built once when it starts.  For
-the excitation-preserving ansatz on one-excitation inputs that is the
-3-dimensional one-excitation sector, so every sweep and solve works on 3
-amplitudes instead of 8.  Q preserves energies and overlaps, so only the
-final states are lifted to the full 2^n basis.
+A run puts its problem into coordinates once, when it starts: its frame
+(:class:`~ssqite.qite_engine._Frame`) works in the smallest subspace around
+the inputs that every gate maps into itself, 3 amplitudes instead of 8 for
+the excitation-preserving ansatz on one-excitation inputs.  Each iteration
+assembles and solves the stacked McLachlan systems of all levels from one
+circuit sweep and writes one row of the run's columnar log; the schedule
+reads the k speeds as Python floats.  Energies and overlaps are read in the
+frame, and only the final states are lifted to the full 2^n basis.
 """
 
 from __future__ import annotations
@@ -39,17 +25,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, MaxItersExceeded
 from .pauli_algebra import PauliSum
-from .qite_engine import assemble, solve
-from .simulator import (
-    Circuit,
-    DenseCircuit,
-    Statevector,
-    apply,
-    complex_form,
-    invariant_basis,
-    real_form,
-    real_matrix,
-)
+from .qite_engine import _Frame, assemble, solve
+from .simulator import Circuit, Statevector, _parameters, apply, complex_form
 
 
 @dataclass(frozen=True)
@@ -135,35 +112,6 @@ class _Log:
         self.n = n + 1
 
 
-@dataclass(frozen=True, eq=False)
-class _Frame:
-    """The coordinates a run assembles and reads out in, built once per run.
-
-    ``basis`` is the orthonormal complex basis Q of the circuit's invariant
-    subspace around the inputs, or None when that subspace is the whole
-    space.  ``plan`` is the dense circuit, ``inputs`` the (2r, k) real-form
-    input columns in Q's coordinates and ``h`` the real form of Q^H H Q
-    (:func:`~ssqite.simulator.real_matrix`).  Q preserves inner products, so
-    every energy and overlap a run reports is computed in these
-    coordinates; only the final states are lifted back to the full space.
-    """
-
-    basis: np.ndarray | None
-    plan: DenseCircuit
-    inputs: np.ndarray
-    h: np.ndarray
-
-    @classmethod
-    def of(cls, h: PauliSum, c: Circuit, amps: np.ndarray) -> "_Frame":
-        if h.n != c.n:
-            raise DimensionMismatch(f"Hamiltonian on {h.n} qubits, circuit on {c.n}")
-        q = invariant_basis(c, amps)
-        if q.shape[1] == q.shape[0]:
-            return cls(None, c.dense, real_form(amps), real_matrix(h.dense))
-        qh = q.conj().T
-        return cls(q, c.dense.restrict(q), real_form(qh @ amps), real_matrix(qh @ h.dense @ q))
-
-
 @dataclass
 class SubspaceRun:
     """Evolving state of one subspace search, bound to its problem by ``frame``.
@@ -200,9 +148,8 @@ class SubspaceRun:
             raise ValueError(
                 f"initial states {i},{j} not orthonormal (deviation {dev[i, j]:.2e})"
             )
-        theta = np.zeros(c.num_params) if theta0 is None else np.array(theta0, dtype=float)
-        if theta.shape != (c.num_params,):
-            raise DimensionMismatch(f"theta0 has shape {theta.shape}, expected ({c.num_params},)")
+        theta = (np.zeros(c.num_params) if theta0 is None
+                 else _parameters(theta0, c.num_params).copy())
         if not np.isfinite(theta).all():
             raise ValueError("theta0 must be finite")
         frame = _Frame.of(h, c, amps)
@@ -253,8 +200,8 @@ def iteration(run: SubspaceRun) -> SubspaceRun:
     sizes from that level upward), then every level's update is added to the
     shared parameters.  The schedule reads only Python floats and lists.
     """
-    frame, cfg, flags, streaks = run.frame, run.cfg, run.flags, run.streaks
-    system = assemble(frame.plan, run.theta, frame.h, frame.inputs)
+    cfg, flags, streaks = run.cfg, run.flags, run.streaks
+    system = assemble(run.frame, run.theta)
     theta_dots = solve(system)
     speeds = np.maximum.reduce(np.abs(theta_dots), axis=1)
     grads = speeds.tolist()

@@ -21,7 +21,7 @@ from ssqite.bench_cli import (
 )
 from ssqite.errors import MaxItersExceeded, MaxStepsExceeded
 from ssqite.pauli_algebra import PauliSum, decompose_dense, load_geometry_series
-from ssqite.qite_engine import QiteConfig, assemble, run_qite
+from ssqite.qite_engine import QiteConfig, _Frame, assemble, run_qite
 from ssqite.simulator import (
     Statevector,
     apply,
@@ -163,9 +163,10 @@ def test_criterion_4b_mclachlan_system_properties():
     for _ in range(20):
         h = decompose_dense(random_hermitian(rng, 4))
         theta = rng.uniform(-np.pi, np.pi, 16)
-        sys = assemble(c, theta, h, s0)
-        worst_sym = max(worst_sym, float(np.max(np.abs(sys.a - sys.a.T))))
-        worst_eig = min(worst_eig, float(np.linalg.eigvalsh(sys.a).min()))
+        sys = assemble(_Frame.of(h, c, s0.amps[:, None]), theta)
+        a = sys.a[0]
+        worst_sym = max(worst_sym, float(np.max(np.abs(a - a.T))))
+        worst_eig = min(worst_eig, float(np.linalg.eigvalsh(a).min()))
         eps = 1e-6
         for i in rng.choice(16, size=3, replace=False):
             tp, tm = theta.copy(), theta.copy()
@@ -174,7 +175,7 @@ def test_criterion_4b_mclachlan_system_properties():
             grad = (
                 expectation(h, apply(c, tp, s0)) - expectation(h, apply(c, tm, s0))
             ) / (2 * eps)
-            worst_grad = max(worst_grad, abs(sys.c[i] + 0.5 * grad))
+            worst_grad = max(worst_grad, abs(sys.c[0, i] + 0.5 * grad))
     ok = worst_sym < 1e-10 and worst_eig > -1e-9 and worst_grad < 1e-8
     report(
         "4b (A sym/PSD, C=-grad E/2)",

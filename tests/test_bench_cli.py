@@ -345,6 +345,31 @@ class TestMainDispatch:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["scan", "trace", "exact"])
+    @pytest.mark.parametrize("probe", ["theta0_scale", "coefficient_sum", "merged_coefficient"])
+    def test_overflowing_input_exit_2(self, tmp_path, capsys, probe, command):
+        # Finite inputs whose use overflows: a drawn theta0, a sum of
+        # coefficients, and a coefficient merged from two lines.  Each is an
+        # input error, not a traceback or a file of nan.  ``exact`` draws no
+        # theta0, so the theta0_scale probe leaves it correct, with exit 0.
+        if probe == "theta0_scale":
+            h, bond, overrides = DATA / "h2_sto3g.txt", "0.95", {"theta0_scale": "1e308"}
+        else:
+            terms = ["ZI 1e308", "IZ 1e308" if probe == "coefficient_sum" else "ZI 1e308"]
+            h, bond, overrides = tmp_path / "h.txt", "0.7", {}
+            h.write_text("\n".join(["molecule X2", "geometry 0.7"] + terms) + "\n")
+        argv = [command, "--config", str(write_config(tmp_path, h, **overrides))]
+        if command == "trace":
+            argv += ["--bond-length", bond]
+        expected = 0 if (probe, command) == ("theta0_scale", "exact") else 2
+        assert main(argv) == expected
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if expected == 2:
+            assert err.startswith("error: ") and err.count("error:") == 1
+            assert ("theta0_scale" if probe == "theta0_scale" else "line 2:") in err
+        assert all("nan" not in f.read_text() for f in (tmp_path / "out").glob("*"))
+
     @pytest.mark.parametrize("where", ["config", "hamiltonian"])
     def test_undecodable_input_exit_2(self, tmp_path, capsys, where):
         # Byte 0xff is not UTF-8: in a comment of the config, or in a term

@@ -65,6 +65,13 @@ class TestPauliSum:
         with pytest.raises(InvalidLabel):
             PauliSum.from_terms([(value, "Z")])
 
+    @pytest.mark.parametrize("second", ["ZI", "IZ"])
+    def test_rejects_magnitudes_past_float_range(self, second):
+        # "ZI" twice merges to inf; "ZI" and "IZ" stay finite, but the sum
+        # of their magnitudes, which bounds the entries of dense, does not.
+        with pytest.raises(InvalidLabel):
+            PauliSum.from_terms([(1e308, "ZI"), (1e308, second)])
+
     def test_rejects_mixed_lengths(self):
         with pytest.raises(InvalidLabel):
             PauliSum.from_terms([(1.0, "Z"), (1.0, "ZZ")])

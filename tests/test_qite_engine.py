@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian
-from ssqite.errors import MaxStepsExceeded, SingularSystem
+from ssqite.errors import DimensionMismatch, MaxStepsExceeded, SingularSystem
 from ssqite.pauli_algebra import PauliSum, decompose_dense
 from ssqite.qite_engine import (
     McLachlanSystem,
     QiteConfig,
+    _Frame,
     _solve_stack,
     assemble,
     run_qite,
@@ -23,9 +24,7 @@ from ssqite.simulator import (
     build_twolocal,
     derivative_stack,
     expectation,
-    invariant_basis,
     real_form,
-    real_matrix,
 )
 
 
@@ -36,20 +35,25 @@ def single_ry():
 Z = PauliSum.from_terms([(1.0, "Z")])
 
 
+def frame_of(h, c, s0):
+    """The one-input frame of state ``s0``, as ``run_qite`` builds it."""
+    return _Frame.of(h, c, s0.amps[:, None])
+
+
 class TestAssemble:
     def test_single_ry_closed_form(self):
-        sys = assemble(single_ry(), [np.pi / 2], Z, Statevector.zero(1))
-        assert sys.a[0, 0] == pytest.approx(0.25, abs=1e-12)
-        assert sys.c[0] == pytest.approx(0.5, abs=1e-12)
-        assert sys.energy == pytest.approx(0.0, abs=1e-12)
+        sys = assemble(frame_of(Z, single_ry(), Statevector.zero(1)), [np.pi / 2])
+        assert sys.a[0, 0, 0] == pytest.approx(0.25, abs=1e-12)
+        assert sys.c[0, 0] == pytest.approx(0.5, abs=1e-12)
+        assert sys.energy[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_gram_matrix_symmetric_psd(self, rng):
         c = build_twolocal()
         h = decompose_dense(random_hermitian(rng, 4))
         for _ in range(5):
-            sys = assemble(c, rng.uniform(-np.pi, np.pi, 16), h, Statevector.zero(2))
-            assert np.max(np.abs(sys.a - sys.a.T)) < 1e-10
-            assert np.linalg.eigvalsh(sys.a).min() > -1e-9
+            a = assemble(frame_of(h, c, Statevector.zero(2)), rng.uniform(-np.pi, np.pi, 16)).a[0]
+            assert np.max(np.abs(a - a.T)) < 1e-10
+            assert np.linalg.eigvalsh(a).min() > -1e-9
 
     def test_c_is_half_negative_gradient(self, rng):
         # C_i == -1/2 dE/dtheta_i, checked by central differences.
@@ -58,7 +62,7 @@ class TestAssemble:
         for _ in range(20):
             h = decompose_dense(random_hermitian(rng, 4))
             theta = rng.uniform(-np.pi, np.pi, 16)
-            sys = assemble(c, theta, h, s0)
+            sys = assemble(frame_of(h, c, s0), theta)
             eps = 1e-6
             for i in rng.choice(16, size=4, replace=False):
                 tp, tm = theta.copy(), theta.copy()
@@ -67,7 +71,7 @@ class TestAssemble:
                 grad = (
                     expectation(h, apply(c, tp, s0)) - expectation(h, apply(c, tm, s0))
                 ) / (2 * eps)
-                assert sys.c[i] == pytest.approx(-0.5 * grad, abs=1e-8)
+                assert sys.c[0, i] == pytest.approx(-0.5 * grad, abs=1e-8)
 
     def test_energy_shift_leaves_velocity_unchanged(self, rng):
         # Subtracting E*I from H shifts nothing for a unitary ansatz: the
@@ -76,13 +80,13 @@ class TestAssemble:
         theta = rng.uniform(-np.pi, np.pi, 16)
         s0 = Statevector.zero(2)
         h = decompose_dense(random_hermitian(rng, 4))
-        plain = assemble(c, theta, h, s0)
-        shifted_terms = list(h.terms) + [(-plain.energy, "I" * 2)]
+        plain = assemble(frame_of(h, c, s0), theta)
+        shifted_terms = list(h.terms) + [(-plain.energy[0], "I" * 2)]
         h_shifted = PauliSum.from_terms(shifted_terms)
-        shifted = assemble(c, theta, h_shifted, s0)
+        shifted = assemble(frame_of(h_shifted, c, s0), theta)
         np.testing.assert_allclose(shifted.c, plain.c, atol=1e-12)
         np.testing.assert_allclose(shifted.a, plain.a, atol=1e-12)
-        assert shifted.energy == pytest.approx(0.0, abs=1e-10)
+        assert shifted.energy[0] == pytest.approx(0.0, abs=1e-10)
         np.testing.assert_allclose(solve(shifted), solve(plain), atol=1e-10)
 
     @pytest.mark.parametrize("restricted", [False, True])
@@ -92,24 +96,25 @@ class TestAssemble:
          ("lih_series", build_excitation_preserving, ("010", "001", "100"))],
     )
     def test_stack_is_real_factor_of_complex_derivatives(
-        self, request, rng, series, build, labels, restricted
+        self, request, rng, monkeypatch, series, build, labels, restricted
     ):
         # The sweep writes t as the C-contiguous (k, P, 2d) stack of
         # [Re D | Im D]; w, the energies and phi follow the complex formulas,
-        # in the coordinates of the invariant basis Q when restricted.
+        # in the coordinates of the frame's invariant basis Q when restricted.
+        from ssqite import qite_engine
+
+        if not restricted:
+            monkeypatch.setattr(qite_engine, "invariant_basis", lambda c, amps: np.eye(len(amps)))
         c = build()
         states = [Statevector.from_label(l) for l in labels]
         amps = np.column_stack([s.amps for s in states])
         _, h = request.getfixturevalue(series).points[3]
-        q = invariant_basis(c, amps) if restricted else np.eye(len(amps))
+        frame = _Frame.of(h, c, amps)
+        q = np.eye(len(amps)) if frame.basis is None else frame.basis
         qh = q.conj().T
         for _ in range(3):
             theta = rng.uniform(-np.pi, np.pi, c.num_params)
-            if restricted:
-                system = assemble(c.dense.restrict(q), theta,
-                                  real_matrix(qh @ h.dense @ q), real_form(qh @ amps))
-            else:
-                system = assemble(c, theta, h, real_form(amps))
+            system = assemble(frame, theta)
             assert system.t.shape == (len(states), c.num_params, 2 * q.shape[1])
             assert system.t.flags.c_contiguous and system.w.flags.c_contiguous
             for l, s in enumerate(states):
@@ -184,15 +189,16 @@ class TestSolve:
         amps = np.column_stack([Statevector.from_label(l).amps for l in labels])
         for _, h in request.getfixturevalue(series).points[::3]:
             theta = rng.normal(0, 0.5, c.num_params)
-            systems = assemble(c, theta, h, real_form(amps))
+            systems = assemble(_Frame.of(h, c, amps), theta)
             stacked = solve(systems)
             assert stacked.shape == (3, c.num_params)
-            for a, cvec, t, w, got in zip(systems.a, systems.c, systems.t, systems.w, stacked):
+            for a, cvec, t, w, phi, got in zip(systems.a, systems.c, systems.t, systems.w,
+                                               systems.phi, stacked):
                 assert np.linalg.matrix_rank(a, tol=1e-8) < c.num_params
                 want, *_ = np.linalg.lstsq(a, cvec, rcond=1e-8)
                 assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
-                level = McLachlanSystem(t=t, w=w, energy=0.0)
-                np.testing.assert_allclose(solve(level), got, rtol=0, atol=1e-12)
+                level = McLachlanSystem(t=t[None], w=w[None], energy=np.zeros(1), phi=phi[None])
+                np.testing.assert_allclose(solve(level)[0], got, rtol=0, atol=1e-12)
 
     def test_cut_matches_lstsq_rcond(self, rng):
         # Eigenvalues on both sides of 1e-8 of the largest: 2e-8 is kept and
@@ -210,7 +216,8 @@ class TestSolve:
     def test_non_finite_entry_in_one_system(self):
         w = np.ones((3, 2))
         w[1, 1] = np.nan  # one entry of the middle system's driving vector
-        stack = McLachlanSystem(t=np.stack([np.eye(2)] * 3), w=w, energy=np.zeros(3))
+        stack = McLachlanSystem(t=np.stack([np.eye(2)] * 3), w=w, energy=np.zeros(3),
+                                phi=np.zeros((3, 2)))
         with pytest.raises(SingularSystem):
             solve(stack)
 
@@ -220,7 +227,7 @@ class TestSolve:
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
         stack = McLachlanSystem(t=np.stack([np.eye(2)] * 2), w=np.ones((2, 2)),
-                                energy=np.zeros(2))
+                                energy=np.zeros(2), phi=np.zeros((2, 2)))
         with pytest.raises(SingularSystem):
             solve(stack)
 
@@ -289,6 +296,15 @@ class TestRunQite:
         theta0 = np.random.default_rng(11).normal(0, 0.1, 16)
         result = run_qite(build_twolocal(), theta0, h, Statevector.zero(2), cfg)
         assert result.energies[-1] == pytest.approx(exact, abs=1.6e-3)
+
+    def test_state_width_checked(self):
+        with pytest.raises(DimensionMismatch):
+            run_qite(single_ry(), [0.1], Z, Statevector.zero(2), QiteConfig())
+
+    def test_complex_theta0_rejected(self):
+        # Refused, not cut to its real part with a ComplexWarning.
+        with pytest.raises(TypeError):
+            run_qite(single_ry(), np.array([0.1 + 0.5j]), Z, Statevector.zero(1), QiteConfig())
 
     def test_max_steps_carries_trace(self):
         cfg = QiteConfig(dtau=0.05, max_steps=5, grad_tol=0.0)

@@ -254,6 +254,18 @@ class TestDerivatives:
         with pytest.raises(DimensionMismatch):
             hadamard_test(c, np.zeros(size), "C-real", 0, h=PauliSum.from_terms([(1.0, "ZZ")]))
 
+    def test_complex_theta_rejected(self):
+        # Refused, not cut to its real part with a ComplexWarning.
+        c, theta, s0 = build_twolocal(), np.full(16, 0.1 + 0.5j), Statevector.zero(2)
+        with pytest.raises(TypeError):
+            apply(c, theta, s0)
+        with pytest.raises(TypeError):
+            derivative_stack(c, theta, s0)
+        with pytest.raises(TypeError):
+            derivative_state(c, theta, 0, s0)
+        with pytest.raises(TypeError):
+            hadamard_test(c, theta, "A-real", 0, j=1)
+
     @pytest.mark.parametrize("builder,n", [(build_twolocal, 2), (build_excitation_preserving, 3)])
     def test_finite_difference_each_slot(self, builder, n, rng):
         c = builder()

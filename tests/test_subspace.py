@@ -6,7 +6,7 @@ import pytest
 from ssqite.errors import DimensionMismatch, MaxItersExceeded, MaxStepsExceeded, SingularSystem
 from ssqite.exact_oracle import eigensolve
 from ssqite.pauli_algebra import PauliSum
-from ssqite.qite_engine import QiteConfig, assemble, run_qite, solve
+from ssqite.qite_engine import QiteConfig, _Frame, assemble, run_qite, solve
 from ssqite.simulator import (
     Circuit,
     Gate,
@@ -15,7 +15,6 @@ from ssqite.simulator import (
     build_excitation_preserving,
     build_twolocal,
     complex_form,
-    real_form,
 )
 from ssqite.subspace import (
     SsqiteConfig,
@@ -106,6 +105,12 @@ class TestStart:
                               theta0=theta0)
         assert not isinstance(exc.value, SingularSystem)
 
+    def test_theta0_must_be_real(self):
+        # Refused, not cut to its real part with a ComplexWarning.
+        with pytest.raises(TypeError):
+            SubspaceRun.start(ZZ, build_twolocal(), basis("00", "01"), SsqiteConfig(),
+                              theta0=np.full(16, 0.1 + 0.5j))
+
     def test_theta0_is_copied(self):
         theta0 = seeded_theta(16)
         state = SubspaceRun.start(ZZ, build_twolocal(), basis("00", "01"), SsqiteConfig(),
@@ -184,7 +189,7 @@ def reference_schedule(h, c, states, cfg, theta0):
     (energies, speeds, dtau) rows and the schedule events.
     """
     k = len(states)
-    inputs = real_form(np.column_stack([s.amps for s in states]))
+    frame = _Frame.of(h, c, np.column_stack([s.amps for s in states]))
     theta, dtau = np.array(theta0, dtype=float), init_schedule(k, cfg.b)
     converged, streaks = np.zeros(k, dtype=bool), np.zeros(k, dtype=int)
     rows, events, previous = [], [], None
@@ -195,7 +200,7 @@ def reference_schedule(h, c, states, cfg, theta0):
     while not converged.all():
         assert len(rows) < cfg.max_iters
         i = len(rows)
-        system = assemble(c, theta, h, inputs)
+        system = assemble(frame, theta)
         dots = solve(system)
         speeds = np.abs(dots).max(axis=1)
         growing = converged & (speeds > 10.0 * cfg.grad_tol)
@@ -244,11 +249,18 @@ class TestReferenceSchedule:
 
 
 class TestReduction:
-    def test_k1_trace_matches_run_qite_bitwise(self, h2_series):
-        _, h = h2_series.nearest(0.95)
-        c = build_twolocal()
+    # Both loops assemble on the same one-input frame: for LiH that is the
+    # 3-dimensional one-excitation sector, not all 8 amplitudes.
+    @pytest.mark.parametrize(
+        "series, build, label, bond",
+        [pytest.param("h2_series", build_twolocal, "00", 0.95, id="h2"),
+         pytest.param("lih_series", build_excitation_preserving, "010", 1.6, id="lih")],
+    )
+    def test_k1_trace_matches_run_qite_bitwise(self, request, series, build, label, bond):
+        _, h = request.getfixturevalue(series).nearest(bond)
+        c = build()
         theta0 = seeded_theta(16)
-        s0 = Statevector.from_label("00")
+        s0 = Statevector.from_label(label)
         steps = 40
 
         qcfg = QiteConfig(dtau=0.55, grad_tol=0.0, max_steps=steps)
@@ -275,9 +287,10 @@ class TestBatchedIteration:
         state = SubspaceRun.start(h, c, states, cfg, theta0=seeded_theta(16))
         theta = np.array(state.theta)
         dtau = state.dtau.copy()
+        frames = [_Frame.of(h, c, s.amps[:, None]) for s in states]
         for _ in range(5):
-            systems = [assemble(c, theta, h, s) for s in states]
-            dots = [solve(sys) for sys in systems]
+            systems = [assemble(frame, theta) for frame in frames]
+            dots = [solve(sys)[0] for sys in systems]
             state = iteration(state)
             assert not state.converged.any()  # no dtau change in these steps
             for step, dot in zip(dtau, dots):
@@ -285,22 +298,23 @@ class TestBatchedIteration:
             np.testing.assert_allclose(state.theta, theta, rtol=0, atol=1e-12)
             history = state.history
             for l, (sys, dot) in enumerate(zip(systems, dots)):
-                assert abs(history.energies[-1, l] - sys.energy) <= 1e-12
+                assert abs(history.energies[-1, l] - sys.energy[0]) <= 1e-12
                 assert abs(history.grads[-1, l] - np.max(np.abs(dot))) <= 1e-12
             for got, s in zip(_finalize(state).final_states, states):
                 np.testing.assert_allclose(got.amps, apply(c, theta, s).amps, atol=1e-12)
 
     def test_batched_systems_match_single(self, rng):
+        # A k-column frame gives the systems of k one-column frames.
         c = build_excitation_preserving()
         h = PauliSum.from_terms([(0.3, "ZZI"), (-0.7, "XXI"), (0.2, "IYY"), (0.1, "ZIZ")])
         theta = rng.uniform(-np.pi, np.pi, 16)
         states = basis("010", "001", "100")
-        batch = assemble(c, theta, h, real_form(np.column_stack([s.amps for s in states])))
+        batch = assemble(_Frame.of(h, c, np.column_stack([s.amps for s in states])), theta)
         for l, s in enumerate(states):
-            single = assemble(c, theta, h, s)
-            np.testing.assert_allclose(batch.a[l], single.a, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(batch.c[l], single.c, rtol=0, atol=1e-12)
-            assert abs(batch.energy[l] - single.energy) <= 1e-12
+            single = assemble(_Frame.of(h, c, s.amps[:, None]), theta)
+            np.testing.assert_allclose(batch.a[l], single.a[0], rtol=0, atol=1e-12)
+            np.testing.assert_allclose(batch.c[l], single.c[0], rtol=0, atol=1e-12)
+            assert abs(batch.energy[l] - single.energy[0]) <= 1e-12
 
 
 class TestInvariantFrame:
@@ -308,9 +322,9 @@ class TestInvariantFrame:
 
     @staticmethod
     def full_space(monkeypatch):
-        from ssqite import subspace
+        from ssqite import qite_engine
 
-        monkeypatch.setattr(subspace, "invariant_basis", lambda c, amps: np.eye(2 ** c.n))
+        monkeypatch.setattr(qite_engine, "invariant_basis", lambda c, amps: np.eye(2 ** c.n))
 
     def test_restricted_matches_full_space(self, lih_series, monkeypatch):
         # The same systems in 3 and 8 amplitudes differ by rounding, which
