@@ -84,8 +84,10 @@ class PauliSum:
 
         Coefficients must be real and finite; complex, NaN and infinite
         values are rejected outright.  So is a sum whose merged coefficients'
-        magnitudes add up past the float range: that total bounds every
-        entry of :attr:`dense`.
+        magnitudes add up to a total whose square is past the float range:
+        that total bounds every entry of :attr:`dense` and of H phi, and its
+        square leaves the McLachlan solve, which divides by small Gram
+        eigenvalues, room to stay finite.
         """
         merged: dict[str, tuple[float, PauliString]] = {}
         width = n
@@ -112,8 +114,11 @@ class PauliSum:
                 merged[key] = (coeff, string)
         if width is None:
             raise EmptyString("a PauliSum needs at least one term or an explicit n")
-        if not math.isfinite(sum(abs(coeff) for coeff, _ in merged.values())):
-            raise InvalidLabel("the coefficients' magnitudes sum past the float range")
+        total = sum(abs(coeff) for coeff, _ in merged.values())
+        if not math.isfinite(total * total):
+            raise InvalidLabel(
+                f"the coefficients' magnitudes sum to {total:g}, whose square is past the float range"
+            )
         return cls(terms=tuple(merged.values()), n=width)
 
     def __len__(self) -> int:

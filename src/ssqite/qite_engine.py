@@ -6,7 +6,12 @@ subspace around the inputs that every gate maps into itself.
 :func:`assemble` measures the k McLachlan systems A theta_dot = C at theta,
 A_ij = Re<d_i phi|d_j phi> and C_i = -Re<d_i phi|H|phi> = -1/2 dE/dtheta_i,
 from one circuit sweep, and :func:`solve` solves the stack in one batched
-eigendecomposition.  :func:`run_qite` is single-state QITE by explicit Euler
+eigendecomposition.  The frame proves once what each iteration would
+otherwise pay for in the general case: it binds the plan to its inputs,
+which for basis-state inputs are its first k coordinate vectors, and it
+stores -h^T, so w takes one product; :func:`solve` reads its cut from the
+top of the ascending spectrum, since every Gram t^T t is positive
+semidefinite.  :func:`run_qite` is single-state QITE by explicit Euler
 steps on a one-input frame (McArdle et al., npj Quantum Inf. 5, 75, 2019),
 the k = 1 reference that a subspace run must reproduce bit for bit.
 """
@@ -37,17 +42,23 @@ class _Frame:
 
     ``basis`` is the orthonormal complex basis Q of the circuit's invariant
     subspace around the inputs, or None when that subspace is the whole
-    space.  ``plan`` is the dense circuit, ``inputs`` the (2r, k) real-form
-    input columns in Q's coordinates and ``h`` the real form of Q^H H Q
-    (:func:`~ssqite.simulator.real_matrix`).  Q preserves inner products, so
-    every energy and overlap a run reports is computed in these
-    coordinates; only the final states are lifted back to the full space.
+    space.  ``plan`` is the dense circuit, ``inputs`` the read-only (2r, k)
+    real-form input columns in Q's coordinates and ``minus_ht`` -h^T for h
+    the real form of Q^H H Q (:func:`~ssqite.simulator.real_matrix`), so the
+    rows of -H phi take one product.  Q preserves inner products, so every
+    energy and overlap a run reports is computed in these coordinates; only
+    the final states are lifted back to the full space.
+
+    The plan is bound to the inputs (:meth:`~ssqite.simulator.DenseCircuit.with_inputs`):
+    where they are the frame's first k coordinate vectors, as for basis-state
+    inputs in the full space or in a Q that starts with them, every sweep
+    reads the states it needs as column slices.
     """
 
     basis: np.ndarray | None
     plan: DenseCircuit
     inputs: np.ndarray
-    h: np.ndarray
+    minus_ht: np.ndarray
 
     @classmethod
     def of(cls, h: PauliSum, c: Circuit, amps: np.ndarray) -> "_Frame":
@@ -55,9 +66,13 @@ class _Frame:
             raise DimensionMismatch(f"Hamiltonian on {h.n} qubits, circuit on {c.n}")
         q = invariant_basis(c, amps)
         if q.shape[1] == q.shape[0]:
-            return cls(None, c.dense, real_form(amps), real_matrix(h.dense))
-        qh = q.conj().T
-        return cls(q, c.dense.restrict(q), real_form(qh @ amps), real_matrix(qh @ h.dense @ q))
+            q, plan, hq = None, c.dense, h.dense
+        else:
+            qh = q.conj().T
+            plan, amps, hq = c.dense.restrict(q), qh @ amps, qh @ h.dense @ q
+        inputs = real_form(amps)
+        inputs.flags.writeable = False
+        return cls(q, plan.with_inputs(inputs), inputs, -real_matrix(hq).T)
 
 
 @dataclass(frozen=True)
@@ -114,7 +129,7 @@ def assemble(frame: _Frame, theta) -> McLachlanSystem:
     """
     phi, t = derivative_stack(frame.plan, theta, frame.inputs)
     rows = phi.T  # (k, 2d)
-    w = -(rows @ frame.h.T)  # the rows of -H phi
+    w = rows @ frame.minus_ht  # the rows of -H phi
     return McLachlanSystem(t=t, w=w, energy=-(rows * w).sum(axis=1), phi=rows)
 
 
@@ -134,19 +149,20 @@ def solve(system: McLachlanSystem) -> np.ndarray:
 
 
 def _solve_stack(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """(k, m) solutions of the (k, m, m) symmetric systems ``a``.
+    """(k, m) solutions of the (k, m, m) positive semidefinite systems ``a``.
 
-    One eigendecomposition pseudo-solve: eigenvalues with
-    |lambda| <= 1e-8 max |lambda| are dropped (A is singular whenever the
-    ansatz is locally redundant), the cut a least-squares solve with
-    rcond = 1e-8 makes on singular values.
+    One eigendecomposition pseudo-solve: eigenvalues at or below 1e-8 times
+    the largest are dropped (A is singular whenever the ansatz is locally
+    redundant), the cut a least-squares solve with rcond = 1e-8 makes on
+    singular values.  A Gram t^T t has no eigenvalue below zero beyond
+    rounding, so the largest magnitude is the top of eigh's ascending
+    spectrum.
     """
     try:
         lam, vec = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"eigendecomposition failed: {exc}") from None
-    mag = np.abs(lam)
-    keep = mag > 1e-8 * np.maximum.reduce(mag, axis=1, keepdims=True)
+    keep = lam > 1e-8 * lam[:, -1:]
     coef = (c[:, None, :] @ vec)[:, 0]
     coef = np.divide(coef, lam, out=np.zeros(coef.shape), where=keep)
     return (vec @ coef[:, :, None])[:, :, 0]
@@ -165,11 +181,14 @@ def run_qite(c: Circuit, theta0, h: PauliSum, s0: Statevector,
     Stops when ||theta_dot||_inf < cfg.grad_tol; raises MaxStepsExceeded
     (carrying the energy trace) if the cap is hit first.  The returned
     energies hold one entry per visited parameter vector, final one included.
+    A non-finite theta0 is a ValueError before the first sweep.
     """
     if s0.n != c.n:
         raise DimensionMismatch(f"state on {s0.n} qubits, circuit on {c.n}")
-    frame = _Frame.of(h, c, s0.amps[:, None])
     theta = _parameters(theta0, c.num_params).copy()
+    if not np.isfinite(theta).all():
+        raise ValueError("theta0 must be finite")
+    frame = _Frame.of(h, c, s0.amps[:, None])
     energies = []
     for _ in range(cfg.max_steps):
         sys = assemble(frame, theta)

@@ -17,7 +17,12 @@ rotations that share a slot: O(R log R d^3 + R d^2 k) arithmetic in
 O(log R) NumPy calls instead of a few calls per rotation.  The cubic cost in
 d is deliberate: the package targets small dense simulation, the shipped
 ansaetze act on 2 and 3 qubits, and there the cost of a sweep is call
-overhead, not arithmetic.
+overhead, not arithmetic.  So a plan records, once, the general cases a
+sweep can skip, and every sweep gives the same bits either way: with one
+rotation per slot, in order, it skips the one-hot product and the slot
+gather, and for a batch it was bound to that is the first k coordinate
+vectors (:meth:`DenseCircuit.with_inputs`, as basis-state inputs are), it
+reads W_r psi and U psi as column slices instead of two products.
 
 Every matrix is stored in the real form A + iB -> [[A, -B], [B, A]] and a
 batch of states in the real form [Re psi; Im psi].  The real form maps
@@ -248,18 +253,28 @@ class DenseCircuit:
     and then rotation r; ``tail`` holds the fixed gates after the last
     rotation, or None when there are none.  Every matrix is stored in its
     real form (:func:`real_matrix`), so it acts on real-form state columns.
+
+    Two facts are established once, so that a sweep takes the cheap path
+    wherever they hold.  ``slots`` and ``slot_sum`` are None when rotation r
+    reads slot r, one rotation per slot in order (both shipped ansaetze,
+    found when the circuit is compiled): a sweep then uses theta as it is
+    and the rotations' derivatives as the slots' derivatives.  ``leading``
+    is the read-only (2d, k) real-form input batch that :meth:`with_inputs`
+    found to be the first k coordinate vectors, or None: a sweep of that
+    very array reads W_r psi and U psi as column slices.
     """
 
-    slots: np.ndarray  # (R,) parameter slot of each rotation
+    slots: np.ndarray | None  # (R,) parameter slot of each rotation
     lead: np.ndarray  # (R, 2d, 2d)
     turned_lead: np.ndarray  # (R, 2d, 2d) -i G lead, as R(theta) = cos I + sin (-i G)
     insertion: np.ndarray  # (R, 2d, 2d) -i/2 G, the derivative of rotation r
-    slot_sum: np.ndarray  # (P, R) one-hot, 1 where rotation r reads slot p
+    slot_sum: np.ndarray | None  # (P, R) one-hot, 1 where rotation r reads slot p
     tail: np.ndarray | None
+    leading: np.ndarray | None = None
 
     @property
     def num_params(self) -> int:
-        return self.slot_sum.shape[0]
+        return len(self.lead) if self.slot_sum is None else self.slot_sum.shape[0]
 
     @property
     def dim(self) -> int:
@@ -284,11 +299,25 @@ class DenseCircuit:
             turned_lead=qt @ self.turned_lead @ qr,
             insertion=qt @ self.insertion @ qr,
             tail=None if self.tail is None else qt @ self.tail @ qr,
+            leading=None,
         )
+
+    def with_inputs(self, amps: np.ndarray) -> "DenseCircuit":
+        """This plan, bound to the read-only (2d, k) real-form batch ``amps`` if it can be.
+
+        When ``amps`` is exactly the first k coordinate vectors, the result
+        records it as ``leading``; otherwise it is this plan.  Either way a
+        sweep gives the same bits, and any other batch takes the general path.
+        """
+        if amps.flags.writeable:
+            raise ValueError("with_inputs needs a read-only input batch")
+        if amps.shape[0] == 2 * self.dim and np.array_equal(amps, np.eye(*amps.shape)):
+            return replace(self, leading=amps)
+        return self
 
     def steps(self, theta: np.ndarray) -> np.ndarray:
         """All R step matrices at once: R_r(theta) @ lead[r]."""
-        half = 0.5 * theta[self.slots][:, None, None]
+        half = 0.5 * (theta if self.slots is None else theta[self.slots])[:, None, None]
         step = np.cos(half) * self.lead
         return np.add(step, np.sin(half) * self.turned_lead, out=step)
 
@@ -308,10 +337,14 @@ def _compile(c: Circuit) -> DenseCircuit:
             pending = fixed if pending is None else fixed @ pending
     gens = np.array(gens, dtype=complex).reshape(-1, dim, dim)
     lead = np.array(lead, dtype=complex).reshape(-1, dim, dim)
-    slot_sum = np.zeros((c.num_params, len(slots)))
-    slot_sum[slots, np.arange(len(slots))] = 1.0
+    if slots == list(range(c.num_params)):
+        slots, slot_sum = None, None
+    else:
+        slot_sum = np.zeros((c.num_params, len(slots)))
+        slot_sum[slots, np.arange(len(slots))] = 1.0
+        slots = np.array(slots, dtype=int)
     return DenseCircuit(
-        slots=np.array(slots, dtype=int),
+        slots=slots,
         lead=real_matrix(lead),
         turned_lead=real_matrix(-1j * gens @ lead),
         insertion=real_matrix(-0.5j * gens),
@@ -371,22 +404,28 @@ def _sweep(plan: DenseCircuit, theta: np.ndarray, amps: np.ndarray,
     U = V_r W_r for the rest V_r of the circuit, and W_r is orthogonal, so
     rotation r's derivative V_r I_r W_r psi equals U W_r^T I_r W_r psi:
     every rotation at once in a few batched products, summed per slot
-    through ``slot_sum``.
+    through ``slot_sum``.  When ``amps`` is the plan's ``leading`` batch,
+    W_r psi and U psi are the first k columns of W_r and U, read as slices,
+    which equal the products bit for bit.  Every array returned is new to
+    this sweep.
     """
     size, k = amps.shape
     w = _prefix_products(plan.steps(theta))
     u = w[-1] if len(w) else np.eye(size)
     if plan.tail is not None:
         u = plan.tail @ u
-    phi = u @ amps
+    leading = amps is plan.leading
+    phi = u[:, :k] if leading else u @ amps
     if not derivatives:
         return phi, None
     rows = w.reshape(-1, size)  # the W_r stacked by rows
-    after = (rows @ amps).reshape(-1, size, k)  # W_r psi
+    after = w[:, :, :k] if leading else (rows @ amps).reshape(-1, size, k)  # W_r psi
     # Block r of U [W_0^T | W_1^T | ...] is U W_r^T.
     back = (u @ rows.T).reshape(size, -1, size).transpose(1, 0, 2)
-    per_rotation = back @ (plan.insertion @ after)  # (R, 2d, k)
-    return phi, plan.slot_sum @ per_rotation.transpose(2, 0, 1)
+    per_rotation = (back @ (plan.insertion @ after)).transpose(2, 0, 1)  # (k, R, 2d)
+    if plan.slot_sum is None:
+        return phi, per_rotation.copy()
+    return phi, plan.slot_sum @ per_rotation
 
 
 def _parameters(theta, num_params: int) -> np.ndarray:
@@ -403,6 +442,8 @@ def _inputs(c: Circuit | DenseCircuit, theta, s) -> tuple[DenseCircuit, np.ndarr
     """Dense plan, validated parameters and (2d, k) real-form input columns."""
     plan = c.dense if isinstance(c, Circuit) else c
     theta = _parameters(theta, plan.num_params)
+    if s is not None and s is plan.leading:  # checked once, when the plan was bound to it
+        return plan, theta, s
     if isinstance(s, Statevector):
         if 2 ** s.n != plan.dim:
             raise DimensionMismatch(f"state of {2 ** s.n} amplitudes, circuit on {plan.dim}")

@@ -264,7 +264,7 @@ def _finalize(run: SubspaceRun) -> SubspaceResult:
     phi = apply(frame.plan, run.theta, frame.inputs)
     rows = phi.T
     # The logged energies' form: Re(phi^dag H phi) on the real form.
-    energies = np.sum(rows * (rows @ frame.h.T), axis=1)
+    energies = -np.sum(rows * (rows @ frame.minus_ht), axis=1)
     amps = complex_form(phi)
     if frame.basis is not None:
         amps = frame.basis @ amps

@@ -6,6 +6,7 @@ dense-diagonalization oracle applied to the same shipped coefficient files.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import time
 
@@ -17,6 +18,7 @@ from ssqite.bench_cli import (
     CHEMICAL_ACCURACY,
     _initial_theta,
     cmd_scan,
+    cmd_trace,
     parse_config,
 )
 from ssqite.errors import MaxItersExceeded, MaxStepsExceeded
@@ -41,6 +43,13 @@ LIH_STRETCH = 3.3e-4
 # geometries.  A kernel change that moves a trajectory by rounding shows here.
 H2_ITERS = 8143
 LIH_ITERS = 1723
+# md5 of the shipped runs' output files at seed 11 (NumPy 2.4, OpenBLAS
+# 0.3.31).  A change that moves any output bit must update these and say why.
+PINNED_MD5 = {
+    "h2 scan.csv": "64e988e27179f0272f5861f6ecb89b18",
+    "lih scan.csv": "a5d47401b9db263e4cc45c28658ba858",
+    "h2 trace.csv at 2.25": "d86b02ae589169da7534b1ca50d19e65",
+}
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -86,11 +95,17 @@ def test_criterion_1_h2_benchmark(h2_scan):
            and per_geometry < 60.0 and cfg.seed == 11 and iters == H2_ITERS, detail)
 
 
-def test_criterion_2_lih_benchmark(tmp_path):
-    cfg = scan_config("lih_scan.cfg", tmp_path)
+@pytest.fixture(scope="module")
+def lih_scan(tmp_path_factory):
+    cfg = scan_config("lih_scan.cfg", tmp_path_factory.mktemp("lih_scan"))
     start = time.perf_counter()
     code = cmd_scan(cfg, tolerance=CHEMICAL_ACCURACY)
     elapsed = time.perf_counter() - start
+    return cfg, code, elapsed
+
+
+def test_criterion_2_lih_benchmark(lih_scan):
+    cfg, code, elapsed = lih_scan
     lines = (cfg.output_dir / "scan.csv").read_text().splitlines()[1:]
     errors = np.array([float(l.split(",")[4]) for l in lines])
     geometries = len({l.split(",")[0] for l in lines})
@@ -292,6 +307,21 @@ def test_criterion_5_determinism(h2_scan, tmp_path):
     identical = (tmp_path / "scan.csv").read_bytes() == first
     report("5 (scan determinism)", identical,
            "repeated scan with fixed seed is byte-identical")
+
+
+def test_criterion_5b_pinned_output_bytes(h2_scan, lih_scan, tmp_path):
+    # The scans of criteria 1 and 2 and the benchmark's trace, byte for byte.
+    trace_cfg = scan_config("h2_scan.cfg", tmp_path)
+    assert cmd_trace(trace_cfg, bond_length=2.25) == 0
+    files = {
+        "h2 scan.csv": h2_scan[0].output_dir / "scan.csv",
+        "lih scan.csv": lih_scan[0].output_dir / "scan.csv",
+        "h2 trace.csv at 2.25": tmp_path / "trace.csv",
+    }
+    digests = {name: hashlib.md5(path.read_bytes()).hexdigest() for name, path in files.items()}
+    moved = sorted(name for name in files if digests[name] != PINNED_MD5[name])
+    report("5b (pinned output bytes)", not moved,
+           f"md5 of {', '.join(files)}; changed: {moved or 'none'}")
 
 
 def test_shot_noise_variance_substitute():

@@ -346,16 +346,21 @@ class TestMainDispatch:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["scan", "trace", "exact"])
-    @pytest.mark.parametrize("probe", ["theta0_scale", "coefficient_sum", "merged_coefficient"])
+    @pytest.mark.parametrize("probe", ["theta0_scale", "coefficient_sum", "merged_coefficient",
+                                       "solve_headroom"])
     def test_overflowing_input_exit_2(self, tmp_path, capsys, probe, command):
         # Finite inputs whose use overflows: a drawn theta0, a sum of
-        # coefficients, and a coefficient merged from two lines.  Each is an
-        # input error, not a traceback or a file of nan.  ``exact`` draws no
-        # theta0, so the theta0_scale probe leaves it correct, with exit 0.
+        # coefficients, a coefficient merged from two lines, and a sum that
+        # is finite but whose square, the McLachlan solve's headroom, is not.
+        # Each is an input error, not a traceback or a file of nan.  ``exact``
+        # draws no theta0, so the theta0_scale probe leaves it correct, with
+        # exit 0.
         if probe == "theta0_scale":
             h, bond, overrides = DATA / "h2_sto3g.txt", "0.95", {"theta0_scale": "1e308"}
         else:
-            terms = ["ZI 1e308", "IZ 1e308" if probe == "coefficient_sum" else "ZI 1e308"]
+            terms = {"coefficient_sum": ["ZI 1e308", "IZ 1e308"],
+                     "merged_coefficient": ["ZI 1e308", "ZI 1e308"],
+                     "solve_headroom": ["ZI 1e308", "XX 0.125"]}[probe]
             h, bond, overrides = tmp_path / "h.txt", "0.7", {}
             h.write_text("\n".join(["molecule X2", "geometry 0.7"] + terms) + "\n")
         argv = [command, "--config", str(write_config(tmp_path, h, **overrides))]

@@ -72,6 +72,13 @@ class TestPauliSum:
         with pytest.raises(InvalidLabel):
             PauliSum.from_terms([(1e308, "ZI"), (1e308, second)])
 
+    def test_rejects_magnitudes_whose_square_is_past_float_range(self):
+        # A finite sum of magnitudes is not enough: its square must be finite
+        # too, or the McLachlan solve overflows.  1e154 is just inside.
+        with pytest.raises(InvalidLabel):
+            PauliSum.from_terms([(1e308, "ZI"), (0.125, "XX")])
+        assert PauliSum.from_terms([(1e154, "ZI"), (0.125, "XX")]).coefficient("ZI") == 1e154
+
     def test_rejects_mixed_lengths(self):
         with pytest.raises(InvalidLabel):
             PauliSum.from_terms([(1.0, "Z"), (1.0, "ZZ")])

@@ -1,5 +1,7 @@
 """McLachlan system assembly, pseudo-solve, and Euler imaginary-time stepping."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from ssqite.simulator import (
     derivative_stack,
     expectation,
     real_form,
+    real_matrix,
 )
 
 
@@ -129,6 +132,106 @@ class TestAssemble:
                 assert abs(system.energy[l] - expectation(h, phi)) <= 1e-12
 
 
+def general_assemble(frame, h, theta):
+    """``assemble`` by the general product path, with no fact of the plan used.
+
+    The rotations' derivatives are summed per slot through a one-hot
+    product after the theta[slots] gather, the inputs go through both
+    products, and w is -(rows @ h_r^T) for h_r the real form of Q^H H Q,
+    rebuilt from ``h``.
+    """
+    plan = frame.plan
+    p = plan.num_params
+    general = dataclasses.replace(
+        plan,
+        slots=np.arange(p) if plan.slots is None else plan.slots,
+        slot_sum=np.eye(p) if plan.slot_sum is None else plan.slot_sum,
+        leading=None,
+    )
+    phi, t = derivative_stack(general, theta, np.array(frame.inputs))
+    hq = h.dense if frame.basis is None else frame.basis.conj().T @ h.dense @ frame.basis
+    rows = phi.T
+    w = -(rows @ real_matrix(hq).T)
+    return t, w, -(rows * w).sum(axis=1), rows
+
+
+def basis_frame(h, c, labels):
+    return _Frame.of(h, c, np.column_stack([Statevector.from_label(l).amps for l in labels]))
+
+
+class TestPlanFacts:
+    """Each shortcut the frame proves once gives the general path's bits, on both branches."""
+
+    @staticmethod
+    def assert_same_bits(frame, h, rng, count=5):
+        for _ in range(count):
+            theta = rng.uniform(-np.pi, np.pi, frame.plan.num_params)
+            system = assemble(frame, theta)
+            for got, want in zip((system.t, system.w, system.energy, system.phi),
+                                 general_assemble(frame, h, theta)):
+                np.testing.assert_array_equal(got, want)
+            assert system.t.flags.c_contiguous
+
+    @pytest.mark.parametrize(
+        "series, build, labels",
+        [("h2_series", build_twolocal, ("00", "01", "10")),
+         ("lih_series", build_excitation_preserving, ("010", "001", "100"))],
+    )
+    def test_shipped_frames_take_both_shortcuts(self, request, rng, series, build, labels):
+        _, h = request.getfixturevalue(series).points[3]
+        frame = basis_frame(h, build(), labels)
+        assert frame.plan.leading is frame.inputs and frame.plan.slots is None
+        self.assert_same_bits(frame, h, rng)
+
+    def test_inputs_not_leading(self, h2_series, rng):
+        # |11> first: the inputs are coordinate vectors 3, 0 and 1, so the
+        # sweep multiplies them through; the slots are still one per rotation.
+        _, h = h2_series.points[3]
+        frame = basis_frame(h, build_twolocal(), ("11", "00", "01"))
+        assert frame.plan.leading is None and frame.plan.slots is None
+        self.assert_same_bits(frame, h, rng)
+
+    def test_shared_slot_circuit(self, rng):
+        # Slot 0 drives two rotations, so the derivatives are summed through
+        # the one-hot product; the inputs |00>, |01> are leading.
+        c = Circuit(n=2, gates=(Gate("RY", (0,), 0), Gate("RX", (1,), 1), Gate("CNOT", (0, 1)),
+                                Gate("RY", (0,), 0), Gate("RZ", (1,), 2)), num_params=3)
+        h = decompose_dense(random_hermitian(rng, 4))
+        frame = basis_frame(h, c, ("00", "01"))
+        assert frame.plan.leading is frame.inputs and frame.plan.slots is not None
+        self.assert_same_bits(frame, h, rng)
+
+    def test_other_batches_take_the_general_path(self, lih_series, rng):
+        # apply and derivative_stack give the same results for a copy of the
+        # bound inputs, which is not the array the plan was bound to.
+        _, h = lih_series.points[3]
+        frame = basis_frame(h, build_excitation_preserving(), ("010", "001", "100"))
+        theta = rng.uniform(-np.pi, np.pi, frame.plan.num_params)
+        copy = np.array(frame.inputs)
+        np.testing.assert_array_equal(apply(frame.plan, theta, frame.inputs),
+                                      apply(frame.plan, theta, copy))
+        for got, want in zip(derivative_stack(frame.plan, theta, frame.inputs),
+                             derivative_stack(frame.plan, theta, copy)):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("batch", [None, np.zeros((3, 1))])
+    def test_unbound_plan_still_checks_the_batch(self, batch):
+        # A plan bound to no batch has leading None, which is no licence
+        # to skip the checks.
+        c = build_twolocal()
+        assert c.dense.leading is None
+        with pytest.raises(DimensionMismatch):
+            apply(c.dense, np.zeros(16), batch)
+
+    def test_bound_inputs_are_read_only(self, h2_series):
+        _, h = h2_series.points[3]
+        frame = basis_frame(h, build_twolocal(), ("00", "01", "10"))
+        with pytest.raises(ValueError):
+            frame.inputs[0, 0] = 0.5
+        with pytest.raises(ValueError):
+            frame.plan.with_inputs(np.array(frame.inputs))
+
+
 class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -205,13 +308,45 @@ class TestSolve:
         # 5e-9 dropped, as lstsq's rcond = 1e-8 does with singular values.
         # C has an O(1) solution component along every eigenvector, so
         # keeping or dropping any one of them moves the result by O(1).
+        # The systems are Grams, positive semidefinite up to a small
+        # negative eigenvalue, which is dropped.
         q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
-        lams = np.array([[1.0, 2e-8, 5e-9, 0.0], [3.0, -1.0, 4e-8, -1e-8]])
+        lams = np.array([[1.0, 2e-8, 5e-9, 0.0], [3.0, 1.0, 4e-8, -1e-8]])
         a = np.array([q @ np.diag(lam) @ q.T for lam in lams])
         cvecs = np.array([q @ (np.abs(lam) * rng.uniform(1, 2, 4)) for lam in lams])
         for a_l, c_l, got in zip(a, cvecs, _solve_stack(a, cvecs)):
             want, *_ = np.linalg.lstsq(a_l, c_l, rcond=1e-8)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "series, build, labels",
+        [("h2_series", build_twolocal, ("00", "01", "10")),
+         ("lih_series", build_excitation_preserving, ("010", "001", "100"))],
+    )
+    def test_psd_cut_gives_the_magnitude_cut_bits(self, request, rng, series, build, labels):
+        # The cut read from the top of eigh's ascending spectrum gives the
+        # bits of the cut on |lambda| against its max-reduce, on Grams t^T t
+        # of real systems (rank-deficient: t's rows are orthogonal to phi),
+        # on the same Grams with a zero system in the stack, and on an
+        # all-zero stack.
+        def magnitude_cut(a, c):
+            lam, vec = np.linalg.eigh(a)
+            mag = np.abs(lam)
+            keep = mag > 1e-8 * np.maximum.reduce(mag, axis=1, keepdims=True)
+            coef = (c[:, None, :] @ vec)[:, 0]
+            coef = np.divide(coef, lam, out=np.zeros(coef.shape), where=keep)
+            return (vec @ coef[:, :, None])[:, :, 0]
+
+        c = build()
+        frame = basis_frame(request.getfixturevalue(series).points[3][1], c, labels)
+        for _ in range(5):
+            system = assemble(frame, rng.uniform(-np.pi, np.pi, c.num_params))
+            grams = system.t.transpose(0, 2, 1) @ system.t
+            assert all(np.linalg.matrix_rank(g) < len(g) for g in grams)
+            with_zero = grams.copy()
+            with_zero[1] = 0.0
+            for a in (grams, with_zero, np.zeros_like(grams)):
+                np.testing.assert_array_equal(_solve_stack(a, system.w), magnitude_cut(a, system.w))
 
     def test_non_finite_entry_in_one_system(self):
         w = np.ones((3, 2))
@@ -305,6 +440,20 @@ class TestRunQite:
         # Refused, not cut to its real part with a ComplexWarning.
         with pytest.raises(TypeError):
             run_qite(single_ry(), np.array([0.1 + 0.5j]), Z, Statevector.zero(1), QiteConfig())
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_theta0_rejected(self, monkeypatch, value):
+        # Refused before the first sweep, as SubspaceRun.start refuses it,
+        # not a SingularSystem after one.
+        from ssqite import qite_engine
+
+        def no_sweep(*args):
+            raise AssertionError("swept a non-finite theta0")
+
+        monkeypatch.setattr(qite_engine, "derivative_stack", no_sweep)
+        with pytest.raises(ValueError, match="theta0"):
+            run_qite(build_twolocal(), np.full(16, value), PauliSum.from_terms([(1.0, "ZZ")]),
+                     Statevector.zero(2), QiteConfig())
 
     def test_max_steps_carries_trace(self):
         cfg = QiteConfig(dtau=0.05, max_steps=5, grad_tol=0.0)
