@@ -43,6 +43,7 @@ _DEFAULT_LABELS = {
     "excitation-preserving": ("010", "001", "100"),
 }
 CHEMICAL_ACCURACY = 1.6e-3
+_MAX_SHOTS = np.iinfo(np.int64).max  # the largest count the binomial sampler takes
 
 
 @dataclass(frozen=True)
@@ -67,8 +68,8 @@ class RunConfig:
             raise ParseError(f"ansatz must be one of {ANSATZE}, got {self.ansatz!r}")
         if self.k < 1:
             raise ParseError(f"k must be >= 1, got {self.k}")
-        if self.shots < 0:
-            raise ParseError(f"shots must be >= 0, got {self.shots}")
+        if not 0 <= self.shots <= _MAX_SHOTS:
+            raise ParseError(f"shots must be in 0..{_MAX_SHOTS}, got {self.shots}")
         if self.seed < 0:
             raise ParseError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.theta0_scale < np.inf:
@@ -201,6 +202,7 @@ def cmd_scan(cfg: RunConfig, tolerance: float = CHEMICAL_ACCURACY) -> int:
     if not 0 < tolerance < np.inf:
         raise ParseError(f"tolerance must be positive and finite, got {tolerance}")
     t_start = time.perf_counter()
+    cfg.state_labels()  # checks k before any array is sized by it
     series = load_geometry_series(cfg.hamiltonian_path)
     circuit = _build_ansatz(cfg)
     lines = ["R,level,E_ssqite,E_exact,abs_err,iters"]

@@ -52,7 +52,7 @@ class DimensionMismatch(SsqiteError, ValueError):
 
 
 class SlotOutOfRange(SsqiteError, IndexError):
-    """Parameter-slot index outside [0, num_params)."""
+    """Parameter index outside [0, num_params)."""
 
 
 class UnsupportedMode(SsqiteError, ValueError):

@@ -12,17 +12,15 @@ rotation, so the circuit is one step matrix per rotation gate.  A sweep forms
 the R prefix products W_r of the steps in log2(R) batched products, so U is
 W_{R-1} times the trailing fixed gates.  Each W_r is unitary, so rotation r's
 derivative U W_r^dag (-i/2 G_r) W_r psi comes, for all rotations at once,
-from a fixed handful of batched products, and a one-hot matrix sums the
-rotations that share a slot: O(R log R d^3 + R d^2 k) arithmetic in
-O(log R) NumPy calls instead of a few calls per rotation.  The cubic cost in
-d is deliberate: the package targets small dense simulation, the shipped
-ansaetze act on 2 and 3 qubits, and there the cost of a sweep is call
-overhead, not arithmetic.  So a plan records, once, the general cases a
-sweep can skip, and every sweep gives the same bits either way: with one
-rotation per slot, in order, it skips the one-hot product and the slot
-gather, and for a batch it was bound to that is the first k coordinate
-vectors (:meth:`DenseCircuit.with_inputs`, as basis-state inputs are), it
-reads W_r psi and U psi as column slices instead of two products.
+from a fixed handful of batched products: O(R log R d^3 + R d^2 k)
+arithmetic in O(log R) NumPy calls instead of a few calls per rotation.
+Parameter i is the angle of the i-th rotation gate, so rotation r's
+derivative is parameter r's.  The cubic cost in d is deliberate: the
+package targets small dense simulation, the shipped ansaetze act on 2 and 3
+qubits, and there the cost of a sweep is call overhead, not arithmetic.  So
+a plan bound to a batch that is its first k coordinate vectors
+(:meth:`DenseCircuit.with_inputs`, as basis-state inputs are) reads W_r psi
+and U psi as column slices instead of two products, with the same bits.
 
 Every matrix is stored in the real form A + iB -> [[A, -B], [B, A]] and a
 batch of states in the real form [Re psi; Im psi].  The real form maps
@@ -111,66 +109,45 @@ class Gate:
     """One circuit element.
 
     ``targets`` lists qubit indices; for CNOT and CSX the first entry is the
-    control and the second the target.  Rotation gates carry exactly one
-    ``param_slot`` indexing the circuit parameter vector; slots may be shared
-    between gates.
+    control and the second the target.  A rotation's angle is the circuit
+    parameter of its position among the circuit's rotations.
     """
 
     kind: str
     targets: tuple[int, ...]
-    param_slot: int | None = None
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise DimensionMismatch(f"unknown gate kind {self.kind!r}")
-        if self.kind in ROTATION_KINDS:
-            if self.param_slot is None:
-                raise DimensionMismatch(f"{self.kind} requires a parameter slot")
-            if len(self.targets) != 1:
-                raise DimensionMismatch(f"{self.kind} acts on one qubit")
-        else:
-            if self.param_slot is not None:
-                raise DimensionMismatch(f"{self.kind} takes no parameter")
-            expected = 1 if self.kind == "X" else 2
-            if len(self.targets) != expected:
-                raise DimensionMismatch(f"{self.kind} acts on {expected} qubit(s)")
+        expected = 2 if self.kind in ("CNOT", "CSX") else 1
+        if len(self.targets) != expected:
+            raise DimensionMismatch(f"{self.kind} acts on {expected} qubit(s)")
         if len(set(self.targets)) != len(self.targets):
             raise DimensionMismatch("gate targets must be distinct")
-
-    def __str__(self) -> str:
-        qubits = ",".join(f"q{t}" for t in self.targets)
-        if self.param_slot is not None:
-            return f"{self.kind}({qubits}; theta[{self.param_slot}])"
-        return f"{self.kind}({qubits})"
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list with ``num_params`` shared parameter slots."""
+    """Ordered gate list on ``n`` qubits; parameter i is the angle of the i-th rotation."""
 
     n: int
     gates: tuple[Gate, ...]
-    num_params: int
 
     def __post_init__(self):
-        seen = set()
         for gate in self.gates:
             for t in gate.targets:
                 if not 0 <= t < self.n:
                     raise DimensionMismatch(f"target {t} outside 0..{self.n - 1}")
-            if gate.param_slot is not None:
-                if not 0 <= gate.param_slot < self.num_params:
-                    raise SlotOutOfRange(
-                        f"slot {gate.param_slot} outside 0..{self.num_params - 1}"
-                    )
-                seen.add(gate.param_slot)
-        missing = set(range(self.num_params)) - seen
-        if missing:
-            raise SlotOutOfRange(f"parameter slots never used: {sorted(missing)}")
 
-    def __str__(self) -> str:
-        header = f"Circuit(n={self.n}, params={self.num_params})"
-        return "\n".join([header] + [f"  {g}" for g in self.gates])
+    @cached_property
+    def _rotations(self) -> tuple[int, ...]:
+        """Gate position of each parameter's rotation, in circuit order."""
+        return tuple(k for k, g in enumerate(self.gates) if g.kind in ROTATION_KINDS)
+
+    @property
+    def num_params(self) -> int:
+        """Number of parameters: one per rotation gate."""
+        return len(self._rotations)
 
     @cached_property
     def dense(self) -> "DenseCircuit":
@@ -188,9 +165,9 @@ def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]) ->
     return np.moveaxis(out, list(range(k)), list(axes))
 
 
-def _gate_matrix(gate: Gate, theta: np.ndarray) -> np.ndarray:
+def _gate_matrix(gate: Gate, angle: float | None) -> np.ndarray:
     if gate.kind in ROTATION_KINDS:
-        half = 0.5 * theta[gate.param_slot]
+        half = 0.5 * angle
         c, s = math.cos(half), math.sin(half)
         if gate.kind == "RX":
             return np.array([[c, -1j * s], [-1j * s, c]])
@@ -204,8 +181,11 @@ def _gate_matrix(gate: Gate, theta: np.ndarray) -> np.ndarray:
     return PAULI_MATRICES["X"]
 
 
-def _apply_gate(tensor: np.ndarray, gate: Gate, theta: np.ndarray) -> np.ndarray:
-    return _apply_matrix(tensor, _gate_matrix(gate, theta), gate.targets)
+def _gate_matrices(c: Circuit, theta: np.ndarray) -> list[np.ndarray]:
+    """Every gate's matrix in circuit order, the i-th rotation at angle theta[i]."""
+    angles = iter(theta)
+    return [_gate_matrix(g, next(angles) if g.kind in ROTATION_KINDS else None)
+            for g in c.gates]
 
 
 # --- dense batched sweep -----------------------------------------------------
@@ -250,31 +230,24 @@ class DenseCircuit:
     """A circuit as one step per rotation gate, in circuit order.
 
     Step r applies ``lead[r]`` (the fixed gates since the previous rotation)
-    and then rotation r; ``tail`` holds the fixed gates after the last
-    rotation, or None when there are none.  Every matrix is stored in its
-    real form (:func:`real_matrix`), so it acts on real-form state columns.
-
-    Two facts are established once, so that a sweep takes the cheap path
-    wherever they hold.  ``slots`` and ``slot_sum`` are None when rotation r
-    reads slot r, one rotation per slot in order (both shipped ansaetze,
-    found when the circuit is compiled): a sweep then uses theta as it is
-    and the rotations' derivatives as the slots' derivatives.  ``leading``
-    is the read-only (2d, k) real-form input batch that :meth:`with_inputs`
-    found to be the first k coordinate vectors, or None: a sweep of that
-    very array reads W_r psi and U psi as column slices.
+    and then rotation r, at angle theta[r]; ``tail`` holds the fixed gates
+    after the last rotation, or None when there are none.  Every matrix is
+    stored in its real form (:func:`real_matrix`), so it acts on real-form
+    state columns.  ``leading`` is the read-only (2d, k) real-form input
+    batch that :meth:`with_inputs` found to be the first k coordinate
+    vectors, or None: a sweep of that very array reads W_r psi and U psi as
+    column slices.
     """
 
-    slots: np.ndarray | None  # (R,) parameter slot of each rotation
     lead: np.ndarray  # (R, 2d, 2d)
     turned_lead: np.ndarray  # (R, 2d, 2d) -i G lead, as R(theta) = cos I + sin (-i G)
     insertion: np.ndarray  # (R, 2d, 2d) -i/2 G, the derivative of rotation r
-    slot_sum: np.ndarray | None  # (P, R) one-hot, 1 where rotation r reads slot p
     tail: np.ndarray | None
     leading: np.ndarray | None = None
 
     @property
     def num_params(self) -> int:
-        return len(self.lead) if self.slot_sum is None else self.slot_sum.shape[0]
+        return len(self.lead)
 
     @property
     def dim(self) -> int:
@@ -317,7 +290,7 @@ class DenseCircuit:
 
     def steps(self, theta: np.ndarray) -> np.ndarray:
         """All R step matrices at once: R_r(theta) @ lead[r]."""
-        half = 0.5 * (theta if self.slots is None else theta[self.slots])[:, None, None]
+        half = 0.5 * theta[:, None, None]
         step = np.cos(half) * self.lead
         return np.add(step, np.sin(half) * self.turned_lead, out=step)
 
@@ -325,10 +298,9 @@ class DenseCircuit:
 def _compile(c: Circuit) -> DenseCircuit:
     dim = 2 ** c.n
     pending = None  # product of the fixed gates since the last rotation
-    slots, lead, gens = [], [], []
+    lead, gens = [], []
     for gate in c.gates:
         if gate.kind in ROTATION_KINDS:
-            slots.append(gate.param_slot)
             lead.append(np.eye(dim, dtype=complex) if pending is None else pending)
             gens.append(_embed(_GENERATORS[gate.kind], gate.targets, c.n))
             pending = None
@@ -337,18 +309,10 @@ def _compile(c: Circuit) -> DenseCircuit:
             pending = fixed if pending is None else fixed @ pending
     gens = np.array(gens, dtype=complex).reshape(-1, dim, dim)
     lead = np.array(lead, dtype=complex).reshape(-1, dim, dim)
-    if slots == list(range(c.num_params)):
-        slots, slot_sum = None, None
-    else:
-        slot_sum = np.zeros((c.num_params, len(slots)))
-        slot_sum[slots, np.arange(len(slots))] = 1.0
-        slots = np.array(slots, dtype=int)
     return DenseCircuit(
-        slots=slots,
         lead=real_matrix(lead),
         turned_lead=real_matrix(-1j * gens @ lead),
         insertion=real_matrix(-0.5j * gens),
-        slot_sum=slot_sum,
         tail=None if pending is None else real_matrix(pending),
     )
 
@@ -358,7 +322,7 @@ def invariant_basis(c: Circuit, amps) -> np.ndarray:
 
     The subspace contains the orthonormal columns of ``amps`` and is mapped
     into itself by every lead, generator and tail matrix of ``c.dense``,
-    hence by the circuit at every theta and by every slot derivative.  The
+    hence by the circuit at every theta and by every parameter derivative.  The
     basis starts with the columns of ``amps``, so Q^H amps is the leading
     identity columns (exactly, for basis-state inputs).  It is extended by
     the part of every matrix's image of it that lies outside its span,
@@ -399,12 +363,12 @@ def _sweep(plan: DenseCircuit, theta: np.ndarray, amps: np.ndarray,
     """Move the k real-form columns of ``amps`` through U(theta) together.
 
     Returns the (2d, k) final states and, with ``derivatives``, the
-    C-contiguous (k, P, 2d) stack t of their slot derivatives, t[l, p] the
-    real form of d_p phi_l.  With W_r the product of the first r + 1 steps,
-    U = V_r W_r for the rest V_r of the circuit, and W_r is orthogonal, so
-    rotation r's derivative V_r I_r W_r psi equals U W_r^T I_r W_r psi:
-    every rotation at once in a few batched products, summed per slot
-    through ``slot_sum``.  When ``amps`` is the plan's ``leading`` batch,
+    C-contiguous (k, P, 2d) stack t of their parameter derivatives, t[l, p]
+    the real form of d_p phi_l.  With W_r the product of the first r + 1
+    steps, U = V_r W_r for the rest V_r of the circuit, and W_r is
+    orthogonal, so rotation r's derivative V_r I_r W_r psi equals
+    U W_r^T I_r W_r psi: every rotation at once in a few batched products.
+    When ``amps`` is the plan's ``leading`` batch,
     W_r psi and U psi are the first k columns of W_r and U, read as slices,
     which equal the products bit for bit.  Every array returned is new to
     this sweep.
@@ -422,14 +386,12 @@ def _sweep(plan: DenseCircuit, theta: np.ndarray, amps: np.ndarray,
     after = w[:, :, :k] if leading else (rows @ amps).reshape(-1, size, k)  # W_r psi
     # Block r of U [W_0^T | W_1^T | ...] is U W_r^T.
     back = (u @ rows.T).reshape(size, -1, size).transpose(1, 0, 2)
-    per_rotation = (back @ (plan.insertion @ after)).transpose(2, 0, 1)  # (k, R, 2d)
-    if plan.slot_sum is None:
-        return phi, per_rotation.copy()
-    return phi, plan.slot_sum @ per_rotation
+    # (k, R, 2d), copied to C order
+    return phi, (back @ (plan.insertion @ after)).transpose(2, 0, 1).copy()
 
 
 def _parameters(theta, num_params: int) -> np.ndarray:
-    """``theta`` as a float array, checked to be real and to hold one value per slot."""
+    """``theta`` as a float array, checked to be real and to hold one value per parameter."""
     theta = np.asarray(theta)
     if theta.dtype.kind == "c":
         raise TypeError("theta must be real, got a complex array")
@@ -510,35 +472,27 @@ def expectation(h: PauliSum, s: Statevector) -> float:
 
 # --- analytic parameter derivatives ----------------------------------------
 
-def _occurrences(c: Circuit, slot: int) -> list[int]:
-    return [k for k, g in enumerate(c.gates) if g.param_slot == slot]
-
-
 def derivative_state(c: Circuit, theta, i: int, s0: Statevector) -> np.ndarray:
     """Exact d/d theta_i of ``apply(c, theta, s0)``, unnormalized.
 
-    Sums the insertion of (-i/2) x generator over every gate sharing slot i.
+    Inserts (-i/2) x generator after rotation i, the one gate parameter i drives.
     """
     theta = _parameters(theta, c.num_params)
     if not 0 <= i < c.num_params:
-        raise SlotOutOfRange(f"slot {i} outside 0..{c.num_params - 1}")
+        raise SlotOutOfRange(f"parameter {i} outside 0..{c.num_params - 1}")
     if s0.n != c.n:
         raise DimensionMismatch(f"state on {s0.n} qubits, circuit on {c.n}")
-    positions = _occurrences(c, i)
-    total = np.zeros((2,) * c.n, dtype=complex)
-    for pos in positions:
-        tensor = s0.amps.reshape((2,) * c.n)
-        for k, gate in enumerate(c.gates):
-            tensor = _apply_gate(tensor, gate, theta)
-            if k == pos:
-                gen = _GENERATORS[gate.kind]
-                tensor = -0.5j * _apply_matrix(tensor, gen, (gate.targets[0],))
-        total = total + tensor
-    return total.reshape(-1)
+    pos = c._rotations[i]
+    tensor = s0.amps.reshape((2,) * c.n)
+    for k, (gate, mat) in enumerate(zip(c.gates, _gate_matrices(c, theta))):
+        tensor = _apply_matrix(tensor, mat, gate.targets)
+        if k == pos:
+            tensor = -0.5j * _apply_matrix(tensor, _GENERATORS[gate.kind], gate.targets)
+    return tensor.reshape(-1)
 
 
 def derivative_stack(c: Circuit | DenseCircuit, theta, s0):
-    """Final state plus all slot derivatives in one forward sweep.
+    """Final state plus all parameter derivatives in one forward sweep.
 
     For a Statevector returns ``(phi, D)`` with the complex (P, d) stack
     ``D[i] == derivative_state(c, theta, i, s0)``.  For a (2d, k) real-form
@@ -559,34 +513,29 @@ def derivative_stack(c: Circuit | DenseCircuit, theta, s0):
 def build_twolocal(n: int = 2, layers: int = 4) -> Circuit:
     """Two-qubit hardware-efficient ansatz: RX/RY layers with CNOT entanglers.
 
-    Each layer applies RX then RY on both qubits (four fresh slots); a CNOT
+    Each layer applies RX then RY on both qubits (four parameters); a CNOT
     q0->q1 sits between consecutive layers, none after the last.  The default
     four layers give 16 parameters.
     """
     if n != 2:
         raise DimensionMismatch("twolocal ansatz is defined on 2 qubits")
     gates: list[Gate] = []
-    slot = 0
     for layer in range(layers):
-        gates.append(Gate("RX", (0,), slot))
-        gates.append(Gate("RX", (1,), slot + 1))
-        gates.append(Gate("RY", (0,), slot + 2))
-        gates.append(Gate("RY", (1,), slot + 3))
-        slot += 4
+        gates += [Gate("RX", (0,)), Gate("RX", (1,)), Gate("RY", (0,)), Gate("RY", (1,))]
         if layer < layers - 1:
             gates.append(Gate("CNOT", (0, 1)))
-    return Circuit(n=2, gates=tuple(gates), num_params=slot)
+    return Circuit(n=2, gates=tuple(gates))
 
 
-def _excitation_block(qa: int, qb: int, slot_a: int, slot_b: int) -> list[Gate]:
+def _excitation_block(qa: int, qb: int) -> list[Gate]:
     # CNOT / controlled-sqrt(X) sandwich around RZ pair; the composite is
     # block-diagonal on Hamming-weight sectors (equals SWAP at zero angles).
     return [
         Gate("CNOT", (qa, qb)),
         Gate("CSX", (qb, qa)),
         Gate("CNOT", (qa, qb)),
-        Gate("RZ", (qa,), slot_a),
-        Gate("RZ", (qb,), slot_b),
+        Gate("RZ", (qa,)),
+        Gate("RZ", (qb,)),
         Gate("CNOT", (qa, qb)),
         Gate("CSX", (qb, qa)),
         Gate("CNOT", (qa, qb)),
@@ -603,12 +552,9 @@ def build_excitation_preserving(n: int = 3, blocks: int = 8) -> Circuit:
     if n != 3:
         raise DimensionMismatch("excitation-preserving ansatz is defined on 3 qubits")
     gates: list[Gate] = []
-    slot = 0
     for b in range(blocks):
-        qa, qb = (0, 1) if b % 2 == 0 else (1, 2)
-        gates.extend(_excitation_block(qa, qb, slot, slot + 1))
-        slot += 2
-    return Circuit(n=3, gates=tuple(gates), num_params=slot)
+        gates.extend(_excitation_block(*((0, 1) if b % 2 == 0 else (1, 2))))
+    return Circuit(n=3, gates=tuple(gates))
 
 
 # --- Hadamard-test estimation ----------------------------------------------
@@ -656,8 +602,8 @@ def _hadamard_test_pair(c: Circuit, theta: np.ndarray, s0: Statevector,
     else:
         insertions = {pos_a: 0}
     last = max(insertions) if tail is None else len(c.gates) - 1
-    for k, gate in enumerate(c.gates):
-        joint = _apply_gate(joint, gate, theta)
+    for k, (gate, mat) in enumerate(zip(c.gates, _gate_matrices(c, theta))):
+        joint = _apply_matrix(joint, mat, gate.targets)
         if k in insertions:
             gen = _GENERATORS[gate.kind]
             target = (gate.targets[0],)
@@ -680,11 +626,12 @@ def hadamard_test(c: Circuit, theta, mode: str, i: int, j: int | None = None,
                   h: PauliSum | None = None, s0: Statevector | None = None) -> float:
     """Estimate one McLachlan matrix or vector entry via ancilla circuits.
 
-    ``mode="A-real"`` takes slot indices i, j and returns Re<d_i phi|d_j phi>;
-    ``mode="C-real"`` takes slot i plus a Pauli sum and returns
-    -Re<d_i phi|H|phi>.  Ancilla expectations are evaluated exactly on the
-    statevector (the infinite-shot limit) and combined with the analytic
-    insertion prefactors.
+    ``mode="A-real"`` takes parameter indices i, j and returns
+    Re<d_i phi|d_j phi>; ``mode="C-real"`` takes parameter i plus a Pauli sum
+    and returns -Re<d_i phi|H|phi>.  Each parameter drives one rotation, so
+    each entry is one insertion per branch.  Ancilla expectations are
+    evaluated exactly on the statevector (the infinite-shot limit) and
+    combined with the analytic insertion prefactors.
     """
     theta = _parameters(theta, c.num_params)
     if s0 is None:
@@ -692,32 +639,25 @@ def hadamard_test(c: Circuit, theta, mode: str, i: int, j: int | None = None,
     if s0.n != c.n:
         raise DimensionMismatch(f"state on {s0.n} qubits, circuit on {c.n}")
     if not 0 <= i < c.num_params:
-        raise SlotOutOfRange(f"slot {i} outside 0..{c.num_params - 1}")
+        raise SlotOutOfRange(f"parameter {i} outside 0..{c.num_params - 1}")
 
     if mode == "A-real":
         if j is None:
-            raise UnsupportedMode("A-real mode needs a second slot index")
+            raise UnsupportedMode("A-real mode needs a second parameter index")
         if not 0 <= j < c.num_params:
-            raise SlotOutOfRange(f"slot {j} outside 0..{c.num_params - 1}")
-        total = 0.0
-        for pos_i in _occurrences(c, i):
-            for pos_j in _occurrences(c, j):
-                a, b = sorted((pos_i, pos_j))
-                total += 0.25 * _hadamard_test_pair(
-                    c, theta, s0, a, b, tail=None, imaginary=False
-                )
-        return total
+            raise SlotOutOfRange(f"parameter {j} outside 0..{c.num_params - 1}")
+        a, b = sorted((c._rotations[i], c._rotations[j]))
+        return 0.25 * _hadamard_test_pair(c, theta, s0, a, b, tail=None, imaginary=False)
     if mode == "C-real":
         if h is None:
             raise UnsupportedMode("C-real mode needs a Hamiltonian")
         if h.n != c.n:
             raise DimensionMismatch(f"operator on {h.n} qubits, circuit on {c.n}")
-        total = 0.0
-        for pos in _occurrences(c, i):
-            for coeff, string in h.terms:
-                total += 0.5 * coeff * _hadamard_test_pair(
-                    c, theta, s0, pos, pos, tail=string, imaginary=True
-                )
+        pos, total = c._rotations[i], 0.0
+        for coeff, string in h.terms:
+            total += 0.5 * coeff * _hadamard_test_pair(
+                c, theta, s0, pos, pos, tail=string, imaginary=True
+            )
         return total
     raise UnsupportedMode(f"unknown mode {mode!r}; use 'A-real' or 'C-real'")
 

@@ -301,7 +301,8 @@ class TestMainDispatch:
          ("max_iters", "0"), ("grad_tol", "-1"),
          ("b", "nan"), ("b", "inf"), ("grad_tol", "nan"), ("grad_tol", "inf"),
          ("theta0_scale", "nan"), ("theta0_scale", "inf"),
-         ("update_mode", "shared")],
+         ("update_mode", "shared"),
+         ("k", "99999999999999999999"), ("shots", "100000000000000000000")],
     )
     def test_bad_config_value_exit_2(self, tmp_path, capsys, key, value):
         cfg_path = write_config(tmp_path, trimmed_h2(tmp_path), **{key: value})

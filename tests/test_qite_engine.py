@@ -32,7 +32,7 @@ from ssqite.simulator import (
 
 
 def single_ry():
-    return Circuit(n=1, gates=(Gate("RY", (0,), 0),), num_params=1)
+    return Circuit(n=1, gates=(Gate("RY", (0,)),))
 
 
 Z = PauliSum.from_terms([(1.0, "Z")])
@@ -135,19 +135,10 @@ class TestAssemble:
 def general_assemble(frame, h, theta):
     """``assemble`` by the general product path, with no fact of the plan used.
 
-    The rotations' derivatives are summed per slot through a one-hot
-    product after the theta[slots] gather, the inputs go through both
-    products, and w is -(rows @ h_r^T) for h_r the real form of Q^H H Q,
-    rebuilt from ``h``.
+    The inputs go through both products, and w is -(rows @ h_r^T) for h_r
+    the real form of Q^H H Q, rebuilt from ``h``.
     """
-    plan = frame.plan
-    p = plan.num_params
-    general = dataclasses.replace(
-        plan,
-        slots=np.arange(p) if plan.slots is None else plan.slots,
-        slot_sum=np.eye(p) if plan.slot_sum is None else plan.slot_sum,
-        leading=None,
-    )
+    general = dataclasses.replace(frame.plan, leading=None)
     phi, t = derivative_stack(general, theta, np.array(frame.inputs))
     hq = h.dense if frame.basis is None else frame.basis.conj().T @ h.dense @ frame.basis
     rows = phi.T
@@ -180,25 +171,15 @@ class TestPlanFacts:
     def test_shipped_frames_take_both_shortcuts(self, request, rng, series, build, labels):
         _, h = request.getfixturevalue(series).points[3]
         frame = basis_frame(h, build(), labels)
-        assert frame.plan.leading is frame.inputs and frame.plan.slots is None
+        assert frame.plan.leading is frame.inputs
         self.assert_same_bits(frame, h, rng)
 
     def test_inputs_not_leading(self, h2_series, rng):
         # |11> first: the inputs are coordinate vectors 3, 0 and 1, so the
-        # sweep multiplies them through; the slots are still one per rotation.
+        # sweep multiplies them through.
         _, h = h2_series.points[3]
         frame = basis_frame(h, build_twolocal(), ("11", "00", "01"))
-        assert frame.plan.leading is None and frame.plan.slots is None
-        self.assert_same_bits(frame, h, rng)
-
-    def test_shared_slot_circuit(self, rng):
-        # Slot 0 drives two rotations, so the derivatives are summed through
-        # the one-hot product; the inputs |00>, |01> are leading.
-        c = Circuit(n=2, gates=(Gate("RY", (0,), 0), Gate("RX", (1,), 1), Gate("CNOT", (0, 1)),
-                                Gate("RY", (0,), 0), Gate("RZ", (1,), 2)), num_params=3)
-        h = decompose_dense(random_hermitian(rng, 4))
-        frame = basis_frame(h, c, ("00", "01"))
-        assert frame.plan.leading is frame.inputs and frame.plan.slots is not None
+        assert frame.plan.leading is None
         self.assert_same_bits(frame, h, rng)
 
     def test_other_batches_take_the_general_path(self, lih_series, rng):

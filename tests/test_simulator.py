@@ -28,7 +28,7 @@ from ssqite.simulator import (
 
 
 def single_ry():
-    return Circuit(n=1, gates=(Gate("RY", (0,), 0),), num_params=1)
+    return Circuit(n=1, gates=(Gate("RY", (0,)),))
 
 
 def random_state(rng, n):
@@ -61,7 +61,7 @@ class TestApply:
 
     def test_cnot_makes_bell(self):
         plus_zero = Statevector(amps=np.array([1, 0, 1, 0]) / np.sqrt(2), n=2)
-        c = Circuit(n=2, gates=(Gate("CNOT", (0, 1)),), num_params=0)
+        c = Circuit(n=2, gates=(Gate("CNOT", (0, 1)),))
         bell = apply(c, [], plus_zero)
         np.testing.assert_allclose(bell.amps, np.array([1, 0, 0, 1]) / np.sqrt(2))
 
@@ -75,18 +75,18 @@ class TestApply:
 
     def test_rotation_sign_convention(self):
         # R_Z(theta)|0> = exp(-i theta/2)|0> under exp(-i theta G / 2).
-        c = Circuit(n=1, gates=(Gate("RZ", (0,), 0),), num_params=1)
+        c = Circuit(n=1, gates=(Gate("RZ", (0,)),))
         out = apply(c, [0.7], Statevector.zero(1))
         assert out.amps[0] == pytest.approx(np.exp(-0.35j), abs=1e-12)
 
     def test_x_gate(self):
-        c = Circuit(n=2, gates=(Gate("X", (1,)),), num_params=0)
+        c = Circuit(n=2, gates=(Gate("X", (1,)),))
         out = apply(c, [], Statevector.from_label("00"))
         assert abs(out.amps[int("01", 2)]) == pytest.approx(1.0)
 
     def test_csx_squares_to_cnot(self):
-        one = Circuit(n=2, gates=(Gate("CNOT", (0, 1)),), num_params=0)
-        two = Circuit(n=2, gates=(Gate("CSX", (0, 1)), Gate("CSX", (0, 1))), num_params=0)
+        one = Circuit(n=2, gates=(Gate("CNOT", (0, 1)),))
+        two = Circuit(n=2, gates=(Gate("CSX", (0, 1)), Gate("CSX", (0, 1))))
         rng = np.random.default_rng(5)
         s = random_state(rng, 2)
         np.testing.assert_allclose(
@@ -111,22 +111,16 @@ class TestApply:
 
 
 class TestCircuitValidation:
-    def test_unused_slot_rejected(self):
-        with pytest.raises(SlotOutOfRange):
-            Circuit(n=1, gates=(Gate("RY", (0,), 0),), num_params=2)
-
-    def test_rotation_needs_slot(self):
+    @pytest.mark.parametrize(
+        "kind, targets",
+        [("RW", (0,)), ("RY", (0, 1)), ("X", (0, 1)), ("CNOT", (0,)), ("CSX", (1,)),
+         ("CNOT", (1, 1)), ("RZ", (2,)), ("CSX", (0, -1))],
+    )
+    def test_bad_gate_rejected(self, kind, targets):
+        # An unknown kind, the wrong arity, a repeated target, or a target
+        # outside the circuit's two qubits.
         with pytest.raises(DimensionMismatch):
-            Gate("RY", (0,))
-
-    def test_cnot_takes_no_slot(self):
-        with pytest.raises(DimensionMismatch):
-            Gate("CNOT", (0, 1), 0)
-
-    def test_printable(self):
-        text = str(build_twolocal())
-        assert "RX(q0; theta[0])" in text
-        assert "CNOT(q0,q1)" in text
+            Circuit(n=2, gates=(Gate(kind, targets),))
 
 
 class TestTwoLocal:
@@ -297,21 +291,6 @@ class TestDerivatives:
             worst = max(worst, float(np.max(np.abs(d - fd))))
         assert worst < 1e-7
 
-    def test_shared_slot_sum_rule(self):
-        # The same slot driving two gates: derivative is the sum of both
-        # single-gate insertions.
-        shared = Circuit(
-            n=1,
-            gates=(Gate("RY", (0,), 0), Gate("RZ", (0,), 0)),
-            num_params=1,
-        )
-        theta = np.array([0.9])
-        s0 = Statevector.zero(1)
-        d = derivative_state(shared, theta, 0, s0)
-        eps = 1e-6
-        fd = (apply(shared, theta + eps, s0).amps - apply(shared, theta - eps, s0).amps) / (2 * eps)
-        assert np.max(np.abs(d - fd)) < 1e-8
-
     def test_stack_matches_per_slot(self, rng):
         c = build_twolocal()
         theta = rng.uniform(-np.pi, np.pi, 16)
@@ -347,21 +326,20 @@ class TestDerivatives:
                     )
 
     def test_batched_shared_slot_and_trailing_fixed_gates(self, rng):
-        # A slot read by two rotations, fixed gates before, between and after.
+        # Three rotations, fixed gates before, between and after them.
         c = Circuit(
             n=2,
             gates=(
-                Gate("X", (1,)), Gate("RY", (0,), 0), Gate("CSX", (0, 1)),
-                Gate("RZ", (1,), 0), Gate("RX", (0,), 1), Gate("CNOT", (1, 0)),
+                Gate("X", (1,)), Gate("RY", (0,)), Gate("CSX", (0, 1)),
+                Gate("RZ", (1,)), Gate("RX", (0,)), Gate("CNOT", (1, 0)),
             ),
-            num_params=2,
         )
-        theta = rng.uniform(-np.pi, np.pi, 2)
+        theta = rng.uniform(-np.pi, np.pi, 3)
         states = [random_state(rng, 2) for _ in range(2)]
         _, t = derivative_stack(c, theta, real_form(np.column_stack([s.amps for s in states])))
         stack = complex_stack(t)
         for l, s in enumerate(states):
-            for i in range(2):
+            for i in range(3):
                 np.testing.assert_allclose(
                     stack[i, :, l], derivative_state(c, theta, i, s), atol=1e-12
                 )
@@ -369,23 +347,22 @@ class TestDerivatives:
     def test_deep_circuit_matches_oracle(self, rng):
         # The sweep pulls each rotation's derivative back through W_r^dag,
         # which is exact only while the prefix products stay unitary; 200
-        # rotations reading 40 shared slots, between fixed gates at both
-        # ends and in between, must still agree with the oracle.
+        # rotations, between fixed gates at both ends and in between, must
+        # still agree with the oracle.
         fixed = [Gate("X", (2,)), Gate("CNOT", (0, 2)), Gate("CSX", (1, 0))]
-        slots = np.concatenate([rng.permutation(40) for _ in range(5)])
         gates = list(fixed)
-        for slot in slots:
+        for _ in range(200):
             if rng.random() < 0.3:
                 gates.append(fixed[rng.integers(len(fixed))])
             kind = ("RX", "RY", "RZ")[rng.integers(3)]
-            gates.append(Gate(kind, (int(rng.integers(3)),), int(slot)))
+            gates.append(Gate(kind, (int(rng.integers(3)),)))
         gates.extend(fixed[::-1])
-        c = Circuit(n=3, gates=tuple(gates), num_params=40)
-        theta = rng.uniform(-np.pi, np.pi, 40)
+        c = Circuit(n=3, gates=tuple(gates))
+        theta = rng.uniform(-np.pi, np.pi, 200)
         s0 = random_state(rng, 3)
         phi, stack = derivative_stack(c, theta, s0)
         assert np.linalg.norm(phi.amps) == pytest.approx(1.0, abs=1e-12)
-        for i in range(40):
+        for i in range(200):
             np.testing.assert_allclose(
                 stack[i], derivative_state(c, theta, i, s0), rtol=0, atol=1e-11
             )
@@ -488,17 +465,6 @@ class TestHadamardTest:
             assert hadamard_test(c, theta, "C-real", i, h=h) == pytest.approx(
                 direct_c, abs=1e-10
             )
-
-    def test_shared_slot_pairs(self):
-        shared = Circuit(
-            n=1, gates=(Gate("RY", (0,), 0), Gate("RZ", (0,), 0)), num_params=1
-        )
-        theta = np.array([0.4])
-        s0 = Statevector.zero(1)
-        d = derivative_state(shared, theta, 0, s0)
-        assert hadamard_test(shared, theta, "A-real", 0, j=0, s0=s0) == pytest.approx(
-            float(np.vdot(d, d).real), abs=1e-10
-        )
 
     def test_unknown_mode(self):
         with pytest.raises(UnsupportedMode):

@@ -30,7 +30,7 @@ ZZ = PauliSum.from_terms([(1.0, "ZZ")])
 
 
 def single_ry():
-    return Circuit(n=1, gates=(Gate("RY", (0,), 0),), num_params=1)
+    return Circuit(n=1, gates=(Gate("RY", (0,)),))
 
 
 def basis(*labels):
