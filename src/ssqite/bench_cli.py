@@ -10,13 +10,16 @@ Config files are flat ``key = value`` text with ``#`` comments, each key at
 most once; relative paths resolve against the config file's directory.  The
 environment variable ``SSQITE_SEED`` overrides the configured seed.  With
 ``shots > 0`` only the final energy readout of each level is sampled; the
-McLachlan systems that drive the evolution stay exact.  Exit codes: 0 success, 1 accuracy or
-convergence failure, 2 input error.
+McLachlan systems that drive the evolution stay exact.  A scan geometry
+whose run fails to converge or to solve is listed in ``summary.json``, and
+the other geometries' rows are still written.  Exit codes: 0 success, 1
+accuracy or convergence failure, 2 input error.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -30,6 +33,7 @@ from .errors import MaxItersExceeded, ParseError, SingularSystem, SsqiteError
 from .exact_oracle import eigensolve
 from .pauli_algebra import content_lines, load_geometry_series
 from .simulator import (
+    MAX_SHOTS,
     Statevector,
     build_excitation_preserving,
     build_twolocal,
@@ -43,7 +47,6 @@ _DEFAULT_LABELS = {
     "excitation-preserving": ("010", "001", "100"),
 }
 CHEMICAL_ACCURACY = 1.6e-3
-_MAX_SHOTS = np.iinfo(np.int64).max  # the largest count the binomial sampler takes
 
 
 @dataclass(frozen=True)
@@ -68,8 +71,8 @@ class RunConfig:
             raise ParseError(f"ansatz must be one of {ANSATZE}, got {self.ansatz!r}")
         if self.k < 1:
             raise ParseError(f"k must be >= 1, got {self.k}")
-        if not 0 <= self.shots <= _MAX_SHOTS:
-            raise ParseError(f"shots must be in 0..{_MAX_SHOTS}, got {self.shots}")
+        if not 0 <= self.shots <= MAX_SHOTS:
+            raise ParseError(f"shots must be in 0..{MAX_SHOTS}, got {self.shots}")
         if self.seed < 0:
             raise ParseError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.theta0_scale < np.inf:
@@ -197,8 +200,30 @@ def _write_lines(path: Path, lines) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def blas_kernel() -> str:
+    """The kernel NumPy's bundled OpenBLAS runs on this CPU, or ``unknown``.
+
+    A ``DYNAMIC_ARCH`` OpenBLAS picks its kernel when it loads, and the
+    pinned output bytes hold on one kernel only.  Read with ctypes from the
+    library's ``scipy_openblas_get_corename64_``, when called; a NumPy
+    without that library, or a library without that symbol, reads ``unknown``.
+    """
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def cmd_scan(cfg: RunConfig, tolerance: float = CHEMICAL_ACCURACY) -> int:
-    """Run the full geometry series and emit scan.csv / summary.json."""
+    """Run the full geometry series and emit scan.csv / summary.json.
+
+    A geometry whose run hits ``max_iters`` or whose McLachlan solve fails
+    has no rows in scan.csv and is listed with its reason under
+    ``failures``; the other geometries' rows stand, and the scan exits 1.
+    """
     if not 0 < tolerance < np.inf:
         raise ParseError(f"tolerance must be positive and finite, got {tolerance}")
     t_start = time.perf_counter()
@@ -206,11 +231,15 @@ def cmd_scan(cfg: RunConfig, tolerance: float = CHEMICAL_ACCURACY) -> int:
     series = load_geometry_series(cfg.hamiltonian_path)
     circuit = _build_ansatz(cfg)
     lines = ["R,level,E_ssqite,E_exact,abs_err,iters"]
-    errors = np.zeros((len(series), cfg.k))
-    iterations, walls = {}, {}
+    errors, iterations, walls, failures = [], {}, {}, {}
     for gi, (bond, hamiltonian) in enumerate(series.points):
         t_geometry = time.perf_counter()
-        result = _run_geometry(cfg, circuit, hamiltonian)
+        try:
+            result = _run_geometry(cfg, circuit, hamiltonian)
+        except (MaxItersExceeded, SingularSystem) as exc:
+            failures[_fmt(bond)] = str(exc)
+            print(f"error: R={_fmt(bond)}: {exc}", file=sys.stderr)
+            continue
         exact = eigensolve(hamiltonian).eigenvalues[: cfg.k]
         for level in range(cfg.k):
             energy = result.energies[level]
@@ -221,36 +250,41 @@ def cmd_scan(cfg: RunConfig, tolerance: float = CHEMICAL_ACCURACY) -> int:
                     cfg.shots,
                     seed=_sample_seed(cfg.seed, gi, level),
                 )
-            errors[gi, level] = abs_err = abs(energy - exact[level])
+            errors.append(abs_err := abs(energy - exact[level]))
             lines.append(f"{_fmt(bond)},{level},{_fmt(energy)},{_fmt(exact[level])},"
                          f"{_fmt(abs_err)},{result.iterations}")
         iterations[_fmt(bond)] = result.iterations
         walls[_fmt(bond)] = time.perf_counter() - t_geometry
     _write_lines(cfg.output_dir / "scan.csv", lines)
 
+    errors = np.reshape(errors, (-1, cfg.k))  # the finished geometries only
+    worst = float(errors.max()) if len(errors) else None
     summary = {
         "molecule": series.label,
         "geometries": len(series),
         "levels": cfg.k,
         "tolerance_Ha": tolerance,
-        "max_abs_err_Ha": float(errors.max()),
+        "max_abs_err_Ha": worst,
         "max_abs_err_per_level_Ha": {
-            str(l): float(errors[:, l].max()) for l in range(cfg.k)
+            str(l): float(errors[:, l].max()) if len(errors) else None for l in range(cfg.k)
         },
         "wall_time_s": time.perf_counter() - t_start,
         "iterations_per_geometry": iterations,
         "iterations_total": sum(iterations.values()),
         "wall_s_per_geometry": walls,
+        "failures": failures,
+        "numpy": np.__version__,
+        "blas_kernel": blas_kernel(),
     }
     (cfg.output_dir / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    print(
-        f"scan: {series.label}, {len(series)} geometries, "
-        f"max |E - E_exact| = {errors.max():.3e} Ha "
-        f"({'within' if errors.max() < tolerance else 'ABOVE'} {tolerance:g} Ha)"
-    )
-    return 0 if errors.max() < tolerance else 1
+    passed = worst is not None and worst < tolerance
+    reached = "no geometry finished" if worst is None else (
+        f"max |E - E_exact| = {worst:.3e} Ha ({'within' if passed else 'ABOVE'} {tolerance:g} Ha)")
+    failed = f"{len(failures)} failed, " if failures else ""
+    print(f"scan: {series.label}, {len(series)} geometries, {failed}{reached}")
+    return 0 if passed and not failures else 1
 
 
 def cmd_trace(cfg: RunConfig, bond_length: float) -> int:

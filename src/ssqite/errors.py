@@ -60,7 +60,7 @@ class UnsupportedMode(SsqiteError, ValueError):
 
 
 class ZeroShots(SsqiteError, ValueError):
-    """Shot count must be at least one."""
+    """Shot count must be an integer from one to the sampler's int64 maximum."""
 
 
 # --- Imaginary-time engines ---

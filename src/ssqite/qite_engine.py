@@ -6,9 +6,9 @@ subspace around the inputs that every gate maps into itself.
 :func:`assemble` measures the k McLachlan systems A theta_dot = C at theta,
 A_ij = Re<d_i phi|d_j phi> and C_i = -Re<d_i phi|H|phi> = -1/2 dE/dtheta_i,
 from one circuit sweep, and :func:`solve` solves the stack in one batched
-eigendecomposition.  The frame proves once what each iteration would
-otherwise pay for in the general case: it binds the plan to its inputs,
-which for basis-state inputs are its first k coordinate vectors, and it
+eigendecomposition.  The frame settles once what each iteration would
+otherwise pay for: its basis starts with the inputs, so they are its first k
+coordinate vectors and every sweep reads them as column slices, and it
 stores -h^T, so w takes one product; :func:`solve` reads its cut from the
 top of the ascending spectrum, since every Gram t^T t is positive
 semidefinite.  :func:`run_qite` is single-state QITE by explicit Euler
@@ -31,7 +31,6 @@ from .simulator import (
     _parameters,
     derivative_stack,
     invariant_basis,
-    real_form,
     real_matrix,
 )
 
@@ -40,24 +39,20 @@ from .simulator import (
 class _Frame:
     """The coordinates a run assembles and reads out in, built once per run.
 
-    ``basis`` is the orthonormal complex basis Q of the circuit's invariant
-    subspace around the inputs, or None when that subspace is the whole
-    space.  ``plan`` is the dense circuit, ``inputs`` the read-only (2r, k)
-    real-form input columns in Q's coordinates and ``minus_ht`` -h^T for h
-    the real form of Q^H H Q (:func:`~ssqite.simulator.real_matrix`), so the
-    rows of -H phi take one product.  Q preserves inner products, so every
-    energy and overlap a run reports is computed in these coordinates; only
-    the final states are lifted back to the full space.
-
-    The plan is bound to the inputs (:meth:`~ssqite.simulator.DenseCircuit.with_inputs`):
-    where they are the frame's first k coordinate vectors, as for basis-state
-    inputs in the full space or in a Q that starts with them, every sweep
-    reads the states it needs as column slices.
+    ``basis`` is the orthonormal complex (2^n, r) basis Q of the circuit's
+    invariant subspace around the k inputs (:func:`~ssqite.simulator.invariant_basis`),
+    which starts with the inputs, so in Q's coordinates they are the first k
+    coordinate vectors.  ``plan`` is the dense circuit restricted to Q and
+    ``minus_ht`` -h^T for h the real form of Q^H H Q
+    (:func:`~ssqite.simulator.real_matrix`), so the rows of -H phi take one
+    product.  Q preserves inner products, so every energy and overlap a run
+    reports is computed in these coordinates; only the final states are
+    lifted back to the full space.
     """
 
-    basis: np.ndarray | None
+    basis: np.ndarray
     plan: DenseCircuit
-    inputs: np.ndarray
+    k: int
     minus_ht: np.ndarray
 
     @classmethod
@@ -65,14 +60,8 @@ class _Frame:
         if h.n != c.n:
             raise DimensionMismatch(f"Hamiltonian on {h.n} qubits, circuit on {c.n}")
         q = invariant_basis(c, amps)
-        if q.shape[1] == q.shape[0]:
-            q, plan, hq = None, c.dense, h.dense
-        else:
-            qh = q.conj().T
-            plan, amps, hq = c.dense.restrict(q), qh @ amps, qh @ h.dense @ q
-        inputs = real_form(amps)
-        inputs.flags.writeable = False
-        return cls(q, plan.with_inputs(inputs), inputs, -real_matrix(hq).T)
+        hq = q.conj().T @ h.dense @ q
+        return cls(q, c.dense.restrict(q), amps.shape[1], -real_matrix(hq).T)
 
 
 @dataclass(frozen=True)
@@ -127,7 +116,7 @@ def assemble(frame: _Frame, theta) -> McLachlanSystem:
     preserves, so they equal the full-space ones; ``phi`` is in the frame's
     coordinates.
     """
-    phi, t = derivative_stack(frame.plan, theta, frame.inputs)
+    phi, t = derivative_stack(frame.plan, theta, frame.k)
     rows = phi.T  # (k, 2d)
     w = rows @ frame.minus_ht  # the rows of -H phi
     return McLachlanSystem(t=t, w=w, energy=-(rows * w).sum(axis=1), phi=rows)

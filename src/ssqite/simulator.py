@@ -18,9 +18,12 @@ Parameter i is the angle of the i-th rotation gate, so rotation r's
 derivative is parameter r's.  The cubic cost in d is deliberate: the
 package targets small dense simulation, the shipped ansaetze act on 2 and 3
 qubits, and there the cost of a sweep is call overhead, not arithmetic.  So
-a plan bound to a batch that is its first k coordinate vectors
-(:meth:`DenseCircuit.with_inputs`, as basis-state inputs are) reads W_r psi
-and U psi as column slices instead of two products, with the same bits.
+a sweep moves the plan's first k coordinate vectors, and reads W_r psi and
+U psi as column slices of W_r and U instead of forming two products; a
+frame puts its inputs first (:func:`invariant_basis`), so its sweeps are
+always of this kind.  Any other batch is the sweep of all 2d coordinate
+vectors contracted with the batch, which for basis-state inputs selects
+columns exactly.
 
 Every matrix is stored in the real form A + iB -> [[A, -B], [B, A]] and a
 batch of states in the real form [Re psi; Im psi].  The real form maps
@@ -233,17 +236,13 @@ class DenseCircuit:
     and then rotation r, at angle theta[r]; ``tail`` holds the fixed gates
     after the last rotation, or None when there are none.  Every matrix is
     stored in its real form (:func:`real_matrix`), so it acts on real-form
-    state columns.  ``leading`` is the read-only (2d, k) real-form input
-    batch that :meth:`with_inputs` found to be the first k coordinate
-    vectors, or None: a sweep of that very array reads W_r psi and U psi as
-    column slices.
+    state columns.
     """
 
     lead: np.ndarray  # (R, 2d, 2d)
     turned_lead: np.ndarray  # (R, 2d, 2d) -i G lead, as R(theta) = cos I + sin (-i G)
     insertion: np.ndarray  # (R, 2d, 2d) -i/2 G, the derivative of rotation r
     tail: np.ndarray | None
-    leading: np.ndarray | None = None
 
     @property
     def num_params(self) -> int:
@@ -272,21 +271,7 @@ class DenseCircuit:
             turned_lead=qt @ self.turned_lead @ qr,
             insertion=qt @ self.insertion @ qr,
             tail=None if self.tail is None else qt @ self.tail @ qr,
-            leading=None,
         )
-
-    def with_inputs(self, amps: np.ndarray) -> "DenseCircuit":
-        """This plan, bound to the read-only (2d, k) real-form batch ``amps`` if it can be.
-
-        When ``amps`` is exactly the first k coordinate vectors, the result
-        records it as ``leading``; otherwise it is this plan.  Either way a
-        sweep gives the same bits, and any other batch takes the general path.
-        """
-        if amps.flags.writeable:
-            raise ValueError("with_inputs needs a read-only input batch")
-        if amps.shape[0] == 2 * self.dim and np.array_equal(amps, np.eye(*amps.shape)):
-            return replace(self, leading=amps)
-        return self
 
     def steps(self, theta: np.ndarray) -> np.ndarray:
         """All R step matrices at once: R_r(theta) @ lead[r]."""
@@ -323,8 +308,8 @@ def invariant_basis(c: Circuit, amps) -> np.ndarray:
     The subspace contains the orthonormal columns of ``amps`` and is mapped
     into itself by every lead, generator and tail matrix of ``c.dense``,
     hence by the circuit at every theta and by every parameter derivative.  The
-    basis starts with the columns of ``amps``, so Q^H amps is the leading
-    identity columns (exactly, for basis-state inputs).  It is extended by
+    basis starts with the columns of ``amps``, so in its coordinates the
+    inputs are the first k coordinate vectors.  It is extended by
     the part of every matrix's image of it that lies outside its span,
     orthonormalized, until that part vanishes (singular values at most 1e-10
     count as rounding noise).  The search runs on the complex matrices read
@@ -358,9 +343,9 @@ def _prefix_products(steps: np.ndarray) -> np.ndarray:
     return w
 
 
-def _sweep(plan: DenseCircuit, theta: np.ndarray, amps: np.ndarray,
+def _sweep(plan: DenseCircuit, theta: np.ndarray, k: int,
            derivatives: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """Move the k real-form columns of ``amps`` through U(theta) together.
+    """Move the plan's first k real-form coordinate vectors through U(theta) together.
 
     Returns the (2d, k) final states and, with ``derivatives``, the
     C-contiguous (k, P, 2d) stack t of their parameter derivatives, t[l, p]
@@ -368,26 +353,21 @@ def _sweep(plan: DenseCircuit, theta: np.ndarray, amps: np.ndarray,
     steps, U = V_r W_r for the rest V_r of the circuit, and W_r is
     orthogonal, so rotation r's derivative V_r I_r W_r psi equals
     U W_r^T I_r W_r psi: every rotation at once in a few batched products.
-    When ``amps`` is the plan's ``leading`` batch,
-    W_r psi and U psi are the first k columns of W_r and U, read as slices,
-    which equal the products bit for bit.  Every array returned is new to
-    this sweep.
+    W_r psi and U psi are the first k columns of W_r and U, read as slices.
+    Every array returned is new to this sweep.
     """
-    size, k = amps.shape
+    size = 2 * plan.dim
     w = _prefix_products(plan.steps(theta))
     u = w[-1] if len(w) else np.eye(size)
     if plan.tail is not None:
         u = plan.tail @ u
-    leading = amps is plan.leading
-    phi = u[:, :k] if leading else u @ amps
     if not derivatives:
-        return phi, None
+        return u[:, :k], None
     rows = w.reshape(-1, size)  # the W_r stacked by rows
-    after = w[:, :, :k] if leading else (rows @ amps).reshape(-1, size, k)  # W_r psi
     # Block r of U [W_0^T | W_1^T | ...] is U W_r^T.
     back = (u @ rows.T).reshape(size, -1, size).transpose(1, 0, 2)
     # (k, R, 2d), copied to C order
-    return phi, (back @ (plan.insertion @ after)).transpose(2, 0, 1).copy()
+    return u[:, :k], (back @ (plan.insertion @ w[:, :, :k])).transpose(2, 0, 1).copy()
 
 
 def _parameters(theta, num_params: int) -> np.ndarray:
@@ -400,35 +380,46 @@ def _parameters(theta, num_params: int) -> np.ndarray:
     return theta.astype(float, copy=False)
 
 
-def _inputs(c: Circuit | DenseCircuit, theta, s) -> tuple[DenseCircuit, np.ndarray, np.ndarray]:
-    """Dense plan, validated parameters and (2d, k) real-form input columns."""
+def _sweep_inputs(c: Circuit | DenseCircuit, theta, s,
+                  derivatives: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """:func:`_sweep` of the inputs ``s`` that :func:`apply` and :func:`derivative_stack` take.
+
+    An int ``s`` is the plan's first ``s`` coordinate vectors, checked to be
+    1..d of them.  A Statevector or a (2d, k) real-form batch is checked,
+    and the sweep of all 2d coordinate vectors is contracted with it.
+    """
     plan = c.dense if isinstance(c, Circuit) else c
     theta = _parameters(theta, plan.num_params)
-    if s is not None and s is plan.leading:  # checked once, when the plan was bound to it
-        return plan, theta, s
+    if isinstance(s, (int, np.integer)):
+        if not 1 <= s <= plan.dim:
+            raise DimensionMismatch(f"{s} input columns, the plan has 1..{plan.dim}")
+        return _sweep(plan, theta, int(s), derivatives)
     if isinstance(s, Statevector):
         if 2 ** s.n != plan.dim:
             raise DimensionMismatch(f"state of {2 ** s.n} amplitudes, circuit on {plan.dim}")
-        return plan, theta, real_form(s.amps)[:, None]
-    amps = np.asarray(s)
-    if amps.dtype.kind == "c":
-        raise TypeError("a state batch is given by its real form, see real_form")
-    if amps.ndim != 2 or amps.shape[0] != 2 * plan.dim:
-        raise DimensionMismatch(
-            f"state batch has shape {amps.shape}, expected ({2 * plan.dim}, k)"
-        )
-    return plan, theta, amps.astype(float, copy=False)
+        amps = real_form(s.amps)[:, None]
+    else:
+        amps = np.asarray(s)
+        if amps.dtype.kind == "c":
+            raise TypeError("a state batch is given by its real form, see real_form")
+        if amps.ndim != 2 or amps.shape[0] != 2 * plan.dim:
+            raise DimensionMismatch(
+                f"state batch has shape {amps.shape}, expected ({2 * plan.dim}, k)"
+            )
+        amps = amps.astype(float, copy=False)
+    u, t = _sweep(plan, theta, 2 * plan.dim, derivatives)
+    return u @ amps, None if t is None else np.tensordot(amps, t, (0, 0))
 
 
 def apply(c: Circuit | DenseCircuit, theta, s):
     """Run the circuit: ``U(theta) |s>``.
 
     ``c`` is a Circuit or a DenseCircuit, such as a restricted one.  ``s`` is
-    a Statevector (returns a Statevector) or a (2d, k) real-form matrix of
-    state columns (returns the evolved real-form matrix).
+    a Statevector (returns a Statevector), a (2d, k) real-form matrix of
+    state columns or an int k, the plan's first k coordinate vectors (either
+    returns the evolved (2d, k) real-form matrix).
     """
-    plan, theta, amps = _inputs(c, theta, s)
-    out, _ = _sweep(plan, theta, amps, derivatives=False)
+    out, _ = _sweep_inputs(c, theta, s, derivatives=False)
     if isinstance(s, Statevector):
         return Statevector(amps=complex_form(out[:, 0]), n=s.n)
     return out
@@ -496,13 +487,13 @@ def derivative_stack(c: Circuit | DenseCircuit, theta, s0):
 
     For a Statevector returns ``(phi, D)`` with the complex (P, d) stack
     ``D[i] == derivative_state(c, theta, i, s0)``.  For a (2d, k) real-form
-    matrix of state columns returns the (2d, k) real-form final states and
-    the C-contiguous (k, P, 2d) real factor t, t[l, i] the real form of
-    d_i phi_l, all k columns from the same sweep.  ``c`` is a Circuit or a
-    DenseCircuit, such as a restricted one.
+    matrix of state columns, or an int k for the plan's first k coordinate
+    vectors, returns the (2d, k) real-form final states and the (k, P, 2d)
+    real factor t, t[l, i] the real form of d_i phi_l, all k columns from
+    the same sweep; for an int k, t is C-contiguous.  ``c`` is a Circuit or
+    a DenseCircuit, such as a restricted one.
     """
-    plan, theta, amps = _inputs(c, theta, s0)
-    phi, t = _sweep(plan, theta, amps, derivatives=True)
+    phi, t = _sweep_inputs(c, theta, s0, derivatives=True)
     if isinstance(s0, Statevector):
         return Statevector(amps=complex_form(phi[:, 0]), n=s0.n), complex_form(t[0].T).T
     return phi, t
@@ -664,14 +655,18 @@ def hadamard_test(c: Circuit, theta, mode: str, i: int, j: int | None = None,
 
 # --- finite-shot estimation --------------------------------------------------
 
+MAX_SHOTS = np.iinfo(np.int64).max  # the largest count the binomial sampler takes
+
+
 def sample_expectation(h: PauliSum, s: Statevector, shots: int, seed: int) -> float:
     """Unbiased finite-shot estimate of <s|H|s>.
 
     Each Pauli term is measured independently in its own eigenbasis with the
     full shot budget; outcomes are drawn from the exact +/-1 probabilities.
+    ``shots`` must be an integer in 1..MAX_SHOTS.
     """
-    if shots < 1:
-        raise ZeroShots(f"shots must be >= 1, got {shots}")
+    if not isinstance(shots, (int, np.integer)) or not 1 <= shots <= MAX_SHOTS:
+        raise ZeroShots(f"shots must be an integer in 1..{MAX_SHOTS}, got {shots!r}")
     if h.n != s.n:
         raise DimensionMismatch(f"operator on {h.n} qubits, state on {s.n}")
     rng = np.random.default_rng(seed)

@@ -5,7 +5,8 @@ every level's update, so the states stay exactly orthogonal (one unitary on
 orthogonal inputs).  Level l starts with step size dtau_l = b / 2^l, so lower
 levels dominate the joint update; once a level converges, every step size
 from that level upward doubles (ratios intact), which keeps the iteration
-count from growing like 2^k.
+count from growing like 2^k.  When a converged level's speed re-awakens and
+grows, every step size halves, but never below its initial b / 2^l.
 
 A run puts its problem into coordinates once, when it starts: its frame
 (:class:`~ssqite.qite_engine._Frame`) works in the smallest subspace around
@@ -160,7 +161,7 @@ class SubspaceRun:
             flags=[False] * k,
             streaks=[0] * k,
             speeds=[np.inf] * k,
-            log=_Log(k, len(frame.inputs)),
+            log=_Log(k, 2 * frame.plan.dim),
             frame=frame,
             cfg=cfg,
         )
@@ -208,10 +209,12 @@ def iteration(run: SubspaceRun) -> SubspaceRun:
 
     # A converged level whose velocity re-awakens and keeps growing signals
     # that step doubling pushed dtau past the explicit-integrator stability
-    # bound; back off all step sizes together so the dtau ratios stay intact.
+    # bound; back off all step sizes together, each to no less than its
+    # initial b / 2^l: halving with no floor, on consecutive iterations,
+    # drives every step to zero.
     if True in flags and any(f and g > 10.0 * cfg.grad_tol and g > p
                              for f, g, p in zip(flags, grads, run.speeds)):
-        run.dtau *= 0.5
+        np.maximum(0.5 * run.dtau, init_schedule(len(flags), cfg.b), out=run.dtau)
     run.speeds = grads
     # Every level of the converged prefix has already had its doubling.
     doubled = _converged_prefix(flags)
@@ -261,13 +264,11 @@ class SubspaceResult:
 def _finalize(run: SubspaceRun) -> SubspaceResult:
     """The result at the final parameters, read out in the run's frame from one sweep."""
     frame = run.frame
-    phi = apply(frame.plan, run.theta, frame.inputs)
+    phi = apply(frame.plan, run.theta, frame.k)
     rows = phi.T
     # The logged energies' form: Re(phi^dag H phi) on the real form.
     energies = -np.sum(rows * (rows @ frame.minus_ht), axis=1)
-    amps = complex_form(phi)
-    if frame.basis is not None:
-        amps = frame.basis @ amps
+    amps = frame.basis @ complex_form(phi)
     return SubspaceResult(
         theta=run.theta,
         energies=energies,

@@ -28,3 +28,12 @@ def rng():
 def random_hermitian(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     return a + a.conj().T
+
+
+def complete_basis(c, amps):
+    """A basis of the whole 2^n space that starts with the basis-state inputs ``amps``.
+
+    Stands in for ``invariant_basis`` to run a frame on every amplitude: the
+    inputs come first, then the coordinate vectors that are not inputs.
+    """
+    return np.hstack((amps, np.eye(2 ** c.n)[:, ~amps.any(axis=1)]))

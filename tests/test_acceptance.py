@@ -17,6 +17,7 @@ from conftest import CONFIGS, DATA, random_hermitian
 from ssqite.bench_cli import (
     CHEMICAL_ACCURACY,
     _initial_theta,
+    blas_kernel,
     cmd_scan,
     cmd_trace,
     parse_config,
@@ -44,7 +45,8 @@ LIH_STRETCH = 3.3e-4
 H2_ITERS = 8143
 LIH_ITERS = 1723
 # md5 of the shipped runs' output files at seed 11 (NumPy 2.4, OpenBLAS
-# 0.3.31).  A change that moves any output bit must update these and say why.
+# 0.3.31 on its SkylakeX kernel; see ``blas_kernel``).  A change that moves
+# any output bit must update these and say why.
 PINNED_MD5 = {
     "h2 scan.csv": "64e988e27179f0272f5861f6ecb89b18",
     "lih scan.csv": "a5d47401b9db263e4cc45c28658ba858",
@@ -321,7 +323,8 @@ def test_criterion_5b_pinned_output_bytes(h2_scan, lih_scan, tmp_path):
     digests = {name: hashlib.md5(path.read_bytes()).hexdigest() for name, path in files.items()}
     moved = sorted(name for name in files if digests[name] != PINNED_MD5[name])
     report("5b (pinned output bytes)", not moved,
-           f"md5 of {', '.join(files)}; changed: {moved or 'none'}")
+           f"md5 of {', '.join(files)}; changed: {moved or 'none'}; "
+           f"BLAS kernel {blas_kernel()}")
 
 
 def test_shot_noise_variance_substitute():

@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 
 from conftest import DATA, REPO
-from ssqite.bench_cli import RunConfig, cmd_exact, cmd_scan, cmd_trace, main, parse_config
+from ssqite.bench_cli import (
+    RunConfig,
+    blas_kernel,
+    cmd_exact,
+    cmd_scan,
+    cmd_trace,
+    main,
+    parse_config,
+)
 from ssqite.errors import ParseError
 
 
@@ -189,6 +197,45 @@ class TestScan:
         cfg_path = write_config(tmp_path, trimmed_h2(tmp_path))
         assert main(["scan", "--config", str(cfg_path)]) == 1
         assert "Traceback" not in capsys.readouterr().err
+
+
+    def test_lih_scan_with_larger_base_step_passes(self, tmp_path):
+        # The shipped LiH config at b = 0.7 (0.6 and 0.8 pass either way):
+        # at R = 1.4 the step-size back-off fires on every iteration once
+        # level 0 has converged, and it must not drive the steps to zero.
+        cfg_path = write_config(tmp_path, DATA / "lih_sto3g.txt",
+                                ansatz="excitation-preserving", b="0.7")
+        assert main(["scan", "--config", str(cfg_path)]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["failures"] == {} and summary["max_abs_err_Ha"] < 1.6e-3
+
+    def test_capped_geometries_keep_the_other_rows_exit_1(self, tmp_path, capsys):
+        # The shipped H2 series capped at 1000 iterations: the four
+        # stretched geometries need more, the other nine keep their rows.
+        cfg_path = write_config(tmp_path, DATA / "h2_sto3g.txt", max_iters="1000")
+        assert main(["scan", "--config", str(cfg_path)]) == 1
+        failed = ["1.5", "1.75", "2.0", "2.25"]
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert [line.split(": ")[:2] for line in err.splitlines()] == [
+            ["error", f"R={bond}"] for bond in failed]
+        rows = [line.split(",") for line in
+                (tmp_path / "out" / "scan.csv").read_text().splitlines()[1:]]
+        finished = ["0.35", "0.45", "0.55", "0.65", "0.735", "0.8", "0.95", "1.1", "1.3"]
+        assert [row[0] for row in rows] == [bond for bond in finished for _ in range(3)]
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert sorted(summary["failures"], key=float) == failed
+        assert all(reason.endswith("unconverged after 1000 iterations")
+                   for reason in summary["failures"].values())
+        assert list(summary["iterations_per_geometry"]) == finished
+        assert summary["max_abs_err_Ha"] == max(float(row[4]) for row in rows)
+        assert summary["numpy"] == np.__version__
+        assert summary["blas_kernel"] == blas_kernel()
+
+    def test_blas_kernel_unknown_without_the_bundled_library(self, tmp_path, monkeypatch):
+        assert blas_kernel() != ""
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        assert blas_kernel() == "unknown"
 
 
 class TestTrace:

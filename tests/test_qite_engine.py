@@ -1,11 +1,9 @@
 """McLachlan system assembly, pseudo-solve, and Euler imaginary-time stepping."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import complete_basis, random_hermitian
 from ssqite.errors import DimensionMismatch, MaxStepsExceeded, SingularSystem
 from ssqite.pauli_algebra import PauliSum, decompose_dense
 from ssqite.qite_engine import (
@@ -103,17 +101,21 @@ class TestAssemble:
     ):
         # The sweep writes t as the C-contiguous (k, P, 2d) stack of
         # [Re D | Im D]; w, the energies and phi follow the complex formulas,
-        # in the coordinates of the frame's invariant basis Q when restricted.
+        # in the coordinates of the frame's basis Q: the invariant subspace
+        # when restricted, else a basis of the whole space that starts with
+        # the inputs.
         from ssqite import qite_engine
 
         if not restricted:
-            monkeypatch.setattr(qite_engine, "invariant_basis", lambda c, amps: np.eye(len(amps)))
+            monkeypatch.setattr(qite_engine, "invariant_basis", complete_basis)
         c = build()
         states = [Statevector.from_label(l) for l in labels]
         amps = np.column_stack([s.amps for s in states])
         _, h = request.getfixturevalue(series).points[3]
         frame = _Frame.of(h, c, amps)
-        q = np.eye(len(amps)) if frame.basis is None else frame.basis
+        q = frame.basis
+        if not restricted:
+            assert q.shape == (len(amps), len(amps))
         qh = q.conj().T
         for _ in range(3):
             theta = rng.uniform(-np.pi, np.pi, c.num_params)
@@ -133,14 +135,15 @@ class TestAssemble:
 
 
 def general_assemble(frame, h, theta):
-    """``assemble`` by the general product path, with no fact of the plan used.
+    """``assemble`` by the public batch path, with no fact of the frame used.
 
-    The inputs go through both products, and w is -(rows @ h_r^T) for h_r
-    the real form of Q^H H Q, rebuilt from ``h``.
+    The frame's inputs, given as a (2r, k) batch, are contracted with the
+    sweep of all 2r coordinate vectors, and w is -(rows @ h_r^T) for h_r the
+    real form of Q^H H Q, rebuilt from ``h``.
     """
-    general = dataclasses.replace(frame.plan, leading=None)
-    phi, t = derivative_stack(general, theta, np.array(frame.inputs))
-    hq = h.dense if frame.basis is None else frame.basis.conj().T @ h.dense @ frame.basis
+    batch = np.eye(2 * frame.plan.dim)[:, :frame.k]
+    phi, t = derivative_stack(frame.plan, theta, batch)
+    hq = frame.basis.conj().T @ h.dense @ frame.basis
     rows = phi.T
     w = -(rows @ real_matrix(hq).T)
     return t, w, -(rows * w).sum(axis=1), rows
@@ -151,7 +154,11 @@ def basis_frame(h, c, labels):
 
 
 class TestPlanFacts:
-    """Each shortcut the frame proves once gives the general path's bits, on both branches."""
+    """Each shortcut the frame takes gives the public batch path's bits.
+
+    The frame's basis starts with its inputs, so a sweep reads them as the
+    first k coordinate vectors, and w takes one product with the stored -h^T.
+    """
 
     @staticmethod
     def assert_same_bits(frame, h, rng, count=5):
@@ -163,6 +170,10 @@ class TestPlanFacts:
                 np.testing.assert_array_equal(got, want)
             assert system.t.flags.c_contiguous
 
+    @staticmethod
+    def inputs(labels):
+        return np.column_stack([Statevector.from_label(l).amps for l in labels])
+
     @pytest.mark.parametrize(
         "series, build, labels",
         [("h2_series", build_twolocal, ("00", "01", "10")),
@@ -171,46 +182,50 @@ class TestPlanFacts:
     def test_shipped_frames_take_both_shortcuts(self, request, rng, series, build, labels):
         _, h = request.getfixturevalue(series).points[3]
         frame = basis_frame(h, build(), labels)
-        assert frame.plan.leading is frame.inputs
+        assert frame.k == 3
+        np.testing.assert_array_equal(frame.basis[:, :3], self.inputs(labels))
         self.assert_same_bits(frame, h, rng)
 
     def test_inputs_not_leading(self, h2_series, rng):
-        # |11> first: the inputs are coordinate vectors 3, 0 and 1, so the
-        # sweep multiplies them through.
+        # |11> first: in the full space the inputs are coordinate vectors 3,
+        # 0 and 1, and the frame's basis reorders the space so that they
+        # come first.
         _, h = h2_series.points[3]
-        frame = basis_frame(h, build_twolocal(), ("11", "00", "01"))
-        assert frame.plan.leading is None
+        labels = ("11", "00", "01")
+        frame = basis_frame(h, build_twolocal(), labels)
+        assert frame.basis.shape == (4, 4)
+        np.testing.assert_array_equal(frame.basis[:, :3], self.inputs(labels))
         self.assert_same_bits(frame, h, rng)
 
     def test_other_batches_take_the_general_path(self, lih_series, rng):
-        # apply and derivative_stack give the same results for a copy of the
-        # bound inputs, which is not the array the plan was bound to.
+        # apply and derivative_stack give the same results for the first k
+        # coordinate vectors named by their count and given as a batch.
         _, h = lih_series.points[3]
         frame = basis_frame(h, build_excitation_preserving(), ("010", "001", "100"))
         theta = rng.uniform(-np.pi, np.pi, frame.plan.num_params)
-        copy = np.array(frame.inputs)
-        np.testing.assert_array_equal(apply(frame.plan, theta, frame.inputs),
-                                      apply(frame.plan, theta, copy))
-        for got, want in zip(derivative_stack(frame.plan, theta, frame.inputs),
-                             derivative_stack(frame.plan, theta, copy)):
+        batch = np.eye(2 * frame.plan.dim)[:, :frame.k]
+        np.testing.assert_array_equal(apply(frame.plan, theta, frame.k),
+                                      apply(frame.plan, theta, batch))
+        for got, want in zip(derivative_stack(frame.plan, theta, frame.k),
+                             derivative_stack(frame.plan, theta, batch)):
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("batch", [None, np.zeros((3, 1))])
     def test_unbound_plan_still_checks_the_batch(self, batch):
-        # A plan bound to no batch has leading None, which is no licence
-        # to skip the checks.
         c = build_twolocal()
-        assert c.dense.leading is None
         with pytest.raises(DimensionMismatch):
             apply(c.dense, np.zeros(16), batch)
 
-    def test_bound_inputs_are_read_only(self, h2_series):
-        _, h = h2_series.points[3]
-        frame = basis_frame(h, build_twolocal(), ("00", "01", "10"))
-        with pytest.raises(ValueError):
-            frame.inputs[0, 0] = 0.5
-        with pytest.raises(ValueError):
-            frame.plan.with_inputs(np.array(frame.inputs))
+    @pytest.mark.parametrize("k", [0, -1, 4, 6])
+    def test_input_count_checked(self, lih_series, k):
+        # An int names the plan's first k coordinate vectors, 1 <= k <= d:
+        # 3 on the restricted LiH plan.
+        _, h = lih_series.points[3]
+        frame = basis_frame(h, build_excitation_preserving(), ("010", "001", "100"))
+        with pytest.raises(DimensionMismatch):
+            apply(frame.plan, np.zeros(16), k)
+        with pytest.raises(DimensionMismatch):
+            derivative_stack(frame.plan, np.zeros(16), k)
 
 
 class TestConfig:
@@ -328,6 +343,36 @@ class TestSolve:
             with_zero[1] = 0.0
             for a in (grams, with_zero, np.zeros_like(grams)):
                 np.testing.assert_array_equal(_solve_stack(a, system.w), magnitude_cut(a, system.w))
+
+    @pytest.mark.parametrize(
+        "series, build, labels",
+        [("h2_series", build_twolocal, ("00", "01", "10")),
+         ("lih_series", build_excitation_preserving, ("010", "001", "100"))],
+    )
+    def test_velocity_moves_the_states_by_the_whole_residual(
+        self, request, series, build, labels
+    ):
+        # A reference-free check of assemble and solve.  On the shipped
+        # frames the ansatz reaches every tangent direction, so the states'
+        # change t^T theta_dot is all of w + E phi = -(H - E) phi, not just
+        # its projection, per level to rounding (measured at most 3.3e-15
+        # for H2 and 3.9e-13 for LiH).  Checked along the R = 2.0 run from
+        # the CLI's start, at iterations 0, 50 and 400; at the first two the
+        # energy variance |w + E phi|^2 is far from zero.
+        from ssqite.subspace import SsqiteConfig, SubspaceRun, iteration
+
+        _, h = request.getfixturevalue(series).nearest(2.0)
+        states = [Statevector.from_label(l) for l in labels]
+        run = SubspaceRun.start(h, build(), states, SsqiteConfig(),
+                                theta0=np.random.default_rng(11).normal(0, 0.1, 16))
+        for i in range(401):
+            if i in (0, 50, 400):
+                system = assemble(run.frame, run.theta)
+                moved = np.einsum("lpi,lp->li", system.t, solve(system))
+                residual = system.w + system.energy[:, None] * system.phi
+                assert np.abs(moved - residual).max() <= 1e-10
+                assert i == 400 or ((residual ** 2).sum(axis=1) > 1e-7).all()
+            run = iteration(run)
 
     def test_non_finite_entry_in_one_system(self):
         w = np.ones((3, 2))

@@ -498,9 +498,12 @@ class TestSampling:
         assert sample_expectation(h, plus, 500, seed=43) != a
 
     def test_zero_shots_rejected(self):
-        h = PauliSum.from_terms([(1.0, "Z")])
-        with pytest.raises(ZeroShots):
-            sample_expectation(h, Statevector.zero(1), 0, seed=1)
+        # Also a fractional count, which the binomial sampler would take,
+        # and one beyond its int64 range, which it would overflow on.
+        h = PauliSum.from_terms([(1.0, "Z"), (0.5, "X")])
+        for shots in (0, 2.5, 2 ** 63):
+            with pytest.raises(ZeroShots):
+                sample_expectation(h, Statevector.zero(1), shots, seed=1)
 
     def test_identity_term_exact(self):
         h = PauliSum.from_terms([(0.25, "II")])

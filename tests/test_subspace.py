@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import complete_basis
 from ssqite.errors import DimensionMismatch, MaxItersExceeded, MaxStepsExceeded, SingularSystem
 from ssqite.exact_oracle import eigensolve
 from ssqite.pauli_algebra import PauliSum
@@ -182,7 +183,7 @@ def reference_schedule(h, c, states, cfg, theta0):
 
     Each iteration: one stacked ``assemble`` and ``solve``; if a converged
     level's ||theta_dot||_inf is above 10 grad_tol and above its previous
-    value, every step size halves; a level below grad_tol for ``patience``
+    value, every step size halves, but not below its initial b / 2^l; a level below grad_tol for ``patience``
     iterations in a row converges; each level that joins the converged
     prefix doubles the step sizes from itself upward; then theta takes
     every level's update in level order.  Returns the final theta, the
@@ -205,7 +206,7 @@ def reference_schedule(h, c, states, cfg, theta0):
         speeds = np.abs(dots).max(axis=1)
         growing = converged & (speeds > 10.0 * cfg.grad_tol)
         if previous is not None and np.any(growing & (speeds > previous)):
-            dtau = dtau * 0.5
+            dtau = np.maximum(dtau * 0.5, init_schedule(k, cfg.b))
             events.append((i, "halve"))
         doubled = prefix()
         for l in np.flatnonzero(~converged):
@@ -246,6 +247,24 @@ class TestReferenceSchedule:
         assert events == [(231, "double", 0), (248, "halve"),
                           (261, "double", 1), (261, "double", 2)]
         np.testing.assert_array_equal(result.converged, [True, True, True])
+
+
+class TestBackOffFloor:
+    def test_no_step_below_initial_schedule(self, lih_series):
+        # LiH at R = 1.4 with b = 0.7: levels 0 and 1 converge and double
+        # the steps at iterations 87 and 109, and from 133 on level 0's
+        # speed grows and the back-off fires on every iteration.  Halving
+        # without a floor drove dtau to 3e-16 and the run to max_iters; the
+        # floor holds it at the initial schedule until level 2 converges.
+        _, h = lih_series.nearest(1.4)
+        cfg = SsqiteConfig(b=0.7)
+        result = run(h, build_excitation_preserving(), basis("010", "001", "100"), cfg,
+                     theta0=seeded_theta(16))
+        floor = init_schedule(3, cfg.b)
+        dtau = result.history.dtau
+        assert (dtau >= floor).all()
+        assert (dtau[134:279] == floor).all() and (dtau[133] > floor).any()
+        assert result.converged.all()
 
 
 class TestReduction:
@@ -324,7 +343,7 @@ class TestInvariantFrame:
     def full_space(monkeypatch):
         from ssqite import qite_engine
 
-        monkeypatch.setattr(qite_engine, "invariant_basis", lambda c, amps: np.eye(2 ** c.n))
+        monkeypatch.setattr(qite_engine, "invariant_basis", complete_basis)
 
     def test_restricted_matches_full_space(self, lih_series, monkeypatch):
         # The same systems in 3 and 8 amplitudes differ by rounding, which
@@ -338,7 +357,7 @@ class TestInvariantFrame:
         restricted = SubspaceRun.start(h, c, states, cfg, theta0=seeded_theta(16))
         self.full_space(monkeypatch)
         full = SubspaceRun.start(h, c, states, cfg, theta0=seeded_theta(16))
-        assert restricted.frame.basis.shape == (8, 3) and full.frame.basis is None
+        assert restricted.frame.basis.shape == (8, 3) and full.frame.basis.shape == (8, 8)
         for _ in range(10):
             restricted = iteration(restricted)
             full = iteration(full)
