@@ -26,6 +26,7 @@ import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -104,20 +105,11 @@ class RunConfig:
         )
 
 
-_FIELD_PARSERS = {
-    "hamiltonian_path": str,
-    "ansatz": str,
-    "k": int,
-    "b": float,
-    "grad_tol": float,
-    "patience": int,
-    "max_iters": int,
-    "seed": int,
-    "shots": int,
-    "output_dir": str,
-    "initial_states": str,
-    "theta0_scale": float,
-}
+# One parser per RunConfig field, in field order: numbers parse as their
+# field's type, and paths and state labels stay text until parse_config
+# resolves them.
+_FIELD_PARSERS = {name: kind if kind in (int, float) else str
+                  for name, kind in get_type_hints(RunConfig).items()}
 
 
 def parse_config(path) -> RunConfig:

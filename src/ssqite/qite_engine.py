@@ -29,6 +29,7 @@ from .simulator import (
     DenseCircuit,
     Statevector,
     _parameters,
+    apply,
     derivative_stack,
     invariant_basis,
     real_matrix,
@@ -40,13 +41,13 @@ class _Frame:
     """The coordinates a run assembles and reads out in, built once per run.
 
     ``basis`` is the orthonormal complex (2^n, r) basis Q of the circuit's
-    invariant subspace around the k inputs (:func:`~ssqite.simulator.invariant_basis`),
-    which starts with the inputs, so in Q's coordinates they are the first k
-    coordinate vectors.  ``plan`` is the dense circuit restricted to Q and
-    ``minus_ht`` -h^T for h the real form of Q^H H Q
-    (:func:`~ssqite.simulator.real_matrix`), so the rows of -H phi take one
-    product.  Q preserves inner products, so every energy and overlap a run
-    reports is computed in these coordinates; only the final states are
+    invariant subspace around the k inputs (:func:`~ssqite.simulator.invariant_basis`,
+    the one check that they are orthonormal), which starts with the inputs,
+    so in Q's coordinates they are the first k coordinate vectors.  ``plan``
+    is the dense circuit restricted to Q and ``minus_ht`` -h^T for h the real
+    form of Q^H H Q, so the rows of -H phi take one product.  Q preserves
+    inner products, so a run's energies (each read by :meth:`readout`) and
+    overlaps are computed in these coordinates; only the final states are
     lifted back to the full space.
     """
 
@@ -62,6 +63,20 @@ class _Frame:
         q = invariant_basis(c, amps)
         hq = q.conj().T @ h.dense @ q
         return cls(q, c.dense.restrict(q), amps.shape[1], -real_matrix(hq).T)
+
+    def first_theta(self, theta0) -> np.ndarray:
+        """A run's first parameters: zeros for None, else a real, finite copy of ``theta0``."""
+        count = self.plan.num_params
+        theta = np.zeros(count) if theta0 is None else _parameters(theta0, count).copy()
+        if not np.isfinite(theta).all():
+            raise ValueError("theta0 must be finite")
+        return theta
+
+    def readout(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The (k, 2d) rows of a sweep's (2d, k) states, the rows of -H phi and <phi|H|phi>."""
+        rows = phi.T
+        w = rows @ self.minus_ht
+        return rows, w, -(rows * w).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -117,9 +132,8 @@ def assemble(frame: _Frame, theta) -> McLachlanSystem:
     coordinates.
     """
     phi, t = derivative_stack(frame.plan, theta, frame.k)
-    rows = phi.T  # (k, 2d)
-    w = rows @ frame.minus_ht  # the rows of -H phi
-    return McLachlanSystem(t=t, w=w, energy=-(rows * w).sum(axis=1), phi=rows)
+    rows, w, energy = frame.readout(phi)
+    return McLachlanSystem(t=t, w=w, energy=energy, phi=rows)
 
 
 def solve(system: McLachlanSystem) -> np.ndarray:
@@ -169,15 +183,14 @@ def run_qite(c: Circuit, theta0, h: PauliSum, s0: Statevector,
 
     Stops when ||theta_dot||_inf < cfg.grad_tol; raises MaxStepsExceeded
     (carrying the energy trace) if the cap is hit first.  The returned
-    energies hold one entry per visited parameter vector, final one included.
-    A non-finite theta0 is a ValueError before the first sweep.
+    energies hold one entry per visited parameter vector, final one included
+    (after the cap, from one :func:`~ssqite.simulator.apply`).  theta0 is
+    checked by :meth:`_Frame.first_theta`, as for a subspace run.
     """
     if s0.n != c.n:
         raise DimensionMismatch(f"state on {s0.n} qubits, circuit on {c.n}")
-    theta = _parameters(theta0, c.num_params).copy()
-    if not np.isfinite(theta).all():
-        raise ValueError("theta0 must be finite")
     frame = _Frame.of(h, c, s0.amps[:, None])
+    theta = frame.first_theta(theta0)
     energies = []
     for _ in range(cfg.max_steps):
         sys = assemble(frame, theta)
@@ -186,7 +199,7 @@ def run_qite(c: Circuit, theta0, h: PauliSum, s0: Statevector,
         if np.max(np.abs(theta_dot)) < cfg.grad_tol:
             return QiteResult(theta=theta, energies=np.array(energies))
         theta = theta + cfg.dtau * theta_dot
-    energies.append(assemble(frame, theta).energy[0])
+    energies.append(frame.readout(apply(frame.plan, theta, frame.k))[2][0])
     raise MaxStepsExceeded(
         f"no convergence to {cfg.grad_tol} within {cfg.max_steps} steps",
         theta=theta,

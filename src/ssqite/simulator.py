@@ -313,11 +313,14 @@ def invariant_basis(c: Circuit, amps) -> np.ndarray:
     the part of every matrix's image of it that lies outside its span,
     orthonormalized, until that part vanishes (singular values at most 1e-10
     count as rounding noise).  The search runs on the complex matrices read
-    back from the stored real forms.
+    back from the stored real forms.  Columns i, j whose overlap is off the
+    identity by more than 1e-10, or by NaN, are a ValueError naming them.
     """
     amps = np.asarray(amps, dtype=complex)
-    if not np.allclose(amps.conj().T @ amps, np.eye(amps.shape[1]), rtol=0, atol=1e-10):
-        raise ValueError("invariant_basis needs orthonormal input columns")
+    dev = np.abs(amps.conj().T @ amps - np.eye(amps.shape[1]))
+    if not dev.max(initial=0.0) <= 1e-10:  # NaN fails; zero columns pass
+        i, j = np.unravel_index(np.argmax(dev), dev.shape)
+        raise ValueError(f"initial states {i},{j} not orthonormal (deviation {dev[i, j]:.2e})")
     plan = c.dense
     mats = [plan.lead, plan.insertion] + ([plan.tail[None]] if plan.tail is not None else [])
     mats = _complex_matrix(np.concatenate(mats))

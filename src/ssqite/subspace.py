@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DimensionMismatch, MaxItersExceeded
 from .pauli_algebra import PauliSum
 from .qite_engine import _Frame, assemble, solve
-from .simulator import Circuit, Statevector, _parameters, apply, complex_form
+from .simulator import Circuit, Statevector, apply, complex_form
 
 
 @dataclass(frozen=True)
@@ -135,28 +135,21 @@ class SubspaceRun:
     @classmethod
     def start(cls, h: PauliSum, c: Circuit, initial_states, cfg: SsqiteConfig,
               theta0=None) -> "SubspaceRun":
-        """Validate inputs and build the iteration-zero run and its frame, once per run."""
+        """The iteration-zero run and its frame, built once per run.
+
+        The frame checks that the states are orthonormal and turns theta0
+        into the first parameters (:meth:`_Frame.first_theta`).
+        """
         initial_states = tuple(initial_states)
         k = len(initial_states)
         dtau = init_schedule(k, cfg.b)
         for s in initial_states:
             if s.n != c.n:
                 raise DimensionMismatch(f"state on {s.n} qubits, circuit on {c.n}")
-        amps = np.column_stack([s.amps for s in initial_states])
-        dev = np.abs(np.abs(amps.conj().T @ amps) - np.eye(k))
-        if dev.max() > 1e-10:
-            i, j = np.unravel_index(np.argmax(dev), dev.shape)
-            raise ValueError(
-                f"initial states {i},{j} not orthonormal (deviation {dev[i, j]:.2e})"
-            )
-        theta = (np.zeros(c.num_params) if theta0 is None
-                 else _parameters(theta0, c.num_params).copy())
-        if not np.isfinite(theta).all():
-            raise ValueError("theta0 must be finite")
-        frame = _Frame.of(h, c, amps)
+        frame = _Frame.of(h, c, np.column_stack([s.amps for s in initial_states]))
         return cls(
             n=c.n,
-            theta=theta,
+            theta=frame.first_theta(theta0),
             dtau=dtau,
             flags=[False] * k,
             streaks=[0] * k,
@@ -265,9 +258,7 @@ def _finalize(run: SubspaceRun) -> SubspaceResult:
     """The result at the final parameters, read out in the run's frame from one sweep."""
     frame = run.frame
     phi = apply(frame.plan, run.theta, frame.k)
-    rows = phi.T
-    # The logged energies' form: Re(phi^dag H phi) on the real form.
-    energies = -np.sum(rows * (rows @ frame.minus_ht), axis=1)
+    _, _, energies = frame.readout(phi)  # as each iteration's energies are read
     amps = frame.basis @ complex_form(phi)
     return SubspaceResult(
         theta=run.theta,

@@ -23,6 +23,9 @@ from ssqite.bench_cli import (
 from ssqite.errors import ParseError
 
 
+TERMS = ["ZI -0.5", "IZ 0.25", "XX 0.125"]  # one well-formed two-qubit geometry block
+
+
 def write_config(tmp_path, hamiltonian, **overrides):
     values = {
         "hamiltonian_path": hamiltonian,
@@ -349,13 +352,51 @@ class TestMainDispatch:
          ("b", "nan"), ("b", "inf"), ("grad_tol", "nan"), ("grad_tol", "inf"),
          ("theta0_scale", "nan"), ("theta0_scale", "inf"),
          ("update_mode", "shared"),
-         ("k", "99999999999999999999"), ("shots", "100000000000000000000")],
+         ("k", "99999999999999999999"), ("shots", "100000000000000000000"),
+         ("k", "0"), ("k", "three")],
     )
     def test_bad_config_value_exit_2(self, tmp_path, capsys, key, value):
         cfg_path = write_config(tmp_path, trimmed_h2(tmp_path), **{key: value})
         assert main(["scan", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out" / "scan.csv").exists()
+
+    @pytest.mark.parametrize("case, message", [
+        ("no_equals", "line 6: expected 'key = value'"),
+        ("no_hamiltonian_path", "config needs hamiltonian_path and ansatz"),
+        ("no_ansatz", "config needs hamiltonian_path and ansatz"),
+    ])
+    def test_malformed_config_exit_2(self, tmp_path, capsys, case, message):
+        cfg_path = write_config(tmp_path, trimmed_h2(tmp_path))
+        lines = cfg_path.read_text(encoding="utf-8").splitlines()
+        if case == "no_equals":
+            lines.append("patience 3")
+        else:
+            lines = [l for l in lines if not l.startswith(case.removeprefix("no_"))]
+        cfg_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["scan", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "scan.csv").exists()
+
+    @pytest.mark.parametrize("lines, message", [
+        (["molecule", "geometry 0.7", *TERMS], "line 1: expected 'molecule <name>'"),
+        (["molecule X 2", "geometry 0.7", *TERMS], "line 1: expected 'molecule <name>'"),
+        (["molecule X2", "geometry 0.7 0.8", *TERMS], "line 2: expected 'geometry <R>'"),
+        (["molecule X2", "geometry 0.7", "ZI -0.5 0.1"],
+         "line 3: expected '<pauli-string> <coefficient>'"),
+        (["molecule X2"], "no geometry blocks"),
+        (["molecule X2", "geometry 0.7", "geometry 0.8", *TERMS],
+         "line 2: geometry block has no terms"),
+    ], ids=["molecule-1-field", "molecule-3-fields", "geometry-3-fields", "term-3-fields",
+            "no-geometry", "empty-geometry"])
+    def test_malformed_coefficient_file_exit_2(self, tmp_path, capsys, lines, message):
+        h = tmp_path / "h.txt"
+        h.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["scan", "--config", str(write_config(tmp_path, h))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
         assert not (tmp_path / "out" / "scan.csv").exists()
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "0", "-1e-3"])

@@ -5,6 +5,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from conftest import DATA, REPO
 from ssqite.bench_cli import main
 
@@ -19,26 +21,19 @@ def _workload(name):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def test_lih_scan_workload_passes():
-    # Two scan calls: every geometry correct and the iteration count the
-    # benchmark was defined at.
-    result = _workload("lih_scan")
+@pytest.mark.parametrize("name, iters_total", [("lih_scan", 381), ("h2_trace", 1922)],
+                         ids=["lih_scan", "h2_trace"])
+def test_workload_passes(name, iters_total):
+    # Every output correct and the iteration count the benchmark was defined
+    # at.  h2_trace is the only workload that reads trace.csv: the harness
+    # checks its iter/level layout and the last row's energies, and that both
+    # calls wrote the same bytes.  The iteration clock wraps
+    # subspace.iteration by name; if that name stops being called, the
+    # fastest iteration reads 0 without an error.
+    result = _workload(name)
     assert result["correct"] is True
     assert result["failed"] == 0
-    assert result["metrics"]["iters_total"]["value"] == 381
-    # The iteration clock wraps subspace.iteration by name; if that name
-    # stops being called, the fastest iteration reads 0 without an error.
-    assert result["metrics"]["iter_ms_min"]["value"] > 0
-
-
-def test_h2_trace_workload_passes():
-    # The only workload that reads trace.csv: the harness checks its
-    # iter/level layout and the last row's energies, and that both calls
-    # wrote the same bytes.
-    result = _workload("h2_trace")
-    assert result["correct"] is True
-    assert result["failed"] == 0
-    assert result["metrics"]["iters_total"]["value"] == 1922
+    assert result["metrics"]["iters_total"]["value"] == iters_total
     assert result["metrics"]["iter_ms_min"]["value"] > 0
 
 

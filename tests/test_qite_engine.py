@@ -488,6 +488,26 @@ class TestRunQite:
         assert len(exc.value.energies) == 6
         assert exc.value.theta.shape == (1,)
 
+    def test_capped_run_reads_its_last_energy_from_one_apply(self, h2_series, monkeypatch):
+        # One derivative sweep per step and one apply after the cap, whose
+        # energy is the one a derivative sweep at the final theta reads.
+        from ssqite import qite_engine
+
+        _, h = h2_series.nearest(0.95)
+        calls = {"derivative_stack": 0, "apply": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(qite_engine, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(qite_engine, name, counted)
+        cfg = QiteConfig(dtau=0.05, max_steps=7, grad_tol=0.0)
+        s0 = Statevector.zero(2)
+        with pytest.raises(MaxStepsExceeded) as exc:
+            run_qite(build_twolocal(), np.random.default_rng(11).normal(0, 0.1, 16), h, s0, cfg)
+        assert calls == {"derivative_stack": 7, "apply": 1}
+        final = assemble(frame_of(h, build_twolocal(), s0), exc.value.theta)
+        assert exc.value.energies[-1] == final.energy[0]
+
     def test_energy_monotone_euler_small_steps(self, h2_series):
         _, h = h2_series.nearest(0.95)
         cfg = QiteConfig(dtau=0.05, max_steps=200, grad_tol=0.0)

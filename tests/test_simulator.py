@@ -431,6 +431,12 @@ class TestInvariantBasis:
         with pytest.raises(ValueError):
             invariant_basis(build_excitation_preserving(), amps + amps[:, ::-1])
 
+    def test_nan_input_refused(self):
+        amps = np.column_stack([Statevector.from_label(l).amps for l in ("010", "001")])
+        amps[3, 1] = np.nan
+        with pytest.raises(ValueError, match=r"initial states 0,1 not orthonormal \(deviation nan\)"):
+            invariant_basis(build_excitation_preserving(), amps)
+
 
 class TestHadamardTest:
     def test_single_ry_a_diagonal(self):

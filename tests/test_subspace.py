@@ -112,6 +112,18 @@ class TestStart:
             SubspaceRun.start(ZZ, build_twolocal(), basis("00", "01"), SsqiteConfig(),
                               theta0=np.full(16, 0.1 + 0.5j))
 
+    @pytest.mark.parametrize("labels", [("000", "001"), ("00", "010")])
+    def test_state_width_checked(self, labels):
+        with pytest.raises(DimensionMismatch):
+            run(ZZ, build_twolocal(), basis(*labels), SsqiteConfig())
+
+    def test_non_orthonormal_states_named(self):
+        # The frame's invariant_basis is the one check, with the deviation
+        # of the worst pair.
+        skewed = Statevector(amps=np.array([1, 1, 0, 0]) / np.sqrt(2), n=2)
+        with pytest.raises(ValueError, match=r"initial states 0,2 not orthonormal \(deviation 7.07e-01\)"):
+            SubspaceRun.start(ZZ, build_twolocal(), basis("00", "11") + [skewed], SsqiteConfig())
+
     def test_theta0_is_copied(self):
         theta0 = seeded_theta(16)
         state = SubspaceRun.start(ZZ, build_twolocal(), basis("00", "01"), SsqiteConfig(),
