@@ -7,13 +7,15 @@ Subcommands::
     ssqite exact --config h2.cfg [--out DIR]
 
 Config files are flat ``key = value`` text with ``#`` comments, each key at
-most once; relative paths resolve against the config file's directory.  The
-environment variable ``SSQITE_SEED`` overrides the configured seed.  With
-``shots > 0`` only the final energy readout of each level is sampled; the
-McLachlan systems that drive the evolution stay exact.  A scan geometry
-whose run fails to converge or to solve is listed in ``summary.json``, and
-the other geometries' rows are still written.  Exit codes: 0 success, 1
-accuracy or convergence failure, 2 input error.
+most once; relative paths resolve against the config file's directory.  A
+parsed config is an :class:`~ssqite.subspace.SsqiteConfig` with the CLI's own
+keys added, and a command builds its circuit, inputs and theta0 once for all
+geometries.  The environment variable ``SSQITE_SEED`` overrides the configured
+seed.  With ``shots > 0`` only the final energy readout of each level is
+sampled; the McLachlan systems that drive the evolution stay exact.  A scan
+geometry whose run fails to converge or to solve is listed in
+``summary.json``, and the other geometries' rows are still written.  Exit
+codes: 0 success, 1 accuracy or convergence failure, 2 input error.
 """
 
 from __future__ import annotations
@@ -42,25 +44,22 @@ from .simulator import (
 )
 from .subspace import SsqiteConfig, SubspaceResult, run
 
-ANSATZE = ("twolocal", "excitation-preserving")
-_DEFAULT_LABELS = {
-    "twolocal": ("00", "01", "10", "11"),
-    "excitation-preserving": ("010", "001", "100"),
+# Each ansatz's builder and the input labels of its first levels.
+ANSATZE = {
+    "twolocal": (build_twolocal, ("00", "01", "10", "11")),
+    "excitation-preserving": (build_excitation_preserving, ("010", "001", "100")),
 }
 CHEMICAL_ACCURACY = 1.6e-3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One benchmark setup, as read from a config file."""
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(SsqiteConfig):
+    """One benchmark setup, as read from a config file: the run settings it
+    inherits, so ``run`` takes it as it is, and the CLI's own keys."""
 
     hamiltonian_path: Path
     ansatz: str
     k: int = 3
-    b: float = SsqiteConfig.b
-    grad_tol: float = SsqiteConfig.grad_tol
-    patience: int = SsqiteConfig.patience
-    max_iters: int = SsqiteConfig.max_iters
     seed: int = 0
     shots: int = 0
     output_dir: Path = Path("out")
@@ -69,7 +68,7 @@ class RunConfig:
 
     def __post_init__(self):
         if self.ansatz not in ANSATZE:
-            raise ParseError(f"ansatz must be one of {ANSATZE}, got {self.ansatz!r}")
+            raise ParseError(f"ansatz must be one of {tuple(ANSATZE)}, got {self.ansatz!r}")
         if self.k < 1:
             raise ParseError(f"k must be >= 1, got {self.k}")
         if not 0 <= self.shots <= MAX_SHOTS:
@@ -78,31 +77,23 @@ class RunConfig:
             raise ParseError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.theta0_scale < np.inf:
             raise ParseError(f"theta0_scale must be >= 0 and finite, got {self.theta0_scale}")
-        width, labels = len(_DEFAULT_LABELS[self.ansatz][0]), self.initial_states
+        width, labels = len(ANSATZE[self.ansatz][1][0]), self.initial_states
         bad = [l for l in labels if len(l) != width or set(l) - {"0", "1"}]
         if bad or len(set(labels)) < len(labels):
             raise ParseError(f"initial_states must be distinct {width}-bit binary labels, "
                              f"got {','.join(labels)}")
         try:
-            self.subspace_config()
+            super().__post_init__()
         except ValueError as exc:
             raise ParseError(str(exc)) from None
 
     def state_labels(self) -> tuple[str, ...]:
-        labels = self.initial_states or _DEFAULT_LABELS[self.ansatz][: self.k]
+        labels = self.initial_states or ANSATZE[self.ansatz][1][: self.k]
         if len(labels) != self.k:
             raise ParseError(
                 f"{self.k} levels requested but {len(labels)} initial states available"
             )
         return tuple(labels)
-
-    def subspace_config(self) -> SsqiteConfig:
-        return SsqiteConfig(
-            b=self.b,
-            grad_tol=self.grad_tol,
-            patience=self.patience,
-            max_iters=self.max_iters,
-        )
 
 
 # One parser per RunConfig field, in field order: numbers parse as their
@@ -152,12 +143,6 @@ def parse_config(path) -> RunConfig:
     return cfg
 
 
-def _build_ansatz(cfg: RunConfig):
-    if cfg.ansatz == "twolocal":
-        return build_twolocal()
-    return build_excitation_preserving()
-
-
 def _initial_theta(cfg: RunConfig, num_params: int) -> np.ndarray:
     # Small seeded perturbation; an all-zero start can sit on a symmetric
     # stationary manifold of the flow.
@@ -171,15 +156,11 @@ def _sample_seed(seed: int, geometry_index: int, level: int) -> int:
     return int(np.random.SeedSequence((seed, geometry_index, level)).generate_state(1)[0])
 
 
-def _run_geometry(cfg: RunConfig, circuit, hamiltonian) -> SubspaceResult:
+def _inputs(cfg: RunConfig):
+    """The circuit, input states and theta0 of every geometry; checks k first."""
     states = [Statevector.from_label(l) for l in cfg.state_labels()]
-    return run(
-        hamiltonian,
-        circuit,
-        states,
-        cfg.subspace_config(),
-        theta0=_initial_theta(cfg, circuit.num_params),
-    )
+    circuit = ANSATZE[cfg.ansatz][0]()
+    return circuit, states, _initial_theta(cfg, circuit.num_params)
 
 
 def _fmt(x: float) -> str:
@@ -219,15 +200,14 @@ def cmd_scan(cfg: RunConfig, tolerance: float = CHEMICAL_ACCURACY) -> int:
     if not 0 < tolerance < np.inf:
         raise ParseError(f"tolerance must be positive and finite, got {tolerance}")
     t_start = time.perf_counter()
-    cfg.state_labels()  # checks k before any array is sized by it
+    circuit, states, theta0 = _inputs(cfg)
     series = load_geometry_series(cfg.hamiltonian_path)
-    circuit = _build_ansatz(cfg)
     lines = ["R,level,E_ssqite,E_exact,abs_err,iters"]
     errors, iterations, walls, failures = [], {}, {}, {}
     for gi, (bond, hamiltonian) in enumerate(series.points):
         t_geometry = time.perf_counter()
         try:
-            result = _run_geometry(cfg, circuit, hamiltonian)
+            result = run(hamiltonian, circuit, states, cfg, theta0=theta0)
         except (MaxItersExceeded, SingularSystem) as exc:
             failures[_fmt(bond)] = str(exc)
             print(f"error: R={_fmt(bond)}: {exc}", file=sys.stderr)
@@ -285,11 +265,11 @@ def cmd_trace(cfg: RunConfig, bond_length: float) -> int:
     A run that hits ``max_iters`` still writes the trace of the iterations
     it made before its MaxItersExceeded propagates (exit 1).
     """
+    circuit, states, theta0 = _inputs(cfg)
     series = load_geometry_series(cfg.hamiltonian_path)
     bond, hamiltonian = series.nearest(bond_length)
-    circuit = _build_ansatz(cfg)
     try:
-        result = _run_geometry(cfg, circuit, hamiltonian)
+        result = run(hamiltonian, circuit, states, cfg, theta0=theta0)
     except MaxItersExceeded as exc:
         _write_trace(cfg, exc.result)
         raise

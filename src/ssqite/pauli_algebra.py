@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import (
     EmptyString,
+    GeometryNotFound,
     InvalidLabel,
     NonMonotonicGeometry,
     NotHermitian,
@@ -201,8 +202,6 @@ class GeometrySeries:
 
     def nearest(self, bond_length: float, tol: float = 1e-6) -> tuple[float, PauliSum]:
         """Point whose bond length matches within tol; raises if none does."""
-        from .errors import GeometryNotFound
-
         best = min(self.points, key=lambda p: abs(p[0] - bond_length))
         if not abs(best[0] - bond_length) <= tol:  # a NaN R matches nothing
             raise GeometryNotFound(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ssqite.pauli_algebra import load_geometry_series
+from ssqite.simulator import Circuit, Gate
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
@@ -23,6 +24,11 @@ def lih_series():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(2024)
+
+
+def single_ry():
+    """One RY rotation on one qubit: the smallest circuit with a parameter."""
+    return Circuit(n=1, gates=(Gate("RY", (0,)),))
 
 
 def random_hermitian(rng, dim):

@@ -131,7 +131,7 @@ def fig1_run():
     circuit = build_twolocal()
     states = [Statevector.from_label(l) for l in cfg.state_labels()]
     result = run(
-        h, circuit, states, cfg.subspace_config(),
+        h, circuit, states, cfg,
         theta0=_initial_theta(cfg, circuit.num_params),
     )
     return h, result

@@ -5,14 +5,13 @@ import math
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import DATA, REPO
+from ssqite import bench_cli
 from ssqite.bench_cli import (
-    RunConfig,
     blas_kernel,
     cmd_exact,
     cmd_scan,
@@ -125,6 +124,19 @@ class TestScan:
         assert sorted(walls) == sorted(iters)
         assert all(w > 0 for w in walls.values())
         assert sum(walls.values()) <= summary["wall_time_s"]
+
+    def test_inputs_built_once_per_command(self, tmp_path, monkeypatch):
+        # Every geometry runs from one theta0; run copies it before stepping.
+        draw, draws = bench_cli._initial_theta, []
+
+        def counted(cfg, num_params):
+            draws.append(num_params)
+            return draw(cfg, num_params)
+
+        monkeypatch.setattr(bench_cli, "_initial_theta", counted)
+        cfg = parse_config(write_config(tmp_path, trimmed_h2(tmp_path)))
+        assert cmd_scan(cfg) == 0 and len(draws) == 1
+        assert cmd_trace(cfg, bond_length=0.35) == 0 and len(draws) == 2
 
     def test_error_column_integrity(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, trimmed_h2(tmp_path)))

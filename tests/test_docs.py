@@ -1,6 +1,6 @@
 """The README's library example runs, its CLI section matches what the CLI
-reads and writes, and every name the package exports or the scripts import
-resolves."""
+reads and writes, every name the package exports or the scripts import
+resolves, and no module imports a name it never uses."""
 
 import ast
 import importlib
@@ -41,6 +41,24 @@ def test_script_imports_resolve():
                 missing += [f"{script.name}: {node.module}.{alias.name}"
                             for alias in node.names if not hasattr(module, alias.name)]
     assert missing == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # A name counts as used when the module reads it or lists it in __all__.
+    unused = []
+    for path in sorted([*(REPO / "src").rglob("*.py"), *(REPO / "tests").glob("*.py")]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, used = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__":
+                imported.update({(a.asname or a.name.split(".")[0]): node.lineno for a in node.names})
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and "__all__" in [getattr(t, "id", None) for t in node.targets]:
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{path.relative_to(REPO)}:{line}: {name}"
+                   for name, line in imported.items() if name not in used]
+    assert unused == []
 
 
 def test_readme_cli_keys_match_config_parser():

@@ -17,6 +17,7 @@ from ssqite.errors import (
 )
 from ssqite.pauli_algebra import (
     PAULI_MATRICES,
+    PauliString,
     PauliSum,
     decompose_dense,
     load_geometry_series,
@@ -45,6 +46,10 @@ class TestParse:
     def test_empty(self):
         with pytest.raises(EmptyString):
             parse_pauli_string("")
+        with pytest.raises(EmptyString):
+            PauliString(())
+        with pytest.raises(EmptyString):
+            PauliSum.from_terms([])
 
     def test_roundtrip_str(self):
         assert str(parse_pauli_string("XZIY")) == "XZIY"
@@ -55,6 +60,7 @@ class TestPauliSum:
         h = PauliSum.from_terms([(0.25, "ZI"), (0.5, "XI"), (0.75, "ZI")])
         assert len(h) == 2
         assert h.coefficient("ZI") == pytest.approx(1.0)
+        assert h.coefficient("ZZ") == 0.0
 
     def test_rejects_complex_coefficient(self):
         with pytest.raises(InvalidLabel):
@@ -143,6 +149,8 @@ class TestDecomposeDense:
             decompose_dense(np.eye(3, dtype=complex))
         with pytest.raises(NotPowerOfTwo):
             decompose_dense(np.eye(6, dtype=complex))
+        with pytest.raises(NotPowerOfTwo):
+            decompose_dense(np.ones((2, 4)))
 
     def test_drop_tol(self):
         m = np.diag([1.0, -1.0]).astype(complex) + 1e-14 * np.eye(2)

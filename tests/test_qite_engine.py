@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import complete_basis, random_hermitian
+from conftest import complete_basis, random_hermitian, single_ry
 from ssqite.errors import DimensionMismatch, MaxStepsExceeded, SingularSystem
 from ssqite.pauli_algebra import PauliSum, decompose_dense
 from ssqite.qite_engine import (
@@ -16,8 +16,6 @@ from ssqite.qite_engine import (
     solve,
 )
 from ssqite.simulator import (
-    Circuit,
-    Gate,
     Statevector,
     apply,
     build_excitation_preserving,
@@ -27,10 +25,6 @@ from ssqite.simulator import (
     real_form,
     real_matrix,
 )
-
-
-def single_ry():
-    return Circuit(n=1, gates=(Gate("RY", (0,)),))
 
 
 Z = PauliSum.from_terms([(1.0, "Z")])

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import random_hermitian, single_ry
 from ssqite.errors import DimensionMismatch, SlotOutOfRange, UnsupportedMode, ZeroShots
-from ssqite.pauli_algebra import PauliSum, decompose_dense
+from ssqite.pauli_algebra import PauliString, PauliSum, decompose_dense
 from ssqite.simulator import (
     Circuit,
     Gate,
@@ -25,10 +25,6 @@ from ssqite.simulator import (
     real_matrix,
     sample_expectation,
 )
-
-
-def single_ry():
-    return Circuit(n=1, gates=(Gate("RY", (0,)),))
 
 
 def random_state(rng, n):
@@ -72,6 +68,10 @@ class TestApply:
     def test_state_size_checked(self):
         with pytest.raises(DimensionMismatch):
             apply(single_ry(), [0.1], Statevector.zero(2))
+        with pytest.raises(DimensionMismatch):
+            derivative_state(single_ry(), [0.1], 0, Statevector.zero(2))
+        with pytest.raises(DimensionMismatch):
+            Statevector(amps=np.array([1.0, 0.0, 0.0]), n=1)
 
     def test_rotation_sign_convention(self):
         # R_Z(theta)|0> = exp(-i theta/2)|0> under exp(-i theta G / 2).
@@ -108,6 +108,11 @@ class TestApply:
             expectation(h, Statevector.zero(2))
         with pytest.raises(DimensionMismatch):
             sample_expectation(h, Statevector.zero(2), 10, seed=0)
+        # The constructor skips from_terms' real-coefficient check, so a
+        # non-Hermitian sum leaves an imaginary <Y> on (|0> + i|1>)/sqrt(2).
+        iy = PauliSum(terms=((1j, PauliString(("Y",))),), n=1)
+        with pytest.raises(DimensionMismatch, match="imaginary residue"):
+            expectation(iy, Statevector(amps=np.array([1, 1j]) / np.sqrt(2), n=1))
 
 
 class TestCircuitValidation:
@@ -121,6 +126,13 @@ class TestCircuitValidation:
         # outside the circuit's two qubits.
         with pytest.raises(DimensionMismatch):
             Circuit(n=2, gates=(Gate(kind, targets),))
+
+
+def test_ansatz_width_checked():
+    with pytest.raises(DimensionMismatch):
+        build_twolocal(n=3)
+    with pytest.raises(DimensionMismatch):
+        build_excitation_preserving(n=2)
 
 
 class TestTwoLocal:
@@ -234,6 +246,9 @@ class TestDerivatives:
     def test_slot_bounds(self):
         with pytest.raises(SlotOutOfRange):
             derivative_state(single_ry(), [0.1], 1, Statevector.zero(1))
+        for i, j in ((1, 0), (0, 1), (-1, 0)):
+            with pytest.raises(SlotOutOfRange):
+                hadamard_test(single_ry(), [0.1], "A-real", i, j=j)
 
     @pytest.mark.parametrize("size", [15, 17, 20])
     def test_theta_length_checked(self, size):
@@ -482,6 +497,8 @@ class TestHadamardTest:
         for mode, operand in (("A-real", {"j": 1}), ("C-real", {"h": h})):
             with pytest.raises(DimensionMismatch):
                 hadamard_test(c, np.zeros(16), mode, 0, s0=Statevector.zero(1), **operand)
+        with pytest.raises(DimensionMismatch):
+            hadamard_test(c, np.zeros(16), "C-real", 0, h=PauliSum.from_terms([(1.0, "Z")]))
 
     def test_missing_operand(self):
         with pytest.raises(UnsupportedMode):

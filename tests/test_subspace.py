@@ -3,14 +3,12 @@
 import numpy as np
 import pytest
 
-from conftest import complete_basis
+from conftest import complete_basis, single_ry
 from ssqite.errors import DimensionMismatch, MaxItersExceeded, MaxStepsExceeded, SingularSystem
 from ssqite.exact_oracle import eigensolve
 from ssqite.pauli_algebra import PauliSum
 from ssqite.qite_engine import QiteConfig, _Frame, assemble, run_qite, solve
 from ssqite.simulator import (
-    Circuit,
-    Gate,
     Statevector,
     apply,
     build_excitation_preserving,
@@ -28,10 +26,6 @@ from ssqite.subspace import (
 
 Z = PauliSum.from_terms([(1.0, "Z")])
 ZZ = PauliSum.from_terms([(1.0, "ZZ")])
-
-
-def single_ry():
-    return Circuit(n=1, gates=(Gate("RY", (0,)),))
 
 
 def basis(*labels):
