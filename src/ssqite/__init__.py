@@ -10,7 +10,7 @@ from .pauli_algebra import (
     load_geometry_series,
     parse_pauli_string,
 )
-from .qite_engine import McLachlanSystem, QiteConfig, QiteResult, assemble, run_qite, solve
+from .qite_engine import McLachlanSystem, QiteResult, SsqiteConfig, assemble, run_qite, solve
 from .simulator import (
     Circuit,
     Gate,
@@ -24,7 +24,6 @@ from .simulator import (
     sample_expectation,
 )
 from .subspace import (
-    SsqiteConfig,
     SubspaceResult,
     SubspaceRun,
     init_schedule,
@@ -43,8 +42,8 @@ __all__ = [
     "load_geometry_series",
     "parse_pauli_string",
     "McLachlanSystem",
-    "QiteConfig",
     "QiteResult",
+    "SsqiteConfig",
     "assemble",
     "run_qite",
     "solve",
@@ -58,7 +57,6 @@ __all__ = [
     "expectation",
     "hadamard_test",
     "sample_expectation",
-    "SsqiteConfig",
     "SubspaceResult",
     "SubspaceRun",
     "init_schedule",

@@ -8,7 +8,7 @@ Subcommands::
 
 Config files are flat ``key = value`` text with ``#`` comments, each key at
 most once; relative paths resolve against the config file's directory.  A
-parsed config is an :class:`~ssqite.subspace.SsqiteConfig` with the CLI's own
+parsed config is an :class:`~ssqite.qite_engine.SsqiteConfig` with the CLI's own
 keys added, and a command builds its circuit, inputs and theta0 once for all
 geometries.  The environment variable ``SSQITE_SEED`` overrides the configured
 seed.  With ``shots > 0`` only the final energy readout of each level is
@@ -42,7 +42,8 @@ from .simulator import (
     build_twolocal,
     sample_expectation,
 )
-from .subspace import SsqiteConfig, SubspaceResult, run
+from .qite_engine import SsqiteConfig
+from .subspace import SubspaceResult, run
 
 # Each ansatz's builder and the input labels of its first levels.
 ANSATZE = {
@@ -196,6 +197,8 @@ def cmd_scan(cfg: RunConfig, tolerance: float = CHEMICAL_ACCURACY) -> int:
     A geometry whose run hits ``max_iters`` or whose McLachlan solve fails
     has no rows in scan.csv and is listed with its reason under
     ``failures``; the other geometries' rows stand, and the scan exits 1.
+    Every such failure, and a max error not below ``tolerance``, writes an
+    ``error: `` line to stderr.
     """
     if not 0 < tolerance < np.inf:
         raise ParseError(f"tolerance must be positive and finite, got {tolerance}")
@@ -256,6 +259,8 @@ def cmd_scan(cfg: RunConfig, tolerance: float = CHEMICAL_ACCURACY) -> int:
         f"max |E - E_exact| = {worst:.3e} Ha ({'within' if passed else 'ABOVE'} {tolerance:g} Ha)")
     failed = f"{len(failures)} failed, " if failures else ""
     print(f"scan: {series.label}, {len(series)} geometries, {failed}{reached}")
+    if worst is not None and not passed:
+        print(f"error: max error {worst:.3e} Ha is not below {tolerance:g} Ha", file=sys.stderr)
     return 0 if passed and not failures else 1
 
 

@@ -69,17 +69,8 @@ class SingularSystem(SsqiteError, RuntimeError):
     """The McLachlan system has non-finite entries, or its eigendecomposition failed."""
 
 
-class MaxStepsExceeded(SsqiteError, RuntimeError):
-    """Single-state evolution hit the step cap; carries the partial trace."""
-
-    def __init__(self, message: str, theta, energies):
-        self.theta = theta
-        self.energies = energies
-        super().__init__(message)
-
-
 class MaxItersExceeded(SsqiteError, RuntimeError):
-    """Subspace evolution hit the iteration cap; carries the partial result."""
+    """An evolution hit its iteration cap; carries the partial result."""
 
     def __init__(self, message: str, result):
         self.result = result

@@ -11,9 +11,10 @@ otherwise pay for: its basis starts with the inputs, so they are its first k
 coordinate vectors and every sweep reads them as column slices, and it
 stores -h^T, so w takes one product; :func:`solve` reads its cut from the
 top of the ascending spectrum, since every Gram t^T t is positive
-semidefinite.  :func:`run_qite` is single-state QITE by explicit Euler
-steps on a one-input frame (McArdle et al., npj Quantum Inf. 5, 75, 2019),
-the k = 1 reference that a subspace run must reproduce bit for bit.
+semidefinite.  :class:`SsqiteConfig` holds the settings of both evolution
+loops, and :func:`run_qite` is single-state QITE by explicit Euler steps on a
+one-input frame (McArdle et al., npj Quantum Inf. 5, 75, 2019), the k = 1
+reference that a subspace run must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MaxStepsExceeded, SingularSystem
+from .errors import DimensionMismatch, MaxItersExceeded, SingularSystem, SsqiteError
 from .pauli_algebra import PauliSum
 from .simulator import (
     Circuit,
@@ -57,9 +58,12 @@ class _Frame:
     minus_ht: np.ndarray
 
     @classmethod
-    def of(cls, h: PauliSum, c: Circuit, amps: np.ndarray) -> "_Frame":
-        if h.n != c.n:
-            raise DimensionMismatch(f"Hamiltonian on {h.n} qubits, circuit on {c.n}")
+    def of(cls, h: PauliSum, c: Circuit, states) -> "_Frame":
+        """The frame of the input ``Statevector``s, after checking every width against ``c``."""
+        for what, n in (("Hamiltonian", h.n), *(("state", s.n) for s in states)):
+            if n != c.n:
+                raise DimensionMismatch(f"{what} on {n} qubits, circuit on {c.n}")
+        amps = np.column_stack([s.amps for s in states])
         q = invariant_basis(c, amps)
         hq = q.conj().T @ h.dense @ q
         return cls(q, c.dense.restrict(q), amps.shape[1], -real_matrix(hq).T)
@@ -108,20 +112,38 @@ class McLachlanSystem:
 
 
 @dataclass(frozen=True)
-class QiteConfig:
-    """Knobs for a single-state imaginary-time run: Euler steps of ``dtau``."""
+class SsqiteConfig:
+    """Settings of either evolution loop, :func:`run_qite` or a subspace run.
 
-    dtau: float = 0.1
-    max_steps: int = 500
-    grad_tol: float = 1e-5
+    ``b`` is the base imaginary-time step; a level counts as converged once
+    its ||theta_dot||_inf stays below ``grad_tol`` for ``patience``
+    consecutive iterations, and a run makes at most ``max_iters`` of them.
+    """
+
+    b: float = 0.55
+    grad_tol: float = 3e-4
+    patience: int = 3
+    max_iters: int = 6000
 
     def __post_init__(self):
-        if not 0 < self.dtau < np.inf:
-            raise ValueError(f"dtau must be positive and finite, got {self.dtau}")
-        if not isinstance(self.max_steps, (int, np.integer)) or self.max_steps < 1:
-            raise ValueError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
+        if not 0 < self.b < np.inf:
+            raise ValueError(f"b must be positive and finite, got {self.b}")
         if not 0 <= self.grad_tol < np.inf:
             raise ValueError(f"grad_tol must be >= 0 and finite, got {self.grad_tol}")
+        for key in ("patience", "max_iters"):
+            value = getattr(self, key)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+
+
+def _reach(bound: float, dtau, speeds, cfg: SsqiteConfig, i: int) -> float:
+    """``bound`` on max|theta| plus update i's sum_l dtau_l ||theta_dot_l||_inf, in Python
+    floats, so an update that would overflow is refused before NumPy makes it and warns."""
+    for step, speed in zip(dtau, speeds):
+        bound += step * speed
+    if not bound < np.inf:
+        raise SsqiteError(f"b = {cfg.b!r} takes theta past the float range at iteration {i}")
+    return bound
 
 
 def assemble(frame: _Frame, theta) -> McLachlanSystem:
@@ -177,31 +199,32 @@ class QiteResult:
     energies: np.ndarray
 
 
-def run_qite(c: Circuit, theta0, h: PauliSum, s0: Statevector,
-             cfg: QiteConfig) -> QiteResult:
-    """Evolve by explicit Euler steps until the parameter velocity stalls.
+def run_qite(h: PauliSum, c: Circuit, s0: Statevector, cfg: SsqiteConfig,
+             theta0=None) -> QiteResult:
+    """Evolve by explicit Euler steps of ``cfg.b`` until the parameter velocity stalls.
 
-    Stops when ||theta_dot||_inf < cfg.grad_tol; raises MaxStepsExceeded
-    (carrying the energy trace) if the cap is hit first.  The returned
+    Stops once ||theta_dot||_inf < cfg.grad_tol on cfg.patience consecutive
+    steps, the rule a subspace level converges by; raises MaxItersExceeded
+    carrying the QiteResult reached if cfg.max_iters steps come first.  The
     energies hold one entry per visited parameter vector, final one included
-    (after the cap, from one :func:`~ssqite.simulator.apply`).  theta0 is
-    checked by :meth:`_Frame.first_theta`, as for a subspace run.
+    (after the cap, from one :func:`~ssqite.simulator.apply`).  The frame
+    checks the inputs and theta0, as for a subspace run.
     """
-    if s0.n != c.n:
-        raise DimensionMismatch(f"state on {s0.n} qubits, circuit on {c.n}")
-    frame = _Frame.of(h, c, s0.amps[:, None])
+    frame = _Frame.of(h, c, [s0])
     theta = frame.first_theta(theta0)
-    energies = []
-    for _ in range(cfg.max_steps):
+    bound, streak, energies = float(np.abs(theta).max(initial=0.0)), 0, []
+    for i in range(cfg.max_iters):
         sys = assemble(frame, theta)
         energies.append(sys.energy[0])
         theta_dot = solve(sys)[0]
-        if np.max(np.abs(theta_dot)) < cfg.grad_tol:
+        speed = float(np.max(np.abs(theta_dot)))
+        streak = streak + 1 if speed < cfg.grad_tol else 0
+        if streak >= cfg.patience:
             return QiteResult(theta=theta, energies=np.array(energies))
-        theta = theta + cfg.dtau * theta_dot
+        bound = _reach(bound, (float(cfg.b),), (speed,), cfg, i)
+        theta = theta + cfg.b * theta_dot
     energies.append(frame.readout(apply(frame.plan, theta, frame.k))[2][0])
-    raise MaxStepsExceeded(
-        f"no convergence to {cfg.grad_tol} within {cfg.max_steps} steps",
-        theta=theta,
-        energies=np.array(energies),
+    raise MaxItersExceeded(
+        f"no convergence to {cfg.grad_tol} within {cfg.max_iters} iterations",
+        result=QiteResult(theta=theta, energies=np.array(energies)),
     )

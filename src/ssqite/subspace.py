@@ -24,35 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MaxItersExceeded
+from .errors import MaxItersExceeded
 from .pauli_algebra import PauliSum
-from .qite_engine import _Frame, assemble, solve
+from .qite_engine import SsqiteConfig, _Frame, _reach, assemble, solve
 from .simulator import Circuit, Statevector, apply, complex_form
-
-
-@dataclass(frozen=True)
-class SsqiteConfig:
-    """Subspace-run parameters.
-
-    ``b`` is the base imaginary-time step; a level counts as converged once
-    its ||theta_dot||_inf stays below ``grad_tol`` for ``patience``
-    consecutive iterations.
-    """
-
-    b: float = 0.55
-    grad_tol: float = 3e-4
-    patience: int = 3
-    max_iters: int = 6000
-
-    def __post_init__(self):
-        if not 0 < self.b < np.inf:
-            raise ValueError(f"b must be positive and finite, got {self.b}")
-        if not 0 <= self.grad_tol < np.inf:
-            raise ValueError(f"grad_tol must be >= 0 and finite, got {self.grad_tol}")
-        for key in ("patience", "max_iters"):
-            value = getattr(self, key)
-            if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
 
 
 def init_schedule(k: int, b: float) -> np.ndarray:
@@ -119,11 +94,12 @@ class SubspaceRun:
 
     :func:`iteration` advances it; its states are reported on ``n`` qubits.
     ``flags``, ``streaks`` and ``speeds`` (inf before the first iteration)
-    are each level's schedule state.
+    are each level's schedule state, and ``bound`` bounds max|theta|.
     """
 
     n: int
     theta: np.ndarray
+    bound: float
     dtau: np.ndarray
     flags: list[bool]
     streaks: list[int]
@@ -137,19 +113,18 @@ class SubspaceRun:
               theta0=None) -> "SubspaceRun":
         """The iteration-zero run and its frame, built once per run.
 
-        The frame checks that the states are orthonormal and turns theta0
-        into the first parameters (:meth:`_Frame.first_theta`).
+        The frame checks the states' widths and that they are orthonormal,
+        and turns theta0 into the first parameters (:meth:`_Frame.first_theta`).
         """
         initial_states = tuple(initial_states)
         k = len(initial_states)
         dtau = init_schedule(k, cfg.b)
-        for s in initial_states:
-            if s.n != c.n:
-                raise DimensionMismatch(f"state on {s.n} qubits, circuit on {c.n}")
-        frame = _Frame.of(h, c, np.column_stack([s.amps for s in initial_states]))
+        frame = _Frame.of(h, c, initial_states)
+        theta = frame.first_theta(theta0)
         return cls(
             n=c.n,
-            theta=frame.first_theta(theta0),
+            theta=theta,
+            bound=float(np.abs(theta).max(initial=0.0)),
             dtau=dtau,
             flags=[False] * k,
             streaks=[0] * k,
@@ -192,7 +167,8 @@ def iteration(run: SubspaceRun) -> SubspaceRun:
     and what was measured becomes one row of the run's log.  Levels whose
     velocity stalled for ``patience`` iterations converge (doubling the step
     sizes from that level upward), then every level's update is added to the
-    shared parameters.  The schedule reads only Python floats and lists.
+    shared parameters, unless it could leave the floating-point range
+    (SsqiteError).  The schedule reads only Python floats and lists.
     """
     cfg, flags, streaks = run.cfg, run.flags, run.streaks
     system = assemble(run.frame, run.theta)
@@ -222,6 +198,7 @@ def iteration(run: SubspaceRun) -> SubspaceRun:
     for l in range(doubled, _converged_prefix(flags)):
         run.dtau[l:] *= 2.0
 
+    run.bound = _reach(run.bound, run.dtau.tolist(), grads, cfg, run.log.n)
     # One product for all levels, then the adds in level order: the same
     # products and the same summation order as one update per level.
     steps = run.dtau[:, None] * theta_dots

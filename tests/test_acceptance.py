@@ -22,9 +22,9 @@ from ssqite.bench_cli import (
     cmd_trace,
     parse_config,
 )
-from ssqite.errors import MaxItersExceeded, MaxStepsExceeded
+from ssqite.errors import MaxItersExceeded
 from ssqite.pauli_algebra import PauliSum, decompose_dense, load_geometry_series
-from ssqite.qite_engine import QiteConfig, _Frame, assemble, run_qite
+from ssqite.qite_engine import _Frame, assemble, run_qite
 from ssqite.simulator import (
     Statevector,
     apply,
@@ -180,7 +180,7 @@ def test_criterion_4b_mclachlan_system_properties():
     for _ in range(20):
         h = decompose_dense(random_hermitian(rng, 4))
         theta = rng.uniform(-np.pi, np.pi, 16)
-        sys = assemble(_Frame.of(h, c, s0.amps[:, None]), theta)
+        sys = assemble(_Frame.of(h, c, [s0]), theta)
         a = sys.a[0]
         worst_sym = max(worst_sym, float(np.max(np.abs(a - a.T))))
         worst_eig = min(worst_eig, float(np.linalg.eigvalsh(a).min()))
@@ -251,21 +251,15 @@ def test_criterion_4f_k1_reduction():
     theta0 = np.random.default_rng(11).normal(0, 0.1, 16)
     s0 = Statevector.from_label("00")
     steps = 40
-    with pytest.raises(MaxStepsExceeded) as qite_exc:
-        run_qite(
-            c, theta0, h, s0,
-            QiteConfig(dtau=0.55, grad_tol=0.0, max_steps=steps),
-        )
+    cfg = SsqiteConfig(grad_tol=0.0, max_iters=steps)  # one config drives both loops
+    with pytest.raises(MaxItersExceeded) as qite_exc:
+        run_qite(h, c, s0, cfg, theta0=theta0)
     with pytest.raises(MaxItersExceeded) as ss_exc:
-        run(
-            h, c, [s0],
-            SsqiteConfig(b=0.55, grad_tol=0.0, max_iters=steps),
-            theta0=theta0,
-        )
+        run(h, c, [s0], cfg, theta0=theta0)
     deviation = float(
         np.max(
             np.abs(
-                qite_exc.value.energies[:steps]
+                qite_exc.value.result.energies[:steps]
                 - ss_exc.value.result.history.energies[:, 0]
             )
         )

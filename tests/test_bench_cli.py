@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -190,9 +191,12 @@ class TestScan:
         code = main(["scan", "--config", str(write_config(tmp_path, empty))])
         assert code == 2
 
-    def test_accuracy_failure_exit_1(self, tmp_path):
+    def test_accuracy_failure_exit_1(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, trimmed_h2(tmp_path))
         assert main(["scan", "--config", str(cfg_path), "--tolerance", "1e-12"]) == 1
+        out, err = capsys.readouterr()
+        assert "ABOVE 1e-12 Ha" in out
+        assert err.startswith("error: max error ") and err.endswith(" Ha is not below 1e-12 Ha\n")
 
     def test_unconverged_exit_1(self, tmp_path):
         cfg_path = write_config(tmp_path, trimmed_h2(tmp_path), max_iters="3")
@@ -281,9 +285,9 @@ class TestTrace:
         assert [int(r[0]) for r in rows[::3]] == list(range(30))
 
     def test_k1_trace_matches_run_qite(self, tmp_path):
-        from ssqite.errors import MaxStepsExceeded
+        from ssqite.errors import MaxItersExceeded
         from ssqite.pauli_algebra import load_geometry_series
-        from ssqite.qite_engine import QiteConfig, run_qite
+        from ssqite.qite_engine import run_qite
         from ssqite.simulator import Statevector, build_twolocal
 
         cfg = parse_config(
@@ -297,13 +301,12 @@ class TestTrace:
         )
         assert code == 1  # 30 iterations cannot hit 1e-10; diagnostic exit
 
-        # compare against the direct single-state engine on the same setup
+        # compare against the direct single-state engine on the same config
         _, h = load_geometry_series(cfg.hamiltonian_path).nearest(0.95)
         theta0 = np.random.default_rng(cfg.seed).normal(0, 0.1, 16)
-        qcfg = QiteConfig(dtau=cfg.b, grad_tol=0.0, max_steps=30)
-        with pytest.raises(MaxStepsExceeded) as exc:
-            run_qite(build_twolocal(), theta0, h, Statevector.from_label("00"), qcfg)
-        direct = exc.value.energies
+        with pytest.raises(MaxItersExceeded) as exc:
+            run_qite(h, build_twolocal(), Statevector.from_label("00"), cfg, theta0=theta0)
+        direct = exc.value.result.energies
 
         # a converging configuration for emission, same seed and step
         cfg2 = parse_config(
@@ -475,6 +478,20 @@ class TestMainDispatch:
             assert err.startswith("error: ") and err.count("error:") == 1
             assert ("theta0_scale" if probe == "theta0_scale" else "line 2:") in err
         assert all("nan" not in f.read_text() for f in (tmp_path / "out").glob("*"))
+
+    @pytest.mark.parametrize("bond", ["0.35", "0.95", "2.25"])
+    def test_overflowing_base_step_exit_2(self, tmp_path, capsys, bond):
+        # A finite b whose first update leaves the floating-point range is
+        # refused before NumPy makes it: no RuntimeWarning, an input error
+        # that names b, not a SingularSystem after theta turned nan.
+        cfg_path = write_config(tmp_path, DATA / "h2_sto3g.txt", b="1.7976931348623157e308")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["trace", "--config", str(cfg_path), "--bond-length", bond])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: b = 1.7976931348623157e+308 ") and err.count("\n") == 1
+        assert "Traceback" not in err and "RuntimeWarning" not in err
 
     @pytest.mark.parametrize("where", ["config", "hamiltonian"])
     def test_undecodable_input_exit_2(self, tmp_path, capsys, where):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from conftest import complete_basis, random_hermitian, single_ry
-from ssqite.errors import DimensionMismatch, MaxStepsExceeded, SingularSystem
+from ssqite.errors import DimensionMismatch, MaxItersExceeded, SingularSystem, SsqiteError
 from ssqite.pauli_algebra import PauliSum, decompose_dense
 from ssqite.qite_engine import (
     McLachlanSystem,
-    QiteConfig,
+    SsqiteConfig,
     _Frame,
     _solve_stack,
     assemble,
@@ -32,7 +32,7 @@ Z = PauliSum.from_terms([(1.0, "Z")])
 
 def frame_of(h, c, s0):
     """The one-input frame of state ``s0``, as ``run_qite`` builds it."""
-    return _Frame.of(h, c, s0.amps[:, None])
+    return _Frame.of(h, c, [s0])
 
 
 class TestAssemble:
@@ -106,7 +106,7 @@ class TestAssemble:
         states = [Statevector.from_label(l) for l in labels]
         amps = np.column_stack([s.amps for s in states])
         _, h = request.getfixturevalue(series).points[3]
-        frame = _Frame.of(h, c, amps)
+        frame = _Frame.of(h, c, states)
         q = frame.basis
         if not restricted:
             assert q.shape == (len(amps), len(amps))
@@ -144,7 +144,7 @@ def general_assemble(frame, h, theta):
 
 
 def basis_frame(h, c, labels):
-    return _Frame.of(h, c, np.column_stack([Statevector.from_label(l).amps for l in labels]))
+    return _Frame.of(h, c, [Statevector.from_label(l) for l in labels])
 
 
 class TestPlanFacts:
@@ -223,26 +223,19 @@ class TestPlanFacts:
 
 
 class TestConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            QiteConfig(dtau=0.0)
-        with pytest.raises(ValueError):
-            QiteConfig(max_steps=0)
-        with pytest.raises(ValueError):
-            QiteConfig(grad_tol=-1.0)
-        QiteConfig(grad_tol=0.0)
+    """The settings ``run_qite`` takes refuse a bad QITE step (``dtau`` is ``b``) or cap."""
 
-    @pytest.mark.parametrize("key", ["dtau", "grad_tol"])
+    @pytest.mark.parametrize("key", [pytest.param("b", id="dtau"), "grad_tol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_rejected(self, key, value):
         with pytest.raises(ValueError):
-            QiteConfig(**{key: value})
+            SsqiteConfig(**{key: value})
 
-    # Only constructed, never run.
+    # Only constructed, never run: a NaN cap would let ``run_qite`` iterate forever.
     @pytest.mark.parametrize("value", [np.nan, np.inf, 2.5, 3.0])
     def test_non_integer_max_steps_rejected(self, value):
         with pytest.raises(ValueError):
-            QiteConfig(max_steps=value)
+            SsqiteConfig(grad_tol=0.0, max_iters=value)
 
 
 class TestSolve:
@@ -279,10 +272,10 @@ class TestSolve:
         # Real McLachlan systems are singular (more slots than state
         # directions); the stacked pseudo-solve keeps lstsq's rcond cut.
         c = build()
-        amps = np.column_stack([Statevector.from_label(l).amps for l in labels])
+        states = [Statevector.from_label(l) for l in labels]
         for _, h in request.getfixturevalue(series).points[::3]:
             theta = rng.normal(0, 0.5, c.num_params)
-            systems = assemble(_Frame.of(h, c, amps), theta)
+            systems = assemble(_Frame.of(h, c, states), theta)
             stacked = solve(systems)
             assert stacked.shape == (3, c.num_params)
             for a, cvec, t, w, phi, got in zip(systems.a, systems.c, systems.t, systems.w,
@@ -402,14 +395,14 @@ class TestSolve:
 
 
 class TestStep:
-    """One Euler step: run_qite capped at one step, read from MaxStepsExceeded."""
+    """One Euler step: run_qite capped at one step, read from MaxItersExceeded."""
 
     @staticmethod
     def one_step(theta, dtau):
-        cfg = QiteConfig(dtau=dtau, max_steps=1, grad_tol=0.0)
-        with pytest.raises(MaxStepsExceeded) as exc:
-            run_qite(single_ry(), theta, Z, Statevector.zero(1), cfg)
-        return exc.value.theta
+        cfg = SsqiteConfig(b=dtau, max_iters=1, grad_tol=0.0)
+        with pytest.raises(MaxItersExceeded) as exc:
+            run_qite(Z, single_ry(), Statevector.zero(1), cfg, theta0=theta)
+        return exc.value.result.theta
 
     def test_euler_closed_form(self):
         new = self.one_step([np.pi / 2], 0.1)
@@ -431,35 +424,40 @@ class TestStep:
 
 class TestRunQite:
     def test_ground_state_of_z(self):
-        cfg = QiteConfig(dtau=0.1, max_steps=500, grad_tol=1e-7)
-        result = run_qite(single_ry(), [np.pi / 2], Z, Statevector.zero(1), cfg)
+        cfg = SsqiteConfig(b=0.1, max_iters=500, grad_tol=1e-7)
+        result = run_qite(Z, single_ry(), Statevector.zero(1), cfg, theta0=[np.pi / 2])
         assert result.energies[-1] == pytest.approx(-1.0, abs=1e-6)
         assert result.theta[0] == pytest.approx(np.pi, abs=1e-3)
 
     def test_stationary_start_converges_immediately(self):
-        cfg = QiteConfig(dtau=0.1, grad_tol=1e-5)
-        result = run_qite(single_ry(), [np.pi], Z, Statevector.zero(1), cfg)
-        assert len(result.energies) == 1
-        assert result.energies[0] == pytest.approx(-1.0, abs=1e-12)
+        # A run stops on the first step it may: after exactly ``patience``
+        # energies, all read at the start.
+        for patience in (1, 3):
+            cfg = SsqiteConfig(b=0.1, grad_tol=1e-5, patience=patience)
+            result = run_qite(Z, single_ry(), Statevector.zero(1), cfg, theta0=[np.pi])
+            assert len(result.energies) == patience
+            np.testing.assert_allclose(result.energies, -1.0, rtol=0, atol=1e-12)
+            assert result.theta[0] == np.pi
 
     def test_h2_ground_state(self, h2_series, rng):
         _, h = h2_series.nearest(0.95)
         from ssqite.exact_oracle import eigensolve
 
         exact = eigensolve(h).eigenvalues[0]
-        cfg = QiteConfig(dtau=0.15, max_steps=500, grad_tol=1e-5)
+        cfg = SsqiteConfig(b=0.15, max_iters=500, grad_tol=1e-5)
         theta0 = np.random.default_rng(11).normal(0, 0.1, 16)
-        result = run_qite(build_twolocal(), theta0, h, Statevector.zero(2), cfg)
+        result = run_qite(h, build_twolocal(), Statevector.zero(2), cfg, theta0=theta0)
         assert result.energies[-1] == pytest.approx(exact, abs=1.6e-3)
 
     def test_state_width_checked(self):
         with pytest.raises(DimensionMismatch):
-            run_qite(single_ry(), [0.1], Z, Statevector.zero(2), QiteConfig())
+            run_qite(Z, single_ry(), Statevector.zero(2), SsqiteConfig(), theta0=[0.1])
 
     def test_complex_theta0_rejected(self):
         # Refused, not cut to its real part with a ComplexWarning.
         with pytest.raises(TypeError):
-            run_qite(single_ry(), np.array([0.1 + 0.5j]), Z, Statevector.zero(1), QiteConfig())
+            run_qite(Z, single_ry(), Statevector.zero(1), SsqiteConfig(),
+                     theta0=np.array([0.1 + 0.5j]))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_theta0_rejected(self, monkeypatch, value):
@@ -472,15 +470,22 @@ class TestRunQite:
 
         monkeypatch.setattr(qite_engine, "derivative_stack", no_sweep)
         with pytest.raises(ValueError, match="theta0"):
-            run_qite(build_twolocal(), np.full(16, value), PauliSum.from_terms([(1.0, "ZZ")]),
-                     Statevector.zero(2), QiteConfig())
+            run_qite(PauliSum.from_terms([(1.0, "ZZ")]), build_twolocal(), Statevector.zero(2),
+                     SsqiteConfig(), theta0=np.full(16, value))
 
-    def test_max_steps_carries_trace(self):
-        cfg = QiteConfig(dtau=0.05, max_steps=5, grad_tol=0.0)
-        with pytest.raises(MaxStepsExceeded) as exc:
-            run_qite(single_ry(), [np.pi / 2], Z, Statevector.zero(1), cfg)
-        assert len(exc.value.energies) == 6
-        assert exc.value.theta.shape == (1,)
+    @pytest.mark.parametrize("b", [1.7976931348623157e308, np.float64(1.7976931348623157e308)])
+    def test_overflowing_step_names_b(self, b):
+        # Refused before NumPy adds it (which would warn), as an input error.
+        cfg = SsqiteConfig(b=b)
+        with pytest.raises(SsqiteError, match=r"b = \S*1\.7976931348623157e\+308\S* .* iteration 0"):
+            run_qite(Z, single_ry(), Statevector.zero(1), cfg, theta0=[np.pi / 2])
+
+    def test_capped_run_carries_its_trace(self):
+        cfg = SsqiteConfig(b=0.05, max_iters=5, grad_tol=0.0)
+        with pytest.raises(MaxItersExceeded) as exc:
+            run_qite(Z, single_ry(), Statevector.zero(1), cfg, theta0=[np.pi / 2])
+        assert len(exc.value.result.energies) == 6
+        assert exc.value.result.theta.shape == (1,)
 
     def test_capped_run_reads_its_last_energy_from_one_apply(self, h2_series, monkeypatch):
         # One derivative sweep per step and one apply after the cap, whose
@@ -494,19 +499,21 @@ class TestRunQite:
                 calls[_name] += 1
                 return _fn(*args)
             monkeypatch.setattr(qite_engine, name, counted)
-        cfg = QiteConfig(dtau=0.05, max_steps=7, grad_tol=0.0)
+        cfg = SsqiteConfig(b=0.05, max_iters=7, grad_tol=0.0)
         s0 = Statevector.zero(2)
-        with pytest.raises(MaxStepsExceeded) as exc:
-            run_qite(build_twolocal(), np.random.default_rng(11).normal(0, 0.1, 16), h, s0, cfg)
+        with pytest.raises(MaxItersExceeded) as exc:
+            run_qite(h, build_twolocal(), s0, cfg,
+                     theta0=np.random.default_rng(11).normal(0, 0.1, 16))
         assert calls == {"derivative_stack": 7, "apply": 1}
-        final = assemble(frame_of(h, build_twolocal(), s0), exc.value.theta)
-        assert exc.value.energies[-1] == final.energy[0]
+        result = exc.value.result
+        final = assemble(frame_of(h, build_twolocal(), s0), result.theta)
+        assert result.energies[-1] == final.energy[0]
 
     def test_energy_monotone_euler_small_steps(self, h2_series):
         _, h = h2_series.nearest(0.95)
-        cfg = QiteConfig(dtau=0.05, max_steps=200, grad_tol=0.0)
+        cfg = SsqiteConfig(b=0.05, max_iters=200, grad_tol=0.0)
         theta0 = np.random.default_rng(11).normal(0, 0.1, 16)
-        with pytest.raises(MaxStepsExceeded) as exc:
-            run_qite(build_twolocal(), theta0, h, Statevector.zero(2), cfg)
-        energies = exc.value.energies
+        with pytest.raises(MaxItersExceeded) as exc:
+            run_qite(h, build_twolocal(), Statevector.zero(2), cfg, theta0=theta0)
+        energies = exc.value.result.energies
         assert np.all(np.diff(energies) <= 1e-9)

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import complete_basis, single_ry
-from ssqite.errors import DimensionMismatch, MaxItersExceeded, MaxStepsExceeded, SingularSystem
+from ssqite.errors import DimensionMismatch, MaxItersExceeded, SingularSystem
 from ssqite.exact_oracle import eigensolve
 from ssqite.pauli_algebra import PauliSum
-from ssqite.qite_engine import QiteConfig, _Frame, assemble, run_qite, solve
+from ssqite.qite_engine import _Frame, assemble, run_qite, solve
 from ssqite.simulator import (
     Statevector,
     apply,
@@ -64,6 +64,13 @@ class TestSchedule:
 
 
 class TestConfig:
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            SsqiteConfig(b=0.0)
+        with pytest.raises(ValueError):
+            SsqiteConfig(grad_tol=-1.0)
+        SsqiteConfig(grad_tol=0.0)
+
     @pytest.mark.parametrize("key", ["b", "grad_tol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_rejected(self, key, value):
@@ -196,7 +203,7 @@ def reference_schedule(h, c, states, cfg, theta0):
     (energies, speeds, dtau) rows and the schedule events.
     """
     k = len(states)
-    frame = _Frame.of(h, c, np.column_stack([s.amps for s in states]))
+    frame = _Frame.of(h, c, states)
     theta, dtau = np.array(theta0, dtype=float), init_schedule(k, cfg.b)
     converged, streaks = np.zeros(k, dtype=bool), np.zeros(k, dtype=int)
     rows, events, previous = [], [], None
@@ -286,19 +293,34 @@ class TestReduction:
         c = build()
         theta0 = seeded_theta(16)
         s0 = Statevector.from_label(label)
-        steps = 40
+        cfg = SsqiteConfig(grad_tol=0.0, max_iters=40)
 
-        qcfg = QiteConfig(dtau=0.55, grad_tol=0.0, max_steps=steps)
-        with pytest.raises(MaxStepsExceeded) as qite_exc:
-            run_qite(c, theta0, h, s0, qcfg)
-
-        scfg = SsqiteConfig(b=0.55, grad_tol=0.0, max_iters=steps)
+        with pytest.raises(MaxItersExceeded) as qite_exc:
+            run_qite(h, c, s0, cfg, theta0=theta0)
         with pytest.raises(MaxItersExceeded) as ss_exc:
-            run(h, c, [s0], scfg, theta0=theta0)
+            run(h, c, [s0], cfg, theta0=theta0)
 
-        qite_trace = qite_exc.value.energies[:steps]
+        qite_trace = qite_exc.value.result.energies[:cfg.max_iters]
         ss_trace = ss_exc.value.result.history.energies[:, 0]
         np.testing.assert_array_equal(qite_trace, ss_trace)
+
+    # Converging runs from one default config: the same stopping rule
+    # (patience steps below grad_tol) ends both loops on the same iteration.
+    @pytest.mark.parametrize(
+        "series, build, label, bond, iterations",
+        [pytest.param("h2_series", build_twolocal, "00", bond, n, id=f"h2-{bond}")
+         for bond, n in [(0.35, 21), (0.95, 19), (1.75, 83), (2.25, 206)]]
+        + [pytest.param("lih_series", build_excitation_preserving, "010", bond, n,
+                        id=f"lih-{bond}") for bond, n in [(1.6, 53), (2.25, 30)]],
+    )
+    def test_k1_converged_run_matches_run_qite(self, request, series, build, label, bond,
+                                               iterations):
+        _, h = request.getfixturevalue(series).nearest(bond)
+        c, s0, cfg = build(), Statevector.from_label(label), SsqiteConfig()
+        qite = run_qite(h, c, s0, cfg, theta0=seeded_theta(16))
+        result = run(h, c, [s0], cfg, theta0=seeded_theta(16))
+        assert len(qite.energies) == result.iterations == iterations
+        np.testing.assert_array_equal(qite.energies, result.history.energies[:, 0])
 
 
 class TestBatchedIteration:
@@ -312,7 +334,7 @@ class TestBatchedIteration:
         state = SubspaceRun.start(h, c, states, cfg, theta0=seeded_theta(16))
         theta = np.array(state.theta)
         dtau = state.dtau.copy()
-        frames = [_Frame.of(h, c, s.amps[:, None]) for s in states]
+        frames = [_Frame.of(h, c, [s]) for s in states]
         for _ in range(5):
             systems = [assemble(frame, theta) for frame in frames]
             dots = [solve(sys)[0] for sys in systems]
@@ -334,9 +356,9 @@ class TestBatchedIteration:
         h = PauliSum.from_terms([(0.3, "ZZI"), (-0.7, "XXI"), (0.2, "IYY"), (0.1, "ZIZ")])
         theta = rng.uniform(-np.pi, np.pi, 16)
         states = basis("010", "001", "100")
-        batch = assemble(_Frame.of(h, c, np.column_stack([s.amps for s in states])), theta)
+        batch = assemble(_Frame.of(h, c, states), theta)
         for l, s in enumerate(states):
-            single = assemble(_Frame.of(h, c, s.amps[:, None]), theta)
+            single = assemble(_Frame.of(h, c, [s]), theta)
             np.testing.assert_allclose(batch.a[l], single.a[0], rtol=0, atol=1e-12)
             np.testing.assert_allclose(batch.c[l], single.c[0], rtol=0, atol=1e-12)
             assert abs(batch.energy[l] - single.energy[0]) <= 1e-12
