@@ -15,7 +15,10 @@ seed.  With ``shots > 0`` only the final energy readout of each level is
 sampled; the McLachlan systems that drive the evolution stay exact.  A scan
 geometry whose run fails to converge or to solve is listed in
 ``summary.json``, and the other geometries' rows are still written.  Exit
-codes: 0 success, 1 accuracy or convergence failure, 2 input error.
+codes: 0 success, 1 accuracy or convergence failure (a
+:class:`~ssqite.errors.MaxItersExceeded` or
+:class:`~ssqite.errors.SingularSystem`, or a missed tolerance), 2 input error
+(an :class:`~ssqite.errors.InputError`, or an unreadable file).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .errors import MaxItersExceeded, ParseError, SingularSystem, SsqiteError
+from .errors import InputError, MaxItersExceeded, SingularSystem
 from .exact_oracle import eigensolve
 from .pauli_algebra import content_lines, load_geometry_series
 from .simulator import (
@@ -69,29 +72,26 @@ class RunConfig(SsqiteConfig):
 
     def __post_init__(self):
         if self.ansatz not in ANSATZE:
-            raise ParseError(f"ansatz must be one of {tuple(ANSATZE)}, got {self.ansatz!r}")
+            raise InputError(f"ansatz must be one of {tuple(ANSATZE)}, got {self.ansatz!r}")
         if self.k < 1:
-            raise ParseError(f"k must be >= 1, got {self.k}")
+            raise InputError(f"k must be >= 1, got {self.k}")
         if not 0 <= self.shots <= MAX_SHOTS:
-            raise ParseError(f"shots must be in 0..{MAX_SHOTS}, got {self.shots}")
+            raise InputError(f"shots must be in 0..{MAX_SHOTS}, got {self.shots}")
         if self.seed < 0:
-            raise ParseError(f"seed must be >= 0, got {self.seed}")
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.theta0_scale < np.inf:
-            raise ParseError(f"theta0_scale must be >= 0 and finite, got {self.theta0_scale}")
+            raise InputError(f"theta0_scale must be >= 0 and finite, got {self.theta0_scale}")
         width, labels = len(ANSATZE[self.ansatz][1][0]), self.initial_states
         bad = [l for l in labels if len(l) != width or set(l) - {"0", "1"}]
         if bad or len(set(labels)) < len(labels):
-            raise ParseError(f"initial_states must be distinct {width}-bit binary labels, "
+            raise InputError(f"initial_states must be distinct {width}-bit binary labels, "
                              f"got {','.join(labels)}")
-        try:
-            super().__post_init__()
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
+        super().__post_init__()
 
     def state_labels(self) -> tuple[str, ...]:
         labels = self.initial_states or ANSATZE[self.ansatz][1][: self.k]
         if len(labels) != self.k:
-            raise ParseError(
+            raise InputError(
                 f"{self.k} levels requested but {len(labels)} initial states available"
             )
         return tuple(labels)
@@ -108,23 +108,23 @@ def parse_config(path) -> RunConfig:
     """Read a flat key=value config; paths must resolve at load time."""
     path = Path(path)
     if not path.is_file():
-        raise ParseError(f"config file {path} not found")
+        raise InputError(f"config file {path} not found")
     values: dict = {}
     for lineno, line in content_lines(path):
         if "=" not in line:
-            raise ParseError("expected 'key = value'", lineno)
+            raise InputError("expected 'key = value'", lineno)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in _FIELD_PARSERS:
-            raise ParseError(f"unknown config key {key!r}", lineno)
+            raise InputError(f"unknown config key {key!r}", lineno)
         if key in values:
-            raise ParseError(f"repeated config key {key!r}", lineno)
+            raise InputError(f"repeated config key {key!r}", lineno)
         try:
             values[key] = _FIELD_PARSERS[key](value)
         except ValueError:
-            raise ParseError(f"bad value for {key}: {value!r}", lineno) from None
+            raise InputError(f"bad value for {key}: {value!r}", lineno) from None
     if "hamiltonian_path" not in values or "ansatz" not in values:
-        raise ParseError(f"{path}: config needs hamiltonian_path and ansatz")
+        raise InputError(f"{path}: config needs hamiltonian_path and ansatz")
     base = path.parent
     values["hamiltonian_path"] = (base / values["hamiltonian_path"]).resolve()
     values["output_dir"] = (base / values.get("output_dir", "out")).resolve()
@@ -134,13 +134,13 @@ def parse_config(path) -> RunConfig:
         )
     cfg = RunConfig(**values)
     if not cfg.hamiltonian_path.is_file():
-        raise ParseError(f"hamiltonian file {cfg.hamiltonian_path} not found")
+        raise InputError(f"hamiltonian file {cfg.hamiltonian_path} not found")
     env_seed = os.environ.get("SSQITE_SEED")
     if env_seed is not None:
         try:
             cfg = replace(cfg, seed=int(env_seed))
         except ValueError:
-            raise ParseError(f"SSQITE_SEED must be an integer, got {env_seed!r}") from None
+            raise InputError(f"SSQITE_SEED must be an integer, got {env_seed!r}") from None
     return cfg
 
 
@@ -149,7 +149,7 @@ def _initial_theta(cfg: RunConfig, num_params: int) -> np.ndarray:
     # stationary manifold of the flow.
     theta = np.random.default_rng(cfg.seed).normal(0.0, cfg.theta0_scale, num_params)
     if not np.isfinite(theta).all():
-        raise ParseError(f"theta0_scale {cfg.theta0_scale!r} draws a non-finite theta0")
+        raise InputError(f"theta0_scale {cfg.theta0_scale!r} draws a non-finite theta0")
     return theta
 
 
@@ -201,7 +201,7 @@ def cmd_scan(cfg: RunConfig, tolerance: float = CHEMICAL_ACCURACY) -> int:
     ``error: `` line to stderr.
     """
     if not 0 < tolerance < np.inf:
-        raise ParseError(f"tolerance must be positive and finite, got {tolerance}")
+        raise InputError(f"tolerance must be positive and finite, got {tolerance}")
     t_start = time.perf_counter()
     circuit, states, theta0 = _inputs(cfg)
     series = load_geometry_series(cfg.hamiltonian_path)
@@ -304,7 +304,7 @@ def cmd_exact(cfg: RunConfig) -> int:
     series = load_geometry_series(cfg.hamiltonian_path)
     dim = 2 ** series.n
     if cfg.k > dim:
-        raise ParseError(f"k={cfg.k} exceeds the {dim}-dimensional spectrum")
+        raise InputError(f"k={cfg.k} exceeds the {dim}-dimensional spectrum")
     header = "R," + ",".join(f"E_{l}" for l in range(cfg.k))
     lines = [header]
     for bond, hamiltonian in series.points:
@@ -347,7 +347,7 @@ def main(argv=None) -> int:
     except (MaxItersExceeded, SingularSystem) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SsqiteError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

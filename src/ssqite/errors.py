@@ -1,34 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per outcome the CLI acts on.
+
+``bench_cli.main`` exits 2 on an :class:`InputError` and 1 on a
+:class:`MaxItersExceeded` or :class:`SingularSystem`.
+"""
 
 
 class SsqiteError(Exception):
     """Base class for all package-specific errors."""
 
 
-# --- Pauli algebra / file ingestion ---
+class InputError(SsqiteError, ValueError):
+    """A refused input: a value, file or argument the package does not accept.
 
-class InvalidLabel(SsqiteError, ValueError):
-    """Pauli string contains a character outside {X, Y, Z, I}."""
-
-
-class EmptyString(SsqiteError, ValueError):
-    """Pauli string token has length zero."""
-
-
-class TooManyQubits(SsqiteError, ValueError):
-    """Dense-matrix operation requested above the qubit guardrail."""
-
-
-class NotHermitian(SsqiteError, ValueError):
-    """Matrix handed to the decomposer is not Hermitian within tolerance."""
-
-
-class NotPowerOfTwo(SsqiteError, ValueError):
-    """Matrix dimension is not a power of two."""
-
-
-class ParseError(SsqiteError, ValueError):
-    """Hamiltonian or config file is malformed; carries the offending line."""
+    ``line`` is the offending line of a file, when there is one.
+    """
 
     def __init__(self, message: str, line: int | None = None):
         self.line = line
@@ -36,34 +21,6 @@ class ParseError(SsqiteError, ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
 
-
-class NonMonotonicGeometry(SsqiteError, ValueError):
-    """Bond lengths in a geometry series are not strictly increasing."""
-
-
-class GeometryNotFound(SsqiteError, ValueError):
-    """Requested bond length has no match in the loaded series."""
-
-
-# --- Simulator ---
-
-class DimensionMismatch(SsqiteError, ValueError):
-    """Operands with incompatible qubit counts or vector lengths."""
-
-
-class SlotOutOfRange(SsqiteError, IndexError):
-    """Parameter index outside [0, num_params)."""
-
-
-class UnsupportedMode(SsqiteError, ValueError):
-    """Unknown Hadamard-test mode."""
-
-
-class ZeroShots(SsqiteError, ValueError):
-    """Shot count must be an integer from one to the sampler's int64 maximum."""
-
-
-# --- Imaginary-time engines ---
 
 class SingularSystem(SsqiteError, RuntimeError):
     """The McLachlan system has non-finite entries, or its eigendecomposition failed."""

@@ -16,16 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    EmptyString,
-    GeometryNotFound,
-    InvalidLabel,
-    NonMonotonicGeometry,
-    NotHermitian,
-    NotPowerOfTwo,
-    ParseError,
-    TooManyQubits,
-)
+from .errors import InputError
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -46,10 +37,10 @@ class PauliString:
 
     def __post_init__(self):
         if len(self.ops) == 0:
-            raise EmptyString("Pauli string must act on at least one qubit")
+            raise InputError("Pauli string must act on at least one qubit")
         for label in self.ops:
             if label not in PAULI_MATRICES:
-                raise InvalidLabel(f"unknown Pauli label {label!r}")
+                raise InputError(f"unknown Pauli label {label!r}")
 
     @property
     def n(self) -> int:
@@ -65,7 +56,7 @@ class PauliString:
 def parse_pauli_string(text: str) -> PauliString:
     """Parse a token like ``"XZIY"``; position 0 is the leftmost character."""
     if not isinstance(text, str) or len(text) == 0:
-        raise EmptyString("empty Pauli string token")
+        raise InputError("empty Pauli string token")
     return PauliString(tuple(text))
 
 
@@ -97,15 +88,15 @@ class PauliSum:
                 string = parse_pauli_string(string)
             if isinstance(coeff, complex):
                 if abs(coeff.imag) > 0:
-                    raise InvalidLabel(f"coefficient {coeff} is not real")
+                    raise InputError(f"coefficient {coeff} is not real")
                 coeff = coeff.real
             coeff = float(coeff)
             if not math.isfinite(coeff):
-                raise InvalidLabel(f"coefficient {coeff} is not finite")
+                raise InputError(f"coefficient {coeff} is not finite")
             if width is None:
                 width = string.n
             elif string.n != width:
-                raise InvalidLabel(
+                raise InputError(
                     f"string {string} has length {string.n}, expected {width}"
                 )
             key = str(string)
@@ -114,10 +105,10 @@ class PauliSum:
             else:
                 merged[key] = (coeff, string)
         if width is None:
-            raise EmptyString("a PauliSum needs at least one term or an explicit n")
+            raise InputError("a PauliSum needs at least one term or an explicit n")
         total = sum(abs(coeff) for coeff, _ in merged.values())
         if not math.isfinite(total * total):
-            raise InvalidLabel(
+            raise InputError(
                 f"the coefficients' magnitudes sum to {total:g}, whose square is past the float range"
             )
         return cls(terms=tuple(merged.values()), n=width)
@@ -136,7 +127,7 @@ class PauliSum:
     def dense(self) -> np.ndarray:
         """Dense 2^n x 2^n matrix of the sum, built on first use; Hermitian."""
         if self.n > DENSE_QUBIT_LIMIT:
-            raise TooManyQubits(f"dense conversion capped at {DENSE_QUBIT_LIMIT} qubits")
+            raise InputError(f"dense conversion capped at {DENSE_QUBIT_LIMIT} qubits")
         dim = 2 ** self.n
         out = np.zeros((dim, dim), dtype=complex)
         for coeff, string in self.terms:
@@ -155,13 +146,13 @@ def decompose_dense(m: np.ndarray, drop_tol: float = 1e-12) -> PauliSum:
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotPowerOfTwo(f"expected a square matrix, got shape {m.shape}")
+        raise InputError(f"expected a square matrix, got shape {m.shape}")
     dim = m.shape[0]
     n = int(dim).bit_length() - 1
     if 2 ** n != dim or n < 1:
-        raise NotPowerOfTwo(f"dimension {dim} is not a power of two >= 2")
+        raise InputError(f"dimension {dim} is not a power of two >= 2")
     if np.max(np.abs(m - m.conj().T)) > 1e-10:
-        raise NotHermitian("matrix deviates from Hermitian by more than 1e-10")
+        raise InputError("matrix deviates from Hermitian by more than 1e-10")
 
     # Contract each (row-bit, col-bit) axis pair against the four Paulis:
     # coeffs[j1..jn] = 2^-n * Tr[m * P_{j1} x ... x P_{jn}].
@@ -204,7 +195,7 @@ class GeometrySeries:
         """Point whose bond length matches within tol; raises if none does."""
         best = min(self.points, key=lambda p: abs(p[0] - bond_length))
         if not abs(best[0] - bond_length) <= tol:  # a NaN R matches nothing
-            raise GeometryNotFound(
+            raise InputError(
                 f"no geometry within {tol} of R={bond_length} "
                 f"(closest is {best[0]})"
             )
@@ -215,13 +206,13 @@ class GeometrySeries:
 
 
 def _finite(text: str, what: str, lineno: int) -> float:
-    """The finite number ``text`` names; anything else is a ParseError on ``lineno``."""
+    """The finite number ``text`` names; anything else is an InputError on ``lineno``."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
     if not math.isfinite(value):
-        raise ParseError(f"bad {what} {text!r}", lineno)
+        raise InputError(f"bad {what} {text!r}", lineno)
     return value
 
 
@@ -229,12 +220,12 @@ def content_lines(path):
     """Yield (line number, text) for each nonblank line of a UTF-8 text file.
 
     Text from ``#`` to the end of a line is a comment and is cut.  A file that
-    is not UTF-8 is a ParseError naming it.
+    is not UTF-8 is an InputError naming it.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
+        raise InputError(f"{path}: byte {exc.start} is not UTF-8 ({exc.reason})") from None
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
@@ -264,49 +255,49 @@ def load_geometry_series(path) -> GeometrySeries:
         fields = line.split()
         if fields[0] == "molecule":
             if label is not None:
-                raise ParseError("duplicate molecule header", lineno)
+                raise InputError("duplicate molecule header", lineno)
             if len(fields) != 2:
-                raise ParseError("expected 'molecule <name>'", lineno)
+                raise InputError("expected 'molecule <name>'", lineno)
             label = fields[1]
         elif fields[0] == "geometry":
             if len(fields) != 2:
-                raise ParseError("expected 'geometry <R>'", lineno)
+                raise InputError("expected 'geometry <R>'", lineno)
             blocks.append((_finite(fields[1], "bond length", lineno), [], lineno))
         else:
             if len(fields) != 2:
-                raise ParseError("expected '<pauli-string> <coefficient>'", lineno)
+                raise InputError("expected '<pauli-string> <coefficient>'", lineno)
             if not blocks:
-                raise ParseError("term before any geometry line", lineno)
+                raise InputError("term before any geometry line", lineno)
             try:
                 string = parse_pauli_string(fields[0])
-            except (InvalidLabel, EmptyString) as exc:
-                raise ParseError(str(exc), lineno) from None
+            except InputError as exc:
+                raise InputError(str(exc), lineno) from None
             coeff = _finite(fields[1], "coefficient", lineno)
             if qubits is None:
                 qubits = string.n
             elif string.n != qubits:
-                raise ParseError(
+                raise InputError(
                     f"string length {string.n} != {qubits} used earlier", lineno
                 )
             blocks[-1][1].append((coeff, string))
 
     if label is None:
-        raise ParseError(f"{path}: missing 'molecule' header")
+        raise InputError(f"{path}: missing 'molecule' header")
     if not blocks:
-        raise ParseError(f"{path}: no geometry blocks")
+        raise InputError(f"{path}: no geometry blocks")
 
     points = []
     for bond, terms, lineno in blocks:
         if not terms:
-            raise ParseError("geometry block has no terms", lineno)
+            raise InputError("geometry block has no terms", lineno)
         try:
             points.append((bond, PauliSum.from_terms(terms, n=qubits)))
-        except InvalidLabel as exc:
-            raise ParseError(str(exc), lineno) from None
+        except InputError as exc:
+            raise InputError(str(exc), lineno) from None
 
     bonds = [r for r, _ in points]
     if any(b2 <= b1 for b1, b2 in zip(bonds, bonds[1:])):
-        raise NonMonotonicGeometry(
+        raise InputError(
             f"bond lengths must be strictly increasing, got {bonds}"
         )
     return GeometrySeries(label=label, points=tuple(points))

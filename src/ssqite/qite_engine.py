@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, MaxItersExceeded, SingularSystem, SsqiteError
+from .errors import InputError, MaxItersExceeded, SingularSystem
 from .pauli_algebra import PauliSum
 from .simulator import (
     Circuit,
@@ -62,7 +62,7 @@ class _Frame:
         """The frame of the input ``Statevector``s, after checking every width against ``c``."""
         for what, n in (("Hamiltonian", h.n), *(("state", s.n) for s in states)):
             if n != c.n:
-                raise DimensionMismatch(f"{what} on {n} qubits, circuit on {c.n}")
+                raise InputError(f"{what} on {n} qubits, circuit on {c.n}")
         amps = np.column_stack([s.amps for s in states])
         q = invariant_basis(c, amps)
         hq = q.conj().T @ h.dense @ q
@@ -73,7 +73,7 @@ class _Frame:
         count = self.plan.num_params
         theta = np.zeros(count) if theta0 is None else _parameters(theta0, count).copy()
         if not np.isfinite(theta).all():
-            raise ValueError("theta0 must be finite")
+            raise InputError("theta0 must be finite")
         return theta
 
     def readout(self, phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -127,13 +127,13 @@ class SsqiteConfig:
 
     def __post_init__(self):
         if not 0 < self.b < np.inf:
-            raise ValueError(f"b must be positive and finite, got {self.b}")
+            raise InputError(f"b must be positive and finite, got {self.b}")
         if not 0 <= self.grad_tol < np.inf:
-            raise ValueError(f"grad_tol must be >= 0 and finite, got {self.grad_tol}")
+            raise InputError(f"grad_tol must be >= 0 and finite, got {self.grad_tol}")
         for key in ("patience", "max_iters"):
             value = getattr(self, key)
             if not isinstance(value, (int, np.integer)) or value < 1:
-                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+                raise InputError(f"{key} must be an integer >= 1, got {value!r}")
 
 
 def _reach(bound: float, dtau, speeds, cfg: SsqiteConfig, i: int) -> float:
@@ -142,7 +142,7 @@ def _reach(bound: float, dtau, speeds, cfg: SsqiteConfig, i: int) -> float:
     for step, speed in zip(dtau, speeds):
         bound += step * speed
     if not bound < np.inf:
-        raise SsqiteError(f"b = {cfg.b!r} takes theta past the float range at iteration {i}")
+        raise InputError(f"b = {cfg.b!r} takes theta past the float range at iteration {i}")
     return bound
 
 

@@ -52,12 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    SlotOutOfRange,
-    UnsupportedMode,
-    ZeroShots,
-)
+from .errors import InputError
 from .pauli_algebra import PAULI_MATRICES, PauliString, PauliSum
 
 _SQRT_X = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
@@ -87,16 +82,18 @@ class Statevector:
         amps = np.asarray(self.amps, dtype=complex)
         object.__setattr__(self, "amps", amps)
         if amps.shape != (2 ** self.n,):
-            raise DimensionMismatch(
+            raise InputError(
                 f"amplitude vector of length {amps.shape} for n={self.n}"
             )
         norm = np.linalg.norm(amps)
         if not abs(norm - 1.0) <= 1e-10:  # also refuses NaN
-            raise ValueError(f"state norm {norm} deviates from 1")
+            raise InputError(f"state norm {norm} deviates from 1")
 
     @classmethod
     def from_label(cls, label: str) -> "Statevector":
         """Computational basis state from a ket label such as ``"010"``."""
+        if not isinstance(label, str) or not label or set(label) - {"0", "1"}:
+            raise InputError(f"ket label must be a nonempty string of 0s and 1s, got {label!r}")
         n = len(label)
         amps = np.zeros(2 ** n, dtype=complex)
         amps[int(label, 2)] = 1.0
@@ -121,12 +118,12 @@ class Gate:
 
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
-            raise DimensionMismatch(f"unknown gate kind {self.kind!r}")
+            raise InputError(f"unknown gate kind {self.kind!r}")
         expected = 2 if self.kind in ("CNOT", "CSX") else 1
         if len(self.targets) != expected:
-            raise DimensionMismatch(f"{self.kind} acts on {expected} qubit(s)")
+            raise InputError(f"{self.kind} acts on {expected} qubit(s)")
         if len(set(self.targets)) != len(self.targets):
-            raise DimensionMismatch("gate targets must be distinct")
+            raise InputError("gate targets must be distinct")
 
 
 @dataclass(frozen=True)
@@ -140,7 +137,7 @@ class Circuit:
         for gate in self.gates:
             for t in gate.targets:
                 if not 0 <= t < self.n:
-                    raise DimensionMismatch(f"target {t} outside 0..{self.n - 1}")
+                    raise InputError(f"target {t} outside 0..{self.n - 1}")
 
     @cached_property
     def _rotations(self) -> tuple[int, ...]:
@@ -314,13 +311,13 @@ def invariant_basis(c: Circuit, amps) -> np.ndarray:
     orthonormalized, until that part vanishes (singular values at most 1e-10
     count as rounding noise).  The search runs on the complex matrices read
     back from the stored real forms.  Columns i, j whose overlap is off the
-    identity by more than 1e-10, or by NaN, are a ValueError naming them.
+    identity by more than 1e-10, or by NaN, are an InputError naming them.
     """
     amps = np.asarray(amps, dtype=complex)
     dev = np.abs(amps.conj().T @ amps - np.eye(amps.shape[1]))
     if not dev.max(initial=0.0) <= 1e-10:  # NaN fails; zero columns pass
         i, j = np.unravel_index(np.argmax(dev), dev.shape)
-        raise ValueError(f"initial states {i},{j} not orthonormal (deviation {dev[i, j]:.2e})")
+        raise InputError(f"initial states {i},{j} not orthonormal (deviation {dev[i, j]:.2e})")
     plan = c.dense
     mats = [plan.lead, plan.insertion] + ([plan.tail[None]] if plan.tail is not None else [])
     mats = _complex_matrix(np.concatenate(mats))
@@ -379,7 +376,7 @@ def _parameters(theta, num_params: int) -> np.ndarray:
     if theta.dtype.kind == "c":
         raise TypeError("theta must be real, got a complex array")
     if theta.shape != (num_params,):
-        raise DimensionMismatch(f"theta has shape {theta.shape}, expected ({num_params},)")
+        raise InputError(f"theta has shape {theta.shape}, expected ({num_params},)")
     return theta.astype(float, copy=False)
 
 
@@ -395,18 +392,18 @@ def _sweep_inputs(c: Circuit | DenseCircuit, theta, s,
     theta = _parameters(theta, plan.num_params)
     if isinstance(s, (int, np.integer)):
         if not 1 <= s <= plan.dim:
-            raise DimensionMismatch(f"{s} input columns, the plan has 1..{plan.dim}")
+            raise InputError(f"{s} input columns, the plan has 1..{plan.dim}")
         return _sweep(plan, theta, int(s), derivatives)
     if isinstance(s, Statevector):
         if 2 ** s.n != plan.dim:
-            raise DimensionMismatch(f"state of {2 ** s.n} amplitudes, circuit on {plan.dim}")
+            raise InputError(f"state of {2 ** s.n} amplitudes, circuit on {plan.dim}")
         amps = real_form(s.amps)[:, None]
     else:
         amps = np.asarray(s)
         if amps.dtype.kind == "c":
             raise TypeError("a state batch is given by its real form, see real_form")
         if amps.ndim != 2 or amps.shape[0] != 2 * plan.dim:
-            raise DimensionMismatch(
+            raise InputError(
                 f"state batch has shape {amps.shape}, expected ({2 * plan.dim}, k)"
             )
         amps = amps.astype(float, copy=False)
@@ -457,10 +454,10 @@ def apply_pauli_sum(h: PauliSum, amps: np.ndarray) -> np.ndarray:
 def expectation(h: PauliSum, s: Statevector) -> float:
     """Real expectation value <s|H|s> in Hartree."""
     if h.n != s.n:
-        raise DimensionMismatch(f"operator on {h.n} qubits, state on {s.n}")
+        raise InputError(f"operator on {h.n} qubits, state on {s.n}")
     value = np.vdot(s.amps, apply_pauli_sum(h, s.amps))
     if abs(value.imag) > 1e-10:
-        raise DimensionMismatch(f"expectation has imaginary residue {value.imag}")
+        raise InputError(f"expectation has imaginary residue {value.imag}")
     return float(value.real)
 
 
@@ -473,9 +470,9 @@ def derivative_state(c: Circuit, theta, i: int, s0: Statevector) -> np.ndarray:
     """
     theta = _parameters(theta, c.num_params)
     if not 0 <= i < c.num_params:
-        raise SlotOutOfRange(f"parameter {i} outside 0..{c.num_params - 1}")
+        raise InputError(f"parameter {i} outside 0..{c.num_params - 1}")
     if s0.n != c.n:
-        raise DimensionMismatch(f"state on {s0.n} qubits, circuit on {c.n}")
+        raise InputError(f"state on {s0.n} qubits, circuit on {c.n}")
     pos = c._rotations[i]
     tensor = s0.amps.reshape((2,) * c.n)
     for k, (gate, mat) in enumerate(zip(c.gates, _gate_matrices(c, theta))):
@@ -512,7 +509,7 @@ def build_twolocal(n: int = 2, layers: int = 4) -> Circuit:
     four layers give 16 parameters.
     """
     if n != 2:
-        raise DimensionMismatch("twolocal ansatz is defined on 2 qubits")
+        raise InputError("twolocal ansatz is defined on 2 qubits")
     gates: list[Gate] = []
     for layer in range(layers):
         gates += [Gate("RX", (0,)), Gate("RX", (1,)), Gate("RY", (0,)), Gate("RY", (1,))]
@@ -544,7 +541,7 @@ def build_excitation_preserving(n: int = 3, blocks: int = 8) -> Circuit:
     number, so evolution stays inside the initial Hamming-weight sector.
     """
     if n != 3:
-        raise DimensionMismatch("excitation-preserving ansatz is defined on 3 qubits")
+        raise InputError("excitation-preserving ansatz is defined on 3 qubits")
     gates: list[Gate] = []
     for b in range(blocks):
         gates.extend(_excitation_block(*((0, 1) if b % 2 == 0 else (1, 2))))
@@ -631,29 +628,29 @@ def hadamard_test(c: Circuit, theta, mode: str, i: int, j: int | None = None,
     if s0 is None:
         s0 = Statevector.zero(c.n)
     if s0.n != c.n:
-        raise DimensionMismatch(f"state on {s0.n} qubits, circuit on {c.n}")
+        raise InputError(f"state on {s0.n} qubits, circuit on {c.n}")
     if not 0 <= i < c.num_params:
-        raise SlotOutOfRange(f"parameter {i} outside 0..{c.num_params - 1}")
+        raise InputError(f"parameter {i} outside 0..{c.num_params - 1}")
 
     if mode == "A-real":
         if j is None:
-            raise UnsupportedMode("A-real mode needs a second parameter index")
+            raise InputError("A-real mode needs a second parameter index")
         if not 0 <= j < c.num_params:
-            raise SlotOutOfRange(f"parameter {j} outside 0..{c.num_params - 1}")
+            raise InputError(f"parameter {j} outside 0..{c.num_params - 1}")
         a, b = sorted((c._rotations[i], c._rotations[j]))
         return 0.25 * _hadamard_test_pair(c, theta, s0, a, b, tail=None, imaginary=False)
     if mode == "C-real":
         if h is None:
-            raise UnsupportedMode("C-real mode needs a Hamiltonian")
+            raise InputError("C-real mode needs a Hamiltonian")
         if h.n != c.n:
-            raise DimensionMismatch(f"operator on {h.n} qubits, circuit on {c.n}")
+            raise InputError(f"operator on {h.n} qubits, circuit on {c.n}")
         pos, total = c._rotations[i], 0.0
         for coeff, string in h.terms:
             total += 0.5 * coeff * _hadamard_test_pair(
                 c, theta, s0, pos, pos, tail=string, imaginary=True
             )
         return total
-    raise UnsupportedMode(f"unknown mode {mode!r}; use 'A-real' or 'C-real'")
+    raise InputError(f"unknown mode {mode!r}; use 'A-real' or 'C-real'")
 
 
 # --- finite-shot estimation --------------------------------------------------
@@ -669,9 +666,9 @@ def sample_expectation(h: PauliSum, s: Statevector, shots: int, seed: int) -> fl
     ``shots`` must be an integer in 1..MAX_SHOTS.
     """
     if not isinstance(shots, (int, np.integer)) or not 1 <= shots <= MAX_SHOTS:
-        raise ZeroShots(f"shots must be an integer in 1..{MAX_SHOTS}, got {shots!r}")
+        raise InputError(f"shots must be an integer in 1..{MAX_SHOTS}, got {shots!r}")
     if h.n != s.n:
-        raise DimensionMismatch(f"operator on {h.n} qubits, state on {s.n}")
+        raise InputError(f"operator on {h.n} qubits, state on {s.n}")
     rng = np.random.default_rng(seed)
     total = 0.0
     for coeff, string in h.terms:

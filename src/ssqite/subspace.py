@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MaxItersExceeded
+from .errors import InputError, MaxItersExceeded
 from .pauli_algebra import PauliSum
 from .qite_engine import SsqiteConfig, _Frame, _reach, assemble, solve
 from .simulator import Circuit, Statevector, apply, complex_form
@@ -36,10 +36,10 @@ def init_schedule(k: int, b: float) -> np.ndarray:
     Each entry dominates the tail sum of the later ones, which is what lets
     lower levels win the competition for the shared parameters.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    if not isinstance(k, (int, np.integer)) or k < 1:
+        raise InputError(f"k must be an integer >= 1, got {k!r}")
     if not 0 < b < np.inf:
-        raise ValueError(f"b must be positive and finite, got {b}")
+        raise InputError(f"b must be positive and finite, got {b}")
     return b / np.power(2.0, np.arange(k))
 
 
@@ -149,8 +149,9 @@ class SubspaceRun:
         """The iterations so far, as read-only views of the log's columns."""
         log, n = self.log, self.log.n
         columns = [c[:n] for c in (log.energies, log.grads, log.dtau, log.phi)]
+        # The views alias the log's buffers: a caller's write would rewrite the run's record.
         for column in columns:
-            column.flags.writeable = False  # the next iteration reads the last row
+            column.flags.writeable = False
         return History(*columns)
 
 
@@ -168,7 +169,7 @@ def iteration(run: SubspaceRun) -> SubspaceRun:
     velocity stalled for ``patience`` iterations converge (doubling the step
     sizes from that level upward), then every level's update is added to the
     shared parameters, unless it could leave the floating-point range
-    (SsqiteError).  The schedule reads only Python floats and lists.
+    (InputError).  The schedule reads only Python floats and lists.
     """
     cfg, flags, streaks = run.cfg, run.flags, run.streaks
     system = assemble(run.frame, run.theta)

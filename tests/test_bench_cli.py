@@ -20,7 +20,7 @@ from ssqite.bench_cli import (
     main,
     parse_config,
 )
-from ssqite.errors import ParseError
+from ssqite.errors import InputError
 
 
 TERMS = ["ZI -0.5", "IZ 0.25", "XX 0.125"]  # one well-formed two-qubit geometry block
@@ -67,11 +67,11 @@ class TestConfig:
     def test_unknown_key(self, tmp_path):
         path = write_config(tmp_path, trimmed_h2(tmp_path))
         path.write_text(path.read_text() + "mystery = 1\n")
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match="unknown config key 'mystery'"):
             parse_config(path)
 
     def test_missing_hamiltonian(self, tmp_path):
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match="hamiltonian file .* not found"):
             parse_config(write_config(tmp_path, tmp_path / "nope.txt"))
 
     def test_env_seed_override(self, tmp_path, monkeypatch):
@@ -86,7 +86,7 @@ class TestConfig:
         assert cfg.state_labels() == ("00", "11")
 
     def test_bad_ansatz(self, tmp_path):
-        with pytest.raises(ParseError):
+        with pytest.raises(InputError, match="ansatz must be one of"):
             parse_config(write_config(tmp_path, trimmed_h2(tmp_path), ansatz="magic"))
 
     def test_repeated_key_names_second_line(self, tmp_path):
@@ -94,7 +94,7 @@ class TestConfig:
         # otherwise silently run with k = 2.
         path = write_config(tmp_path, trimmed_h2(tmp_path))
         path.write_text(path.read_text() + "k = 2\n")
-        with pytest.raises(ParseError) as exc:
+        with pytest.raises(InputError, match="repeated config key 'k'") as exc:
             parse_config(path)
         assert exc.value.line == 6
         assert main(["exact", "--config", str(path)]) == 2

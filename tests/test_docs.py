@@ -61,6 +61,25 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_every_raise_names_an_outcome_the_cli_maps():
+    # The CLI exits 2 on an InputError and 1 on the other two; a TypeError
+    # is Python's wrong-type contract, which no CLI input reaches.
+    allowed = {"InputError", "SingularSystem", "MaxItersExceeded", "TypeError"}
+    raised, stray = set(), []
+    for path in sorted((REPO / "src" / "ssqite").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:  # a bare raise re-raises
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = getattr(exc, "id", getattr(exc, "attr", None))
+                raised.add(name)
+                if name not in allowed:
+                    stray.append(f"{path.name}:{node.lineno}: {name}")
+    assert stray == []
+    tree = ast.parse((REPO / "src" / "ssqite" / "errors.py").read_text(encoding="utf-8"))
+    declared = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert declared - raised == {"SsqiteError"}
+
+
 def test_readme_cli_keys_match_config_parser():
     keys = re.findall(r"^\| `(\w+)` \|", readme_section("CLI"), re.M)
     assert keys == list(_FIELD_PARSERS)

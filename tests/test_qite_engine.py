@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import complete_basis, random_hermitian, single_ry
-from ssqite.errors import DimensionMismatch, MaxItersExceeded, SingularSystem, SsqiteError
+from ssqite.errors import InputError, MaxItersExceeded, SingularSystem
 from ssqite.pauli_algebra import PauliSum, decompose_dense
 from ssqite.qite_engine import (
     McLachlanSystem,
@@ -207,7 +207,7 @@ class TestPlanFacts:
     @pytest.mark.parametrize("batch", [None, np.zeros((3, 1))])
     def test_unbound_plan_still_checks_the_batch(self, batch):
         c = build_twolocal()
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="state batch has shape"):
             apply(c.dense, np.zeros(16), batch)
 
     @pytest.mark.parametrize("k", [0, -1, 4, 6])
@@ -216,9 +216,9 @@ class TestPlanFacts:
         # 3 on the restricted LiH plan.
         _, h = lih_series.points[3]
         frame = basis_frame(h, build_excitation_preserving(), ("010", "001", "100"))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="input columns, the plan has 1..3"):
             apply(frame.plan, np.zeros(16), k)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="input columns, the plan has 1..3"):
             derivative_stack(frame.plan, np.zeros(16), k)
 
 
@@ -228,13 +228,13 @@ class TestConfig:
     @pytest.mark.parametrize("key", [pytest.param("b", id="dtau"), "grad_tol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_rejected(self, key, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match=f"{key} must be"):
             SsqiteConfig(**{key: value})
 
     # Only constructed, never run: a NaN cap would let ``run_qite`` iterate forever.
     @pytest.mark.parametrize("value", [np.nan, np.inf, 2.5, 3.0])
     def test_non_integer_max_steps_rejected(self, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="max_iters must be an integer >= 1"):
             SsqiteConfig(grad_tol=0.0, max_iters=value)
 
 
@@ -450,7 +450,7 @@ class TestRunQite:
         assert result.energies[-1] == pytest.approx(exact, abs=1.6e-3)
 
     def test_state_width_checked(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="state on 2 qubits, circuit on 1"):
             run_qite(Z, single_ry(), Statevector.zero(2), SsqiteConfig(), theta0=[0.1])
 
     def test_complex_theta0_rejected(self):
@@ -469,7 +469,7 @@ class TestRunQite:
             raise AssertionError("swept a non-finite theta0")
 
         monkeypatch.setattr(qite_engine, "derivative_stack", no_sweep)
-        with pytest.raises(ValueError, match="theta0"):
+        with pytest.raises(InputError, match="theta0 must be finite"):
             run_qite(PauliSum.from_terms([(1.0, "ZZ")]), build_twolocal(), Statevector.zero(2),
                      SsqiteConfig(), theta0=np.full(16, value))
 
@@ -477,7 +477,7 @@ class TestRunQite:
     def test_overflowing_step_names_b(self, b):
         # Refused before NumPy adds it (which would warn), as an input error.
         cfg = SsqiteConfig(b=b)
-        with pytest.raises(SsqiteError, match=r"b = \S*1\.7976931348623157e\+308\S* .* iteration 0"):
+        with pytest.raises(InputError, match=r"b = \S*1\.7976931348623157e\+308\S* .* iteration 0"):
             run_qite(Z, single_ry(), Statevector.zero(1), cfg, theta0=[np.pi / 2])
 
     def test_capped_run_carries_its_trace(self):

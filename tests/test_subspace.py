@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import complete_basis, single_ry
-from ssqite.errors import DimensionMismatch, MaxItersExceeded, SingularSystem
+from ssqite.errors import InputError, MaxItersExceeded, SingularSystem
 from ssqite.exact_oracle import eigensolve
 from ssqite.pauli_algebra import PauliSum
 from ssqite.qite_engine import _Frame, assemble, run_qite, solve
@@ -56,32 +56,33 @@ class TestSchedule:
             assert dtau[i] >= dtau[i + 1:].sum()
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            init_schedule(0, 1.0)
+        for k in (0, 2.5):
+            with pytest.raises(InputError, match="k must be an integer >= 1"):
+                init_schedule(k, 1.0)
         for b in (-1.0, np.nan, np.inf):
-            with pytest.raises(ValueError):
+            with pytest.raises(InputError, match="b must be positive and finite"):
                 init_schedule(3, b)
 
 
 class TestConfig:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="b must be positive and finite"):
             SsqiteConfig(b=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="grad_tol must be >= 0 and finite"):
             SsqiteConfig(grad_tol=-1.0)
         SsqiteConfig(grad_tol=0.0)
 
     @pytest.mark.parametrize("key", ["b", "grad_tol"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_rejected(self, key, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match=f"{key} must be"):
             SsqiteConfig(**{key: value})
 
     # Only constructed, never run: a NaN cap would let ``run`` iterate forever.
     @pytest.mark.parametrize("key", ["patience", "max_iters"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, 2.5, 3.0, 0, -1])
     def test_non_integer_counts_rejected(self, key, value):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match=f"{key} must be an integer >= 1"):
             SsqiteConfig(grad_tol=0.0, **{key: value})
 
     def test_numpy_integer_counts_accepted(self):
@@ -94,7 +95,7 @@ class TestStart:
 
     @pytest.mark.parametrize("theta0", [np.zeros(15), np.zeros(17), np.zeros((1, 16))])
     def test_theta0_length_checked(self, theta0):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="theta has shape"):
             SubspaceRun.start(ZZ, build_twolocal(), basis("00", "01"), SsqiteConfig(),
                               theta0=theta0)
 
@@ -102,7 +103,7 @@ class TestStart:
     def test_theta0_must_be_finite(self, bad):
         theta0 = seeded_theta(16)
         theta0[5] = bad
-        with pytest.raises(ValueError) as exc:
+        with pytest.raises(InputError, match="theta0 must be finite") as exc:
             SubspaceRun.start(ZZ, build_twolocal(), basis("00", "01"), SsqiteConfig(),
                               theta0=theta0)
         assert not isinstance(exc.value, SingularSystem)
@@ -115,14 +116,14 @@ class TestStart:
 
     @pytest.mark.parametrize("labels", [("000", "001"), ("00", "010")])
     def test_state_width_checked(self, labels):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="state on 3 qubits, circuit on 2"):
             run(ZZ, build_twolocal(), basis(*labels), SsqiteConfig())
 
     def test_non_orthonormal_states_named(self):
         # The frame's invariant_basis is the one check, with the deviation
         # of the worst pair.
         skewed = Statevector(amps=np.array([1, 1, 0, 0]) / np.sqrt(2), n=2)
-        with pytest.raises(ValueError, match=r"initial states 0,2 not orthonormal \(deviation 7.07e-01\)"):
+        with pytest.raises(InputError, match=r"initial states 0,2 not orthonormal \(deviation 7.07e-01\)"):
             SubspaceRun.start(ZZ, build_twolocal(), basis("00", "11") + [skewed], SsqiteConfig())
 
     def test_theta0_is_copied(self):
@@ -136,7 +137,7 @@ class TestStart:
 class TestIteration:
     def test_orthonormal_inputs_required(self):
         skewed = Statevector(amps=np.array([1, 1, 0, 0]) / np.sqrt(2), n=2)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError, match="initial states 0,1 not orthonormal"):
             SubspaceRun.start(ZZ, build_twolocal(), [basis("00")[0], skewed], SsqiteConfig())
 
     def test_shared_mode_keeps_orthogonality(self, h2_series):
