@@ -453,8 +453,8 @@ def write_series(path, molecule, rows, comment_lines):
     lines.append(f"molecule {molecule}")
     for r, pauli_sum in rows:
         lines.append(f"geometry {r:.4f}")
-        for coeff, string in sorted(pauli_sum.terms, key=lambda t: str(t[1])):
-            lines.append(f"{string} {coeff:.16e}")
+        for coeff, label in sorted(pauli_sum.terms, key=lambda t: t[1]):
+            lines.append(f"{label} {coeff:.16e}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {path} ({len(rows)} geometries)")
 

@@ -4,7 +4,6 @@ from . import errors
 from .exact_oracle import Spectrum, eigensolve
 from .pauli_algebra import (
     GeometrySeries,
-    PauliString,
     PauliSum,
     decompose_dense,
     load_geometry_series,
@@ -36,7 +35,6 @@ __all__ = [
     "Spectrum",
     "eigensolve",
     "GeometrySeries",
-    "PauliString",
     "PauliSum",
     "decompose_dense",
     "load_geometry_series",

@@ -82,8 +82,9 @@ class RunConfig(SsqiteConfig):
         if not 0 <= self.theta0_scale < np.inf:
             raise InputError(f"theta0_scale must be >= 0 and finite, got {self.theta0_scale}")
         width, labels = len(ANSATZE[self.ansatz][1][0]), self.initial_states
-        bad = [l for l in labels if len(l) != width or set(l) - {"0", "1"}]
-        if bad or len(set(labels)) < len(labels):
+        # from_label is the one check of a label's characters.
+        if (any(Statevector.from_label(l).n != width for l in labels)
+                or len(set(labels)) < len(labels)):
             raise InputError(f"initial_states must be distinct {width}-bit binary labels, "
                              f"got {','.join(labels)}")
         super().__post_init__()

@@ -1,5 +1,8 @@
 """Pauli-sum Hamiltonians: parsing, dense conversion, and geometry-series files.
 
+A Pauli string is its label text, such as ``"XZ"``: one key of
+:data:`PAULI_MATRICES` per qubit, checked by :func:`parse_pauli_string`.
+
 Tensor ordering convention, used everywhere in this package: position 0 of a
 Pauli string (the leftmost character) acts on the highest-numbered bit of the
 basis index, i.e. the ``dense`` matrix of ``"XZ"`` is ``kron(X, Z)``.
@@ -18,6 +21,7 @@ import numpy as np
 
 from .errors import InputError
 
+# The Pauli alphabet, in the order I, X, Y, Z of decompose_dense's basis.
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -25,54 +29,34 @@ PAULI_MATRICES = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-_LABELS = "IXYZ"
 DENSE_QUBIT_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class PauliString:
-    """Tensor product of single-qubit Paulis, stored as a label tuple."""
-
-    ops: tuple[str, ...]
-
-    def __post_init__(self):
-        if len(self.ops) == 0:
-            raise InputError("Pauli string must act on at least one qubit")
-        for label in self.ops:
-            if label not in PAULI_MATRICES:
-                raise InputError(f"unknown Pauli label {label!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.ops)
-
-    def __str__(self) -> str:
-        return "".join(self.ops)
-
-    def __iter__(self):
-        return iter(self.ops)
-
-
-def parse_pauli_string(text: str) -> PauliString:
-    """Parse a token like ``"XZIY"``; position 0 is the leftmost character."""
+def parse_pauli_string(text: str) -> str:
+    """The label ``text``, such as ``"XZIY"``, checked to be a nonempty str over the alphabet."""
     if not isinstance(text, str) or len(text) == 0:
         raise InputError("empty Pauli string token")
-    return PauliString(tuple(text))
+    for p in text:
+        if p not in PAULI_MATRICES:
+            raise InputError(f"unknown Pauli label {p!r}")
+    return text
 
 
 @dataclass(frozen=True)
 class PauliSum:
     """Weighted sum of Pauli strings with real coefficients (Hartree).
 
-    Terms are merged so no string appears twice; all strings share length n.
+    ``terms`` holds (coefficient, label) pairs, each label a Pauli string as
+    text; terms are merged so no label appears twice, and all labels share
+    length n.
     """
 
-    terms: tuple[tuple[float, PauliString], ...]
+    terms: tuple[tuple[float, str], ...]
     n: int
 
     @classmethod
     def from_terms(cls, terms, n: int | None = None) -> "PauliSum":
-        """Build from (coefficient, string) pairs, merging duplicate strings.
+        """Build from (coefficient, label) pairs, merging duplicate labels.
 
         Coefficients must be real and finite; complex, NaN and infinite
         values are rejected outright.  So is a sum whose merged coefficients'
@@ -81,11 +65,10 @@ class PauliSum:
         square leaves the McLachlan solve, which divides by small Gram
         eigenvalues, room to stay finite.
         """
-        merged: dict[str, tuple[float, PauliString]] = {}
+        merged: dict[str, float] = {}
         width = n
-        for coeff, string in terms:
-            if isinstance(string, str):
-                string = parse_pauli_string(string)
+        for coeff, label in terms:
+            label = parse_pauli_string(label)
             if isinstance(coeff, complex):
                 if abs(coeff.imag) > 0:
                     raise InputError(f"coefficient {coeff} is not real")
@@ -94,34 +77,27 @@ class PauliSum:
             if not math.isfinite(coeff):
                 raise InputError(f"coefficient {coeff} is not finite")
             if width is None:
-                width = string.n
-            elif string.n != width:
+                width = len(label)
+            elif len(label) != width:
                 raise InputError(
-                    f"string {string} has length {string.n}, expected {width}"
+                    f"string {label} has length {len(label)}, expected {width}"
                 )
-            key = str(string)
-            if key in merged:
-                merged[key] = (merged[key][0] + coeff, string)
-            else:
-                merged[key] = (coeff, string)
+            merged[label] = merged[label] + coeff if label in merged else coeff
         if width is None:
             raise InputError("a PauliSum needs at least one term or an explicit n")
-        total = sum(abs(coeff) for coeff, _ in merged.values())
+        total = sum(abs(coeff) for coeff in merged.values())
         if not math.isfinite(total * total):
             raise InputError(
                 f"the coefficients' magnitudes sum to {total:g}, whose square is past the float range"
             )
-        return cls(terms=tuple(merged.values()), n=width)
+        return cls(terms=tuple((coeff, label) for label, coeff in merged.items()), n=width)
 
     def __len__(self) -> int:
         return len(self.terms)
 
-    def coefficient(self, string: str) -> float:
-        """Coefficient of the given string label, 0.0 if absent."""
-        for coeff, s in self.terms:
-            if str(s) == string:
-                return coeff
-        return 0.0
+    def coefficient(self, label: str) -> float:
+        """Coefficient of the given label, 0.0 if absent."""
+        return next((c for c, l in self.terms if l == label), 0.0)
 
     @cached_property
     def dense(self) -> np.ndarray:
@@ -130,10 +106,10 @@ class PauliSum:
             raise InputError(f"dense conversion capped at {DENSE_QUBIT_LIMIT} qubits")
         dim = 2 ** self.n
         out = np.zeros((dim, dim), dtype=complex)
-        for coeff, string in self.terms:
+        for coeff, label in self.terms:
             term = np.array([[1.0]], dtype=complex)
-            for label in string:
-                term = np.kron(term, PAULI_MATRICES[label])
+            for p in label:
+                term = np.kron(term, PAULI_MATRICES[p])
             out += coeff * term
         return out
 
@@ -156,7 +132,8 @@ def decompose_dense(m: np.ndarray, drop_tol: float = 1e-12) -> PauliSum:
 
     # Contract each (row-bit, col-bit) axis pair against the four Paulis:
     # coeffs[j1..jn] = 2^-n * Tr[m * P_{j1} x ... x P_{jn}].
-    basis = np.stack([PAULI_MATRICES[l] for l in _LABELS])  # (4, 2, 2)
+    alphabet = "".join(PAULI_MATRICES)  # "IXYZ"
+    basis = np.stack([PAULI_MATRICES[l] for l in alphabet])  # (4, 2, 2)
     tensor = m.reshape((2,) * (2 * n))
     for t in range(n):
         # t qubits already contracted: layout is (rows..., cols..., paulis...)
@@ -171,8 +148,8 @@ def decompose_dense(m: np.ndarray, drop_tol: float = 1e-12) -> PauliSum:
     flat = coeffs.reshape(-1)
     for idx in np.flatnonzero(np.abs(flat) >= drop_tol):
         digits = np.unravel_index(idx, (4,) * n)
-        label = "".join(_LABELS[d] for d in digits)
-        terms.append((flat[idx].real, parse_pauli_string(label)))
+        label = "".join(alphabet[d] for d in digits)
+        terms.append((flat[idx].real, label))
     return PauliSum.from_terms(terms, n=n)
 
 
@@ -274,10 +251,10 @@ def load_geometry_series(path) -> GeometrySeries:
                 raise InputError(str(exc), lineno) from None
             coeff = _finite(fields[1], "coefficient", lineno)
             if qubits is None:
-                qubits = string.n
-            elif string.n != qubits:
+                qubits = len(string)
+            elif len(string) != qubits:
                 raise InputError(
-                    f"string length {string.n} != {qubits} used earlier", lineno
+                    f"string length {len(string)} != {qubits} used earlier", lineno
                 )
             blocks[-1][1].append((coeff, string))
 

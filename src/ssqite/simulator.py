@@ -1,6 +1,7 @@
 """Dense statevector simulation of parameterized circuits.
 
-Rotation convention: R_G(theta) = exp(-i * theta * G / 2) for G in {X, Y, Z}.
+Rotation convention: R_G(theta) = exp(-i * theta * G / 2) for G in {X, Y, Z},
+so R_G(theta) = cos(theta/2) I - i sin(theta/2) G.
 Qubit q is axis q of the statevector reshaped to (2,) * n, matching the Pauli
 string ordering in :mod:`ssqite.pauli_algebra` (qubit 0 = leftmost label).
 
@@ -53,7 +54,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InputError
-from .pauli_algebra import PAULI_MATRICES, PauliString, PauliSum
+from .pauli_algebra import PAULI_MATRICES, PauliSum, parse_pauli_string
 
 _SQRT_X = 0.5 * np.array([[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]])
 _CNOT = np.array(
@@ -64,11 +65,12 @@ _CSX = np.block(
 ).astype(complex)
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
-ROTATION_KINDS = ("RX", "RY", "RZ")
-GATE_KINDS = ROTATION_KINDS + ("CNOT", "CSX", "X")
-
-# Generator of each rotation kind; dR/dtheta = (-i/2) * G * R.
+# The gate vocabulary, one table per sort of gate; a kind is a key of one of
+# them, and a 2^k x 2^k matrix makes its gate act on k qubits.  A rotation
+# kind maps to its generator G, and dR/dtheta = (-i/2) * G * R.
 _GENERATORS = {"RX": PAULI_MATRICES["X"], "RY": PAULI_MATRICES["Y"], "RZ": PAULI_MATRICES["Z"]}
+# A fixed kind maps to its matrix.
+_FIXED = {"CNOT": _CNOT, "CSX": _CSX, "X": PAULI_MATRICES["X"]}
 
 
 @dataclass(frozen=True)
@@ -108,18 +110,22 @@ class Statevector:
 class Gate:
     """One circuit element.
 
-    ``targets`` lists qubit indices; for CNOT and CSX the first entry is the
-    control and the second the target.  A rotation's angle is the circuit
-    parameter of its position among the circuit's rotations.
+    ``kind`` is a key of ``_GENERATORS`` (a rotation) or of ``_FIXED``, and
+    its matrix there sets how many qubits it acts on.  ``targets`` lists
+    qubit indices; for CNOT and CSX the first entry is the control and the
+    second the target.  A rotation's angle is the circuit parameter of its
+    position among the circuit's rotations.
     """
 
     kind: str
     targets: tuple[int, ...]
 
     def __post_init__(self):
-        if self.kind not in GATE_KINDS:
+        kind = self.kind if isinstance(self.kind, str) else None  # an unhashable kind is unknown too
+        mat = _GENERATORS.get(kind, _FIXED.get(kind))
+        if mat is None:
             raise InputError(f"unknown gate kind {self.kind!r}")
-        expected = 2 if self.kind in ("CNOT", "CSX") else 1
+        expected = len(mat).bit_length() - 1
         if len(self.targets) != expected:
             raise InputError(f"{self.kind} acts on {expected} qubit(s)")
         if len(set(self.targets)) != len(self.targets):
@@ -142,7 +148,7 @@ class Circuit:
     @cached_property
     def _rotations(self) -> tuple[int, ...]:
         """Gate position of each parameter's rotation, in circuit order."""
-        return tuple(k for k, g in enumerate(self.gates) if g.kind in ROTATION_KINDS)
+        return tuple(k for k, g in enumerate(self.gates) if g.kind in _GENERATORS)
 
     @property
     def num_params(self) -> int:
@@ -165,27 +171,17 @@ def _apply_matrix(tensor: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]) ->
     return np.moveaxis(out, list(range(k)), list(axes))
 
 
-def _gate_matrix(gate: Gate, angle: float | None) -> np.ndarray:
-    if gate.kind in ROTATION_KINDS:
-        half = 0.5 * angle
-        c, s = math.cos(half), math.sin(half)
-        if gate.kind == "RX":
-            return np.array([[c, -1j * s], [-1j * s, c]])
-        if gate.kind == "RY":
-            return np.array([[c, -s], [s, c]], dtype=complex)
-        return np.array([[c - 1j * s, 0], [0, c + 1j * s]])
-    if gate.kind == "CNOT":
-        return _CNOT
-    if gate.kind == "CSX":
-        return _CSX
-    return PAULI_MATRICES["X"]
-
-
 def _gate_matrices(c: Circuit, theta: np.ndarray) -> list[np.ndarray]:
     """Every gate's matrix in circuit order, the i-th rotation at angle theta[i]."""
-    angles = iter(theta)
-    return [_gate_matrix(g, next(angles) if g.kind in ROTATION_KINDS else None)
-            for g in c.gates]
+    out, halves = [], iter(0.5 * theta)
+    for g in c.gates:
+        if g.kind in _FIXED:
+            out.append(_FIXED[g.kind])
+        else:
+            half = next(halves)
+            out.append(math.cos(half) * PAULI_MATRICES["I"]
+                       - 1j * math.sin(half) * _GENERATORS[g.kind])
+    return out
 
 
 # --- dense batched sweep -----------------------------------------------------
@@ -282,12 +278,12 @@ def _compile(c: Circuit) -> DenseCircuit:
     pending = None  # product of the fixed gates since the last rotation
     lead, gens = [], []
     for gate in c.gates:
-        if gate.kind in ROTATION_KINDS:
+        if gate.kind in _GENERATORS:
             lead.append(np.eye(dim, dtype=complex) if pending is None else pending)
             gens.append(_embed(_GENERATORS[gate.kind], gate.targets, c.n))
             pending = None
         else:
-            fixed = _embed(_gate_matrix(gate, None), gate.targets, c.n)
+            fixed = _embed(_FIXED[gate.kind], gate.targets, c.n)
             pending = fixed if pending is None else fixed @ pending
     gens = np.array(gens, dtype=complex).reshape(-1, dim, dim)
     lead = np.array(lead, dtype=complex).reshape(-1, dim, dim)
@@ -425,9 +421,9 @@ def apply(c: Circuit | DenseCircuit, theta, s):
     return out
 
 
-def apply_pauli_string(string: PauliString, amps: np.ndarray) -> np.ndarray:
-    """Product of single-qubit Paulis acting on a raw amplitude vector."""
-    n = string.n
+def apply_pauli_string(string: str, amps: np.ndarray) -> np.ndarray:
+    """The Pauli string with the given label acting on a raw amplitude vector."""
+    n = len(parse_pauli_string(string))
     tensor = amps.reshape((2,) * n)
     for q, label in enumerate(string):
         if label == "I":
@@ -569,7 +565,7 @@ def _ancilla_z(tensor: np.ndarray, anc_axis: int) -> float:
 
 def _hadamard_test_pair(c: Circuit, theta: np.ndarray, s0: Statevector,
                         pos_a: int, pos_b: int,
-                        tail: PauliString | None, imaginary: bool) -> float:
+                        tail: str | None, imaginary: bool) -> float:
     """Ancilla Z expectation of one Hadamard-test circuit.
 
     Branch anc=0 carries the generator insertion at ``pos_a``, branch anc=1

@@ -41,9 +41,11 @@ from ssqite.subspace import SsqiteConfig, init_schedule, run
 H2_STRETCH = 5.5e-5
 LIH_STRETCH = 3.3e-4
 # Iterations of the whole shipped scans at their seed 11, summed over the
-# geometries.  A kernel change that moves a trajectory by rounding shows here.
+# geometries (LIH_K2_ITERS: the LiH scan at k = 2).  A kernel change that
+# moves a trajectory by rounding shows here.
 H2_ITERS = 8143
 LIH_ITERS = 1723
+LIH_K2_ITERS = 1102
 # md5 of the shipped runs' output files at seed 11 (NumPy 2.4, OpenBLAS
 # 0.3.31 on its SkylakeX kernel; see ``blas_kernel``).  A change that moves
 # any output bit must update these and say why.
@@ -121,6 +123,30 @@ def test_criterion_2_lih_benchmark(lih_scan):
     )
     report("2 (LiH benchmark)", code == 0 and errors.max() < CHEMICAL_ACCURACY
            and per_geometry < 300.0 and cfg.seed == 11 and iters == LIH_ITERS, detail)
+
+
+def test_criterion_2b_lih_subspace_search(tmp_path):
+    # The k = 3 inputs span the Hamming-weight-1 sector, which holds exactly
+    # the three lowest levels, so that scan starts in its answer.  The k = 2
+    # inputs |010>, |001> do not: the evolution has to find the subspace.
+    cfg = dataclasses.replace(parse_config(CONFIGS / "lih_scan.cfg"), k=2, output_dir=tmp_path)
+    states = np.array([Statevector.from_label(l).amps for l in cfg.state_labels()]).T
+    miss = np.inf
+    for _, h in load_geometry_series(cfg.hamiltonian_path).points:
+        ritz = np.linalg.eigvalsh(states.conj().T @ h.dense @ states)
+        miss = min(miss, np.abs(ritz - np.linalg.eigvalsh(h.dense)[:2]).max())
+    code = cmd_scan(cfg, tolerance=CHEMICAL_ACCURACY)
+    lines = (tmp_path / "scan.csv").read_text().splitlines()[1:]
+    errors = np.array([float(l.split(",")[4]) for l in lines])
+    iters = scan_iterations(lines)
+    detail = (
+        f"inputs' Ritz values miss the exact levels by >= {miss:.3f} Ha; "
+        f"max|E-E_exact|={errors.max():.3e} Ha, {iters} iterations at seed {cfg.seed} "
+        f"(expected {LIH_K2_ITERS} at seed 11)"
+    )
+    report("2b (LiH subspace search)", miss > CHEMICAL_ACCURACY and code == 0
+           and errors.max() < CHEMICAL_ACCURACY and cfg.seed == 11
+           and iters == LIH_K2_ITERS, detail)
 
 
 @pytest.fixture(scope="module")

@@ -9,12 +9,12 @@ from conftest import random_hermitian
 from ssqite.errors import InputError
 from ssqite.pauli_algebra import (
     PAULI_MATRICES,
-    PauliString,
     PauliSum,
     decompose_dense,
     load_geometry_series,
     parse_pauli_string,
 )
+from ssqite.simulator import apply_pauli_string
 
 
 def kron_chain(labels):
@@ -26,20 +26,22 @@ def kron_chain(labels):
 
 class TestParse:
     def test_zi(self):
-        assert parse_pauli_string("ZI").ops == ("Z", "I")
+        assert parse_pauli_string("ZI") == "ZI"
 
     def test_xyzi(self):
-        assert parse_pauli_string("XYZI").ops == ("X", "Y", "Z", "I")
+        assert parse_pauli_string("XYZI") == "XYZI"
 
     def test_bad_label(self):
         with pytest.raises(InputError, match="unknown Pauli label 'A'"):
             parse_pauli_string("ZA")
+        with pytest.raises(InputError, match="unknown Pauli label 'A'"):
+            PauliSum.from_terms([(1.0, "ZA")])
+        with pytest.raises(InputError, match="unknown Pauli label 'A'"):
+            apply_pauli_string("A", np.array([1.0, 0.0]))
 
     def test_empty(self):
         with pytest.raises(InputError, match="empty Pauli string token"):
             parse_pauli_string("")
-        with pytest.raises(InputError, match="must act on at least one qubit"):
-            PauliString(())
         with pytest.raises(InputError, match="needs at least one term"):
             PauliSum.from_terms([])
 

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_hermitian, single_ry
 from ssqite.errors import InputError
-from ssqite.pauli_algebra import PauliString, PauliSum, decompose_dense
+from ssqite.pauli_algebra import PauliSum, decompose_dense
 from ssqite.simulator import (
     Circuit,
     Gate,
@@ -117,7 +117,7 @@ class TestApply:
             sample_expectation(h, Statevector.zero(2), 10, seed=0)
         # The constructor skips from_terms' real-coefficient check, so a
         # non-Hermitian sum leaves an imaginary <Y> on (|0> + i|1>)/sqrt(2).
-        iy = PauliSum(terms=((1j, PauliString(("Y",))),), n=1)
+        iy = PauliSum(terms=((1j, "Y"),), n=1)
         with pytest.raises(InputError, match="imaginary residue"):
             expectation(iy, Statevector(amps=np.array([1, 1j]) / np.sqrt(2), n=1))
 
@@ -126,11 +126,11 @@ class TestCircuitValidation:
     @pytest.mark.parametrize(
         "kind, targets",
         [("RW", (0,)), ("RY", (0, 1)), ("X", (0, 1)), ("CNOT", (0,)), ("CSX", (1,)),
-         ("CNOT", (1, 1)), ("RZ", (2,)), ("CSX", (0, -1))],
+         ("CNOT", (1, 1)), ("RZ", (2,)), ("CSX", (0, -1)), (["RX"], (0,))],
     )
     def test_bad_gate_rejected(self, kind, targets):
-        # An unknown kind, the wrong arity, a repeated target, or a target
-        # outside the circuit's two qubits.
+        # An unknown kind (an unhashable one too), the wrong arity, a repeated
+        # target, or a target outside the circuit's two qubits.
         with pytest.raises(InputError, match="unknown gate kind|acts on|must be distinct|outside 0..1"):
             Circuit(n=2, gates=(Gate(kind, targets),))
 
