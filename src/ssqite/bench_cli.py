@@ -82,19 +82,19 @@ class RunConfig(SsqiteConfig):
         if not 0 <= self.theta0_scale < np.inf:
             raise InputError(f"theta0_scale must be >= 0 and finite, got {self.theta0_scale}")
         width, labels = len(ANSATZE[self.ansatz][1][0]), self.initial_states
-        # from_label is the one check of a label's characters.
-        if (any(Statevector.from_label(l).n != width for l in labels)
-                or len(set(labels)) < len(labels)):
+        # The width goes first: from_label allocates 2**len(label) amplitudes.
+        if any(len(l) != width for l in labels) or len(set(labels)) < len(labels):
             raise InputError(f"initial_states must be distinct {width}-bit binary labels, "
                              f"got {','.join(labels)}")
+        for l in labels:
+            Statevector.from_label(l)  # the one check of a label's characters
         super().__post_init__()
 
     def state_labels(self) -> tuple[str, ...]:
         labels = self.initial_states or ANSATZE[self.ansatz][1][: self.k]
         if len(labels) != self.k:
-            raise InputError(
-                f"{self.k} levels requested but {len(labels)} initial states available"
-            )
+            raise InputError(f"{self.k} levels requested but {len(labels)} "
+                             "initial states available")
         return tuple(labels)
 
 

@@ -129,7 +129,7 @@ def test_criterion_2b_lih_subspace_search(tmp_path):
     # The k = 3 inputs span the Hamming-weight-1 sector, which holds exactly
     # the three lowest levels, so that scan starts in its answer.  The k = 2
     # inputs |010>, |001> do not: the evolution has to find the subspace.
-    cfg = dataclasses.replace(parse_config(CONFIGS / "lih_scan.cfg"), k=2, output_dir=tmp_path)
+    cfg = dataclasses.replace(scan_config("lih_scan.cfg", tmp_path), k=2)
     states = np.array([Statevector.from_label(l).amps for l in cfg.state_labels()]).T
     miss = np.inf
     for _, h in load_geometry_series(cfg.hamiltonian_path).points:
@@ -194,7 +194,7 @@ def test_criterion_4a_decomposition_round_trip():
         h0 = PauliSum.from_terms(list(zip(coeffs, labels)))
         h1 = decompose_dense(h0.dense, drop_tol=0.0)
         for coeff, string in h0.terms:
-            worst = max(worst, abs(h1.coefficient(str(string)) - coeff))
+            worst = max(worst, abs(h1.coefficient(string) - coeff))
     report("4a (decomposition round trip)", worst < 1e-12, f"max deviation {worst:.2e}")
 
 

@@ -363,6 +363,7 @@ class TestMainDispatch:
         [("update_mode", "bogus"), ("b", "-1"), ("patience", "0"),
          ("theta0_scale", "-0.1"), ("seed", "-1"),
          ("initial_states", "00,0a,10"), ("initial_states", "00,00,10"),
+         ("initial_states", "0" * 70),
          ("max_iters", "0"), ("grad_tol", "-1"),
          ("b", "nan"), ("b", "inf"), ("grad_tol", "nan"), ("grad_tol", "inf"),
          ("theta0_scale", "nan"), ("theta0_scale", "inf"),

@@ -161,7 +161,7 @@ class TestInvariants:
         # coefficient-level round trip
         h2 = decompose_dense(h.dense)
         for coeff, string in h.terms:
-            assert h2.coefficient(str(string)) == pytest.approx(coeff, abs=1e-12)
+            assert h2.coefficient(string) == pytest.approx(coeff, abs=1e-12)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_pauli_basis_orthogonality(self, n):
@@ -262,4 +262,4 @@ ZII 0.25
             assert np.max(np.abs(m - m.conj().T)) < 1e-12
             h2 = decompose_dense(m)
             for coeff, string in h.terms:
-                assert h2.coefficient(str(string)) == pytest.approx(coeff, abs=1e-10)
+                assert h2.coefficient(string) == pytest.approx(coeff, abs=1e-10)
