@@ -118,8 +118,10 @@ def decompose_dense(m: np.ndarray, drop_tol: float = 1e-12) -> PauliSum:
     """Expand a Hermitian matrix over the Pauli-string basis.
 
     Coefficients are ``2^-n * trace(m @ P)`` for each string P; entries with
-    magnitude below ``drop_tol`` are omitted.
+    magnitude below ``drop_tol`` (finite and >= 0) are omitted.
     """
+    if not 0 <= drop_tol < np.inf:
+        raise InputError(f"drop_tol must be >= 0 and finite, got {drop_tol}")
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InputError(f"expected a square matrix, got shape {m.shape}")

@@ -422,8 +422,11 @@ def apply(c: Circuit | DenseCircuit, theta, s):
 
 
 def apply_pauli_string(string: str, amps: np.ndarray) -> np.ndarray:
-    """The Pauli string with the given label acting on a raw amplitude vector."""
+    """The Pauli string with the given label acting on a raw amplitude vector of 2^n entries."""
     n = len(parse_pauli_string(string))
+    if np.shape(amps) != (2 ** n,):
+        raise InputError(f"Pauli string {string!r} acts on {2 ** n} amplitudes, "
+                         f"got shape {np.shape(amps)}")
     tensor = amps.reshape((2,) * n)
     for q, label in enumerate(string):
         if label == "I":

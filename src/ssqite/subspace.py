@@ -13,9 +13,9 @@ A run puts its problem into coordinates once, when it starts: its frame
 the inputs that every gate maps into itself, 3 amplitudes instead of 8 for
 the excitation-preserving ansatz on one-excitation inputs.  Each iteration
 assembles and solves the stacked McLachlan systems of all levels from one
-circuit sweep and writes one row of the run's columnar log; the schedule
-reads the k speeds as Python floats.  Energies and overlaps are read in the
-frame, and only the final states are lifted to the full 2^n basis.
+circuit sweep and appends one row of what it measured to the run's rows;
+the schedule reads the k speeds as Python floats.  Energies and overlaps are
+read in the frame, and only the final states are lifted to the full 2^n basis.
 """
 
 from __future__ import annotations
@@ -70,31 +70,14 @@ class History:
         return pairwise.max(axis=(-2, -1))
 
 
-class _Log:
-    """A run's columns, one row per iteration, in buffers that double when full."""
-
-    def __init__(self, k: int, width: int):
-        self.n, rows = 0, 64
-        self.energies, self.grads, self.dtau = (np.empty((rows, k)) for _ in range(3))
-        self.phi = np.empty((rows, k, width))
-
-    def append(self, energies, grads, dtau, phi) -> None:
-        n = self.n
-        if n == len(self.phi):
-            for name in ("energies", "grads", "dtau", "phi"):
-                full = getattr(self, name)
-                setattr(self, name, np.concatenate((full, np.empty_like(full))))
-        self.energies[n], self.grads[n], self.dtau[n], self.phi[n] = energies, grads, dtau, phi
-        self.n = n + 1
-
-
 @dataclass
 class SubspaceRun:
     """Evolving state of one subspace search, bound to its problem by ``frame``.
 
     :func:`iteration` advances it; its states are reported on ``n`` qubits.
-    ``flags``, ``streaks`` and ``speeds`` (inf before the first iteration)
-    are each level's schedule state, and ``bound`` bounds max|theta|.
+    ``flags`` and ``streaks`` are each level's schedule state, and ``bound``
+    bounds max|theta|.  ``rows`` holds one ``(energies, speeds, dtau, phi)``
+    row per iteration, each owning its values.
     """
 
     n: int
@@ -103,8 +86,7 @@ class SubspaceRun:
     dtau: np.ndarray
     flags: list[bool]
     streaks: list[int]
-    speeds: list[float]
-    log: _Log
+    rows: list[tuple]
     frame: _Frame
     cfg: SsqiteConfig
 
@@ -128,8 +110,7 @@ class SubspaceRun:
             dtau=dtau,
             flags=[False] * k,
             streaks=[0] * k,
-            speeds=[np.inf] * k,
-            log=_Log(k, 2 * frame.plan.dim),
+            rows=[],
             frame=frame,
             cfg=cfg,
         )
@@ -142,14 +123,15 @@ class SubspaceRun:
     @property
     def iteration(self) -> int:
         """Number of iterations run so far."""
-        return self.log.n
+        return len(self.rows)
 
     @property
     def history(self) -> History:
-        """The iterations so far, as read-only views of the log's columns."""
-        log, n = self.log, self.log.n
-        columns = [c[:n] for c in (log.energies, log.grads, log.dtau, log.phi)]
-        # The views alias the log's buffers: a caller's write would rewrite the run's record.
+        """The iterations so far, stacked from the rows into new read-only columns."""
+        n, k = len(self.rows), len(self.flags)
+        shapes = ((n, k),) * 3 + ((n, k, 2 * self.frame.plan.dim),)
+        columns = [np.array([row[i] for row in self.rows]).reshape(shape)
+                   for i, shape in enumerate(shapes)]
         for column in columns:
             column.flags.writeable = False
         return History(*columns)
@@ -174,18 +156,17 @@ def iteration(run: SubspaceRun) -> SubspaceRun:
     cfg, flags, streaks = run.cfg, run.flags, run.streaks
     system = assemble(run.frame, run.theta)
     theta_dots = solve(system)
-    speeds = np.maximum.reduce(np.abs(theta_dots), axis=1)
-    grads = speeds.tolist()
+    grads = np.maximum.reduce(np.abs(theta_dots), axis=1).tolist()
 
     # A converged level whose velocity re-awakens and keeps growing signals
     # that step doubling pushed dtau past the explicit-integrator stability
     # bound; back off all step sizes together, each to no less than its
     # initial b / 2^l: halving with no floor, on consecutive iterations,
-    # drives every step to zero.
+    # drives every step to zero.  A flag is set only after an iteration, so
+    # the previous row's speeds exist whenever this reads them.
     if True in flags and any(f and g > 10.0 * cfg.grad_tol and g > p
-                             for f, g, p in zip(flags, grads, run.speeds)):
+                             for f, g, p in zip(flags, grads, run.rows[-1][1])):
         np.maximum(0.5 * run.dtau, init_schedule(len(flags), cfg.b), out=run.dtau)
-    run.speeds = grads
     # Every level of the converged prefix has already had its doubling.
     doubled = _converged_prefix(flags)
     for l, g in enumerate(grads):
@@ -199,7 +180,7 @@ def iteration(run: SubspaceRun) -> SubspaceRun:
     for l in range(doubled, _converged_prefix(flags)):
         run.dtau[l:] *= 2.0
 
-    run.bound = _reach(run.bound, run.dtau.tolist(), grads, cfg, run.log.n)
+    run.bound = _reach(run.bound, run.dtau.tolist(), grads, cfg, len(run.rows))
     # One product for all levels, then the adds in level order: the same
     # products and the same summation order as one update per level.
     steps = run.dtau[:, None] * theta_dots
@@ -207,7 +188,8 @@ def iteration(run: SubspaceRun) -> SubspaceRun:
     for step in steps[1:]:
         theta += step
     run.theta = theta
-    run.log.append(system.energy, speeds, run.dtau, system.phi)
+    # Copies: the schedule updates dtau in place, and phi views the sweep's buffer.
+    run.rows.append((system.energy, grads, run.dtau.copy(), system.phi.copy()))
     return run
 
 

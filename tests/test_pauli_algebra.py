@@ -14,7 +14,7 @@ from ssqite.pauli_algebra import (
     load_geometry_series,
     parse_pauli_string,
 )
-from ssqite.simulator import apply_pauli_string
+from ssqite.simulator import apply_pauli_string, apply_pauli_sum
 
 
 def kron_chain(labels):
@@ -38,6 +38,12 @@ class TestParse:
             PauliSum.from_terms([(1.0, "ZA")])
         with pytest.raises(InputError, match="unknown Pauli label 'A'"):
             apply_pauli_string("A", np.array([1.0, 0.0]))
+        h = PauliSum.from_terms([(1.0, "ZZ")])
+        for amps in (np.zeros(8), np.zeros((2, 2)), np.zeros(2)):
+            with pytest.raises(InputError, match=r"'ZZ' acts on 4 amplitudes, got shape"):
+                apply_pauli_string("ZZ", amps)
+            with pytest.raises(InputError, match=r"'ZZ' acts on 4 amplitudes, got shape"):
+                apply_pauli_sum(h, amps)
 
     def test_empty(self):
         with pytest.raises(InputError, match="empty Pauli string token"):
@@ -150,6 +156,10 @@ class TestDecomposeDense:
         m = np.diag([1.0, -1.0]).astype(complex) + 1e-14 * np.eye(2)
         assert len(decompose_dense(m)) == 1
         assert len(decompose_dense(m, drop_tol=1e-16)) == 2
+        assert len(decompose_dense(m, drop_tol=0.0)) == 4  # every string, zeros too
+        for bad in (float("nan"), float("inf"), -1e-12):
+            with pytest.raises(InputError, match="drop_tol must be >= 0 and finite"):
+                decompose_dense(m, drop_tol=bad)
 
 
 class TestInvariants:

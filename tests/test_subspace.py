@@ -522,10 +522,10 @@ class TestRecordStream:
 
 
 class TestColumnarLog:
-    """The run's log against what each iteration measured and a per-iteration monitor.
+    """The run's rows against what each iteration measured and a per-iteration monitor.
 
-    H2 at R = 0.95 runs 267 iterations, longer than the log's first buffers,
-    so the rows written before and after every growth are both checked.
+    H2 at R = 0.95 runs 267 iterations; the history stacks one row per
+    iteration into columns, from zero rows up.
     """
 
     @staticmethod
@@ -561,14 +561,56 @@ class TestColumnarLog:
         monkeypatch.setattr(subspace, "assemble", recorded(systems, subspace.assemble))
         monkeypatch.setattr(subspace, "solve", recorded(dots, subspace.solve))
         result = run(h, c, states, SsqiteConfig(), theta0=seeded_theta(16))
-        fresh = SubspaceRun.start(h, c, states, SsqiteConfig())
         history = result.history
         assert result.iterations == len(history) == len(systems) == 267
-        assert len(history) > len(fresh.log.phi)
         np.testing.assert_array_equal(history.energies, [sys.energy for sys in systems])
         np.testing.assert_array_equal(history.phi, [sys.phi for sys in systems])
         np.testing.assert_array_equal(history.grads, np.abs(dots).max(axis=2))
         assert history.dtau.shape == (267, 3)
+
+    def test_rows_own_their_arrays(self, problem, monkeypatch):
+        # A row that viewed the schedule's dtau would be rewritten by the next
+        # iteration, and one that viewed phi would keep the sweep's whole
+        # prefix-product buffer alive.
+        from ssqite import subspace
+
+        h, c, states = problem
+        systems = []
+
+        def recorded(frame, theta):
+            systems.append(assemble(frame, theta))
+            return systems[-1]
+
+        monkeypatch.setattr(subspace, "assemble", recorded)
+        state = SubspaceRun.start(h, c, states, SsqiteConfig(), theta0=seeded_theta(16))
+        for i in range(1, 6):
+            iteration(state)
+            assert len(state.rows) == i
+            energies, _, dtau, phi = state.rows[-1]
+            assert energies is systems[-1].energy
+            np.testing.assert_array_equal(phi, systems[-1].phi)
+            assert not np.shares_memory(phi, systems[-1].phi)
+            assert not np.shares_memory(dtau, state.dtau)
+
+    def test_history_of_zero_or_more_rows(self, problem):
+        h, c, states = problem
+        state = SubspaceRun.start(h, c, states, SsqiteConfig(), theta0=seeded_theta(16))
+        empty = state.history
+        width = 2 * state.frame.plan.dim
+        assert len(empty) == 0
+        assert [getattr(empty, name).shape for name in ("energies", "grads", "dtau", "phi")] \
+            == [(0, 3), (0, 3), (0, 3), (0, 3, width)]
+        assert empty.max_offdiag.shape == (0,)
+        for _ in range(5):
+            iteration(state)
+        early = state.history
+        kept = {name: getattr(early, name).copy() for name in ("energies", "grads", "dtau", "phi")}
+        for _ in range(5):
+            iteration(state)
+        assert len(early) == 5 and len(state.history) == 10
+        for name, column in kept.items():
+            np.testing.assert_array_equal(getattr(early, name), column)
+            np.testing.assert_array_equal(getattr(state.history, name)[:5], column)
 
     def test_batched_overlaps_match_per_iteration_report(self, full):
         offdiag = full.history.max_offdiag
@@ -591,7 +633,6 @@ class TestColumnarLog:
         state = iteration(SubspaceRun.start(h, c, states, SsqiteConfig(), theta0=seeded_theta(16)))
         with pytest.raises(ValueError):
             state.history.grads[-1] = 0.0
-        assert state.log.grads.flags.writeable
 
 
 class TestMetamorphic:
