@@ -28,6 +28,7 @@ from .subspace import (
     init_schedule,
     iteration,
     run,
+    scan,
 )
 
 __all__ = [
@@ -60,4 +61,5 @@ __all__ = [
     "init_schedule",
     "iteration",
     "run",
+    "scan",
 ]

@@ -8,15 +8,15 @@ Subcommands::
 
 Config files are flat ``key = value`` text with ``#`` comments, each key at
 most once; relative paths resolve against the config file's directory.  A
-parsed config is an :class:`~ssqite.qite_engine.SsqiteConfig` with the CLI's own
-keys added, and a command builds its circuit, inputs and theta0 once for all
-geometries.  The environment variable ``SSQITE_SEED`` overrides the configured
-seed.  With ``shots > 0`` only the final energy readout of each level is
-sampled; the McLachlan systems that drive the evolution stay exact.  A scan
-geometry whose run fails to converge or to solve is listed in
-``summary.json``, and the other geometries' rows are still written.  Exit
-codes: 0 success, 1 accuracy or convergence failure (a
-:class:`~ssqite.errors.MaxItersExceeded` or
+parsed config is an :class:`~ssqite.qite_engine.SsqiteConfig` with the CLI's
+own keys added.  A command builds its circuit, inputs and theta0 once for all
+geometries, and :func:`~ssqite.subspace.scan` builds a scan's frame basis
+once.  The environment variable ``SSQITE_SEED`` overrides the configured seed.
+With ``shots > 0`` only the final energy readout of each level is sampled; the
+McLachlan systems that drive the evolution stay exact.  A scan geometry whose
+run fails to converge or to solve is listed in ``summary.json``, and the other
+geometries' rows are still written.  Exit codes: 0 success, 1 accuracy or
+convergence failure (a :class:`~ssqite.errors.MaxItersExceeded` or
 :class:`~ssqite.errors.SingularSystem`, or a missed tolerance), 2 input error
 (an :class:`~ssqite.errors.InputError`, or an unreadable file).
 """
@@ -46,7 +46,7 @@ from .simulator import (
     sample_expectation,
 )
 from .qite_engine import SsqiteConfig
-from .subspace import SubspaceResult, run
+from .subspace import SubspaceResult, run, scan
 
 # Each ansatz's builder and the input labels of its first levels.
 ANSATZE = {
@@ -208,13 +208,13 @@ def cmd_scan(cfg: RunConfig, tolerance: float = CHEMICAL_ACCURACY) -> int:
     series = load_geometry_series(cfg.hamiltonian_path)
     lines = ["R,level,E_ssqite,E_exact,abs_err,iters"]
     errors, iterations, walls, failures = [], {}, {}, {}
+    outcomes = scan(series.points, circuit, states, cfg, theta0=theta0)
     for gi, (bond, hamiltonian) in enumerate(series.points):
         t_geometry = time.perf_counter()
-        try:
-            result = run(hamiltonian, circuit, states, cfg, theta0=theta0)
-        except (MaxItersExceeded, SingularSystem) as exc:
-            failures[_fmt(bond)] = str(exc)
-            print(f"error: R={_fmt(bond)}: {exc}", file=sys.stderr)
+        _, result = next(outcomes)
+        if not isinstance(result, SubspaceResult):
+            failures[_fmt(bond)] = str(result)
+            print(f"error: R={_fmt(bond)}: {result}", file=sys.stderr)
             continue
         exact = eigensolve(hamiltonian).eigenvalues[: cfg.k]
         for level in range(cfg.k):

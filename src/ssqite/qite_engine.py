@@ -1,25 +1,23 @@
 """McLachlan imaginary-time systems, assembled and solved as one stack.
 
 :class:`_Frame` puts a problem (H, the circuit and k orthonormal inputs) into
-coordinates once: the real forms of the inputs and of H in the smallest
-subspace around the inputs that every gate maps into itself.
+coordinates once, so no iteration pays for it: the real forms of the inputs
+and of H in the smallest subspace around the inputs that every gate maps
+into itself.  Only its H part differs between the geometries of a scan.
 :func:`assemble` measures the k McLachlan systems A theta_dot = C at theta,
 A_ij = Re<d_i phi|d_j phi> and C_i = -Re<d_i phi|H|phi> = -1/2 dE/dtheta_i,
 from one circuit sweep, and :func:`solve` solves the stack in one batched
-eigendecomposition.  The frame settles once what each iteration would
-otherwise pay for: its basis starts with the inputs, so they are its first k
-coordinate vectors and every sweep reads them as column slices, and it
-stores -h^T, so w takes one product; :func:`solve` reads its cut from the
-top of the ascending spectrum, since every Gram t^T t is positive
-semidefinite.  :class:`SsqiteConfig` holds the settings of both evolution
-loops, and :func:`run_qite` is single-state QITE by explicit Euler steps on a
-one-input frame (McArdle et al., npj Quantum Inf. 5, 75, 2019), the k = 1
-reference that a subspace run must reproduce bit for bit.
+eigendecomposition, its cut read from the top of the ascending spectrum
+since every Gram t^T t is positive semidefinite.  :class:`SsqiteConfig`
+holds the settings of both evolution loops, and :func:`run_qite` is
+single-state QITE by explicit Euler steps on a one-input frame (McArdle et
+al., npj Quantum Inf. 5, 75, 2019), the k = 1 reference that a subspace run
+must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -46,27 +44,41 @@ class _Frame:
     the one check that they are orthonormal), which starts with the inputs,
     so in Q's coordinates they are the first k coordinate vectors.  ``plan``
     is the dense circuit restricted to Q and ``minus_ht`` -h^T for h the real
-    form of Q^H H Q, so the rows of -H phi take one product.  Q preserves
-    inner products, so a run's energies (each read by :meth:`readout`) and
-    overlaps are computed in these coordinates; only the final states are
-    lifted back to the full space.
+    form of Q^H H Q (added by :meth:`at`; the rest is built once per scan), so
+    the rows of -H phi take one product.  Q preserves inner products, so a
+    run's energies (each read by :meth:`readout`) and overlaps are computed in
+    these coordinates; only the final states are lifted back to the full space.
     """
 
+    n: int
     basis: np.ndarray
     plan: DenseCircuit
     k: int
-    minus_ht: np.ndarray
+    minus_ht: np.ndarray | None = None
 
     @classmethod
     def of(cls, h: PauliSum, c: Circuit, states) -> "_Frame":
-        """The frame of the input ``Statevector``s, after checking every width against ``c``."""
-        for what, n in (("Hamiltonian", h.n), *(("state", s.n) for s in states)):
-            if n != c.n:
-                raise InputError(f"{what} on {n} qubits, circuit on {c.n}")
-        amps = np.column_stack([s.amps for s in states])
-        q = invariant_basis(c, amps)
-        hq = q.conj().T @ h.dense @ q
-        return cls(q, c.dense.restrict(q), amps.shape[1], -real_matrix(hq).T)
+        """The frame of the input ``Statevector``s for ``h``: :meth:`around`, then :meth:`at`."""
+        return cls.around(c, states).at(h)
+
+    @classmethod
+    def around(cls, c: Circuit, states) -> "_Frame":
+        """The frame of the input ``Statevector``s without H, widths checked against ``c``."""
+        states = tuple(states)
+        if not states:
+            raise InputError("k must be an integer >= 1, got 0")
+        for s in states:
+            if s.n != c.n:
+                raise InputError(f"state on {s.n} qubits, circuit on {c.n}")
+        q = invariant_basis(c, np.column_stack([s.amps for s in states]))
+        return cls(c.n, q, c.dense.restrict(q), len(states))
+
+    def at(self, h: PauliSum) -> "_Frame":
+        """This frame with the H part of ``h``, after checking its width."""
+        if h.n != self.n:
+            raise InputError(f"Hamiltonian on {h.n} qubits, circuit on {self.n}")
+        hq = self.basis.conj().T @ h.dense @ self.basis
+        return replace(self, minus_ht=-real_matrix(hq).T)
 
     def first_theta(self, theta0) -> np.ndarray:
         """A run's first parameters: zeros for None, else a real, finite copy of ``theta0``."""

@@ -8,14 +8,14 @@ from that level upward doubles (ratios intact), which keeps the iteration
 count from growing like 2^k.  When a converged level's speed re-awakens and
 grows, every step size halves, but never below its initial b / 2^l.
 
-A run puts its problem into coordinates once, when it starts: its frame
-(:class:`~ssqite.qite_engine._Frame`) works in the smallest subspace around
-the inputs that every gate maps into itself, 3 amplitudes instead of 8 for
-the excitation-preserving ansatz on one-excitation inputs.  Each iteration
+A run works in a frame (:class:`~ssqite.qite_engine._Frame`), the smallest
+subspace around the inputs that every gate maps into itself: 3 amplitudes
+instead of 8 for the excitation-preserving ansatz on one-excitation inputs.
+:func:`scan` builds its basis once for all geometries.  Each iteration
 assembles and solves the stacked McLachlan systems of all levels from one
-circuit sweep and appends one row of what it measured to the run's rows;
-the schedule reads the k speeds as Python floats.  Energies and overlaps are
-read in the frame, and only the final states are lifted to the full 2^n basis.
+circuit sweep and appends one row of arrays to the run's rows; the schedule
+reads the k speeds as Python floats.  Energies and overlaps are read in the
+frame, and only the final states are lifted to the full 2^n basis.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, MaxItersExceeded
+from .errors import InputError, MaxItersExceeded, SingularSystem
 from .pauli_algebra import PauliSum
 from .qite_engine import SsqiteConfig, _Frame, _reach, assemble, solve
 from .simulator import Circuit, Statevector, apply, complex_form
@@ -74,13 +74,11 @@ class History:
 class SubspaceRun:
     """Evolving state of one subspace search, bound to its problem by ``frame``.
 
-    :func:`iteration` advances it; its states are reported on ``n`` qubits.
-    ``flags`` and ``streaks`` are each level's schedule state, and ``bound``
-    bounds max|theta|.  ``rows`` holds one ``(energies, speeds, dtau, phi)``
-    row per iteration, each owning its values.
+    :func:`iteration` advances it.  ``flags`` and ``streaks`` are each level's
+    schedule state, and ``bound`` bounds max|theta|.  ``rows`` holds one
+    ``(energies, speeds, dtau, phi)`` row per iteration of arrays it owns.
     """
 
-    n: int
     theta: np.ndarray
     bound: float
     dtau: np.ndarray
@@ -93,27 +91,16 @@ class SubspaceRun:
     @classmethod
     def start(cls, h: PauliSum, c: Circuit, initial_states, cfg: SsqiteConfig,
               theta0=None) -> "SubspaceRun":
-        """The iteration-zero run and its frame, built once per run.
+        """The iteration-zero run and its frame (:meth:`_Frame.of`), built once per run."""
+        return cls.in_frame(_Frame.of(h, c, initial_states), cfg, theta0)
 
-        The frame checks the states' widths and that they are orthonormal,
-        and turns theta0 into the first parameters (:meth:`_Frame.first_theta`).
-        """
-        initial_states = tuple(initial_states)
-        k = len(initial_states)
-        dtau = init_schedule(k, cfg.b)
-        frame = _Frame.of(h, c, initial_states)
-        theta = frame.first_theta(theta0)
-        return cls(
-            n=c.n,
-            theta=theta,
-            bound=float(np.abs(theta).max(initial=0.0)),
-            dtau=dtau,
-            flags=[False] * k,
-            streaks=[0] * k,
-            rows=[],
-            frame=frame,
-            cfg=cfg,
-        )
+    @classmethod
+    def in_frame(cls, frame: _Frame, cfg: SsqiteConfig, theta0=None) -> "SubspaceRun":
+        """The iteration-zero run in ``frame``, which makes theta0 the first parameters."""
+        k, theta = frame.k, frame.first_theta(theta0)
+        return cls(theta=theta, bound=float(np.abs(theta).max(initial=0.0)),
+                   dtau=init_schedule(k, cfg.b), flags=[False] * k, streaks=[0] * k,
+                   rows=[], frame=frame, cfg=cfg)
 
     @property
     def converged(self) -> np.ndarray:
@@ -156,7 +143,8 @@ def iteration(run: SubspaceRun) -> SubspaceRun:
     cfg, flags, streaks = run.cfg, run.flags, run.streaks
     system = assemble(run.frame, run.theta)
     theta_dots = solve(system)
-    grads = np.maximum.reduce(np.abs(theta_dots), axis=1).tolist()
+    speeds = np.maximum.reduce(np.abs(theta_dots), axis=1)
+    grads = speeds.tolist()
 
     # A converged level whose velocity re-awakens and keeps growing signals
     # that step doubling pushed dtau past the explicit-integrator stability
@@ -165,7 +153,7 @@ def iteration(run: SubspaceRun) -> SubspaceRun:
     # drives every step to zero.  A flag is set only after an iteration, so
     # the previous row's speeds exist whenever this reads them.
     if True in flags and any(f and g > 10.0 * cfg.grad_tol and g > p
-                             for f, g, p in zip(flags, grads, run.rows[-1][1])):
+                             for f, g, p in zip(flags, grads, run.rows[-1][1].tolist())):
         np.maximum(0.5 * run.dtau, init_schedule(len(flags), cfg.b), out=run.dtau)
     # Every level of the converged prefix has already had its doubling.
     doubled = _converged_prefix(flags)
@@ -189,7 +177,7 @@ def iteration(run: SubspaceRun) -> SubspaceRun:
         theta += step
     run.theta = theta
     # Copies: the schedule updates dtau in place, and phi views the sweep's buffer.
-    run.rows.append((system.energy, grads, run.dtau.copy(), system.phi.copy()))
+    run.rows.append((system.energy, speeds, run.dtau.copy(), system.phi.copy()))
     return run
 
 
@@ -226,8 +214,21 @@ def _finalize(run: SubspaceRun) -> SubspaceResult:
         history=run.history,
         ascending=bool(np.all(np.diff(energies) >= -1e-6)),
         converged=run.converged,
-        final_states=tuple(Statevector(amps=a, n=run.n) for a in amps.T.copy()),
+        final_states=tuple(Statevector(amps=a, n=frame.n) for a in amps.T.copy()),
     )
+
+
+def _evolve(state: SubspaceRun) -> SubspaceResult:
+    """Iterate until every level's convergence flag is set; MaxItersExceeded at the cap."""
+    cap = state.cfg.max_iters
+    while not all(state.flags):
+        if state.iteration >= cap:
+            raise MaxItersExceeded(
+                f"{state.flags.count(False)} level(s) unconverged after {cap} iterations",
+                result=_finalize(state),
+            )
+        state = iteration(state)
+    return _finalize(state)
 
 
 def run(h: PauliSum, c: Circuit, initial_states, cfg: SsqiteConfig,
@@ -238,14 +239,20 @@ def run(h: PauliSum, c: Circuit, initial_states, cfg: SsqiteConfig,
     energies in the result come from the final iterate, reported in level
     order with ``ascending`` flagging any ordering violation.
     """
-    state = SubspaceRun.start(h, c, initial_states, cfg, theta0=theta0)
-    while not all(state.flags):
-        if state.iteration >= cfg.max_iters:
-            raise MaxItersExceeded(
-                f"{state.flags.count(False)} level(s) unconverged "
-                f"after {cfg.max_iters} iterations",
-                result=_finalize(state),
-            )
-        state = iteration(state)
-    return _finalize(state)
+    return _evolve(SubspaceRun.start(h, c, initial_states, cfg, theta0=theta0))
 
+
+def scan(points, c: Circuit, initial_states, cfg: SsqiteConfig, theta0=None):
+    """Yield ``(bond, outcome)`` per ``(bond, h)`` of ``points``, each run as :func:`run` runs it.
+
+    The frame's basis and plan are built once; each geometry adds its H part.
+    The outcome is the SubspaceResult, or the MaxItersExceeded or SingularSystem
+    that ended the run; an InputError propagates.
+    """
+    inputs = _Frame.around(c, initial_states)
+    for bond, h in points:
+        try:
+            outcome = _evolve(SubspaceRun.in_frame(inputs.at(h), cfg, theta0))
+        except (MaxItersExceeded, SingularSystem) as exc:
+            outcome = exc
+        yield bond, outcome

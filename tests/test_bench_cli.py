@@ -139,6 +139,24 @@ class TestScan:
         assert cmd_scan(cfg) == 0 and len(draws) == 1
         assert cmd_trace(cfg, bond_length=0.35) == 0 and len(draws) == 2
 
+    def test_frame_basis_built_once_per_scan(self, tmp_path, monkeypatch):
+        # The basis and the restricted plan depend on the circuit and the
+        # inputs, not on H, so three geometries share one.
+        from ssqite import qite_engine
+
+        original, calls = qite_engine.invariant_basis, []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(qite_engine, "invariant_basis", counted)
+        cfg = parse_config(write_config(tmp_path, trimmed_h2(tmp_path)))
+        assert cmd_scan(cfg) == 0
+        summary = json.loads((cfg.output_dir / "summary.json").read_text())
+        assert summary["geometries"] == len(summary["iterations_per_geometry"]) == 3
+        assert len(calls) == 1
+
     def test_error_column_integrity(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, trimmed_h2(tmp_path)))
         cmd_scan(cfg)

@@ -21,15 +21,17 @@ def _workload(name):
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-@pytest.mark.parametrize("name, iters_total", [("lih_scan", 381), ("h2_trace", 1922)],
-                         ids=["lih_scan", "h2_trace"])
+@pytest.mark.parametrize("name, iters_total",
+                         [("h2_scan", 1249), ("lih_scan", 381), ("h2_trace", 1922)],
+                         ids=["h2_scan", "lih_scan", "h2_trace"])
 def test_workload_passes(name, iters_total):
     # Every output correct and the iteration count the benchmark was defined
-    # at.  h2_trace is the only workload that reads trace.csv: the harness
-    # checks its iter/level layout and the last row's energies, and that both
-    # calls wrote the same bytes.  The iteration clock wraps
-    # subspace.iteration by name; if that name stops being called, the
-    # fastest iteration reads 0 without an error.
+    # at.  The two scans run their geometries through subspace.scan, one
+    # frame basis per call.  h2_trace is the only workload that reads
+    # trace.csv: the harness checks its iter/level layout and the last row's
+    # energies, and that both calls wrote the same bytes.  The iteration
+    # clock wraps subspace.iteration by name; if that name stops being
+    # called, the fastest iteration reads 0 without an error.
     result = _workload(name)
     assert result["correct"] is True
     assert result["failed"] == 0

@@ -3,8 +3,9 @@
 Every config key and every field of a one-geometry coefficient file is set,
 one at a time, to a value of each edge class, and the result runs through
 ``scan``, ``trace`` and ``exact`` via ``main``.  A command must exit 0, 1 or
-2 and never raise; every nonzero exit explains itself on stderr with
-``error: ``; and no CSV it writes holds ``nan``.  A small ``max_iters``
+2 and never raise; it must exit 2 whenever ``parse_config`` or
+``load_geometry_series`` refuses the case; every nonzero exit explains itself
+on stderr with ``error: ``; and no CSV it writes holds ``nan``.  A small ``max_iters``
 keeps each run short, so most runs that get past the input checks exit 1.
 """
 
@@ -12,7 +13,9 @@ import random
 
 import pytest
 
-from ssqite.bench_cli import _FIELD_PARSERS, main
+from ssqite.bench_cli import _FIELD_PARSERS, main, parse_config
+from ssqite.errors import InputError
+from ssqite.pauli_algebra import load_geometry_series
 
 # Each value class, with the spellings the seeded generator picks from.
 VALUE_CLASSES = {
@@ -77,6 +80,15 @@ def coefficient_cases():
         yield f"line {i + 1} field {j + 1} = {value!r} ({name})", CONFIG, lines
 
 
+def refused(config_path):
+    """Whether the config, or the coefficient file it names, is an input error."""
+    try:
+        load_geometry_series(parse_config(config_path).hamiltonian_path)
+    except (InputError, OSError):
+        return True
+    return False
+
+
 def problems_of(case_dir, command, capsys):
     argv = [command, "--config", str(case_dir / "run.cfg")]
     if command == "trace":
@@ -87,6 +99,8 @@ def problems_of(case_dir, command, capsys):
         return [f"raised {type(exc).__name__}: {exc}"]
     err = capsys.readouterr().err
     problems = [] if code in (0, 1, 2) else [f"exit {code}"]
+    if code != 2 and refused(case_dir / "run.cfg"):
+        problems.append(f"exit {code} on a refused input")
     if code and not err.startswith("error: "):
         problems.append(f"exit {code} with stderr {err[:80]!r}")
     if "Traceback" in err:

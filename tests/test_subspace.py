@@ -22,6 +22,7 @@ from ssqite.subspace import (
     init_schedule,
     iteration,
     run,
+    scan,
 )
 
 Z = PauliSum.from_terms([(1.0, "Z")])
@@ -118,6 +119,10 @@ class TestStart:
     def test_state_width_checked(self, labels):
         with pytest.raises(InputError, match="state on 3 qubits, circuit on 2"):
             run(ZZ, build_twolocal(), basis(*labels), SsqiteConfig())
+
+    def test_no_states_refused(self):
+        with pytest.raises(InputError, match="k must be an integer >= 1, got 0"):
+            run(ZZ, build_twolocal(), [], SsqiteConfig())
 
     def test_non_orthonormal_states_named(self):
         # The frame's invariant_basis is the one check, with the deviation
@@ -592,6 +597,15 @@ class TestColumnarLog:
             assert not np.shares_memory(phi, systems[-1].phi)
             assert not np.shares_memory(dtau, state.dtau)
 
+    def test_row_entries_are_arrays(self, problem):
+        # Every entry of a row is an ndarray, so the collector does not
+        # track the rows; a list of Python floats in a row would be.
+        h, c, states = problem
+        state = SubspaceRun.start(h, c, states, SsqiteConfig(), theta0=seeded_theta(16))
+        for _ in range(5):
+            iteration(state)
+        assert [[type(entry) for entry in row] for row in state.rows] == [[np.ndarray] * 4] * 5
+
     def test_history_of_zero_or_more_rows(self, problem):
         h, c, states = problem
         state = SubspaceRun.start(h, c, states, SsqiteConfig(), theta0=seeded_theta(16))
@@ -691,3 +705,73 @@ class TestMetamorphic:
         np.testing.assert_allclose(self.energies(got), self.energies(base),
                                    rtol=0, atol=1e-12)
         np.testing.assert_allclose(got.theta, base.theta, rtol=0, atol=1e-10)
+
+
+class TestScan:
+    """``scan`` runs each geometry as a fresh ``run`` does, bit for bit.
+
+    The first three H2 geometries from the CLI's seed-11 start; the frame's
+    basis and plan are built once for all of them.
+    """
+
+    @pytest.fixture(scope="class")
+    def problem(self, h2_series):
+        return h2_series.points[:3], build_twolocal(), basis("00", "01", "10"), seeded_theta(16)
+
+    @staticmethod
+    def assert_same(got, want):
+        for name in ("theta", "energies", "ascending", "converged"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        for name in ("energies", "grads", "dtau", "phi"):
+            np.testing.assert_array_equal(getattr(got.history, name), getattr(want.history, name))
+        for a, b in zip(got.final_states, want.final_states, strict=True):
+            np.testing.assert_array_equal(a.amps, b.amps)
+
+    def test_each_geometry_matches_a_fresh_run(self, problem, monkeypatch):
+        from ssqite import qite_engine
+
+        points, c, states, theta0 = problem
+        original, calls = qite_engine.invariant_basis, []
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(qite_engine, "invariant_basis", counted)
+        outcomes = list(scan(points, c, states, SsqiteConfig(), theta0=theta0))
+        assert len(calls) == 1
+        assert [bond for bond, _ in outcomes] == [bond for bond, _ in points]
+        for (_, h), (_, got) in zip(points, outcomes):
+            self.assert_same(got, run(h, c, states, SsqiteConfig(), theta0=theta0))
+
+    def test_failed_solve_yields_its_error_and_the_next_geometry_runs(self, problem, monkeypatch):
+        # The scan is lazy, so the solve fails on the second geometry only.
+        points, c, states, theta0 = problem
+
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        outcomes = scan(points, c, states, SsqiteConfig(), theta0=theta0)
+        next(outcomes)
+        with monkeypatch.context() as patched:
+            patched.setattr(np.linalg, "eigh", fail)
+            bond, failed = next(outcomes)
+        assert bond == points[1][0] and isinstance(failed, SingularSystem)
+        bond, got = next(outcomes)
+        assert bond == points[2][0]
+        self.assert_same(got, run(points[2][1], c, states, SsqiteConfig(), theta0=theta0))
+        assert next(outcomes, None) is None
+
+    def test_capped_geometries_yield_their_partial_results(self, problem):
+        points, c, states, theta0 = problem
+        cfg = SsqiteConfig(max_iters=40)
+        for (_, h), (_, got) in zip(points, scan(points, c, states, cfg, theta0=theta0)):
+            assert isinstance(got, MaxItersExceeded)
+            with pytest.raises(MaxItersExceeded) as want:
+                run(h, c, states, cfg, theta0=theta0)
+            assert str(got) == str(want.value)
+            self.assert_same(got.result, want.value.result)
+
+    def test_input_error_propagates(self, lih_series):
+        with pytest.raises(InputError, match="Hamiltonian on 3 qubits, circuit on 2"):
+            next(scan(lih_series.points, build_twolocal(), basis("00", "01"), SsqiteConfig()))
